@@ -713,6 +713,20 @@ class MTCache:
             return [agent] if agent is not None else []
         return [self.agents[key] for _, key in keys if key in self.agents]
 
+    def build_agent(self, region, backend_catalog, log, shard_id):
+        """The one place a distribution agent is constructed (region
+        creation, cold restart, standby promotion): wired to this cache's
+        catalog, clock, metrics and checkpoint store, keyed per
+        replication source, with the local heartbeat table attached."""
+        key = self._agent_key(region.cid, shard_id)
+        agent = DistributionAgent(
+            region, backend_catalog, log, self.catalog, self.clock,
+            registry=self.metrics, checkpoints=self.checkpoints,
+            shard_id=shard_id, checkpoint_key=key,
+        )
+        agent.attach_heartbeat(self._local_heartbeats[key])
+        return agent
+
     def create_region(self, cid, update_interval, update_delay, heartbeat_interval=2.0):
         """Create a currency region with its agent and heartbeat plumbing.
 
@@ -725,16 +739,10 @@ class MTCache:
         keys = []
         for source in self.backend.replication_sources():
             key = self._agent_key(cid, source.shard_id)
-            local_hb = HeapTable(
+            self._local_heartbeats[key] = HeapTable(
                 local_heartbeat_name(key), heartbeat_schema(), primary_key=["cid"]
             )
-            self._local_heartbeats[key] = local_hb
-            agent = DistributionAgent(
-                region, source.catalog, source.log, self.catalog,
-                self.clock, registry=self.metrics, checkpoints=self.checkpoints,
-                shard_id=source.shard_id, checkpoint_key=key,
-            )
-            agent.attach_heartbeat(local_hb)
+            agent = self.build_agent(region, source.catalog, source.log, source.shard_id)
             agent.start(self.scheduler, interval=update_interval)
             self.agents[key] = agent
             keys.append((source.shard_id, key))

@@ -416,8 +416,7 @@ class CacheFleet:
         for node in self.nodes:
             for agent in node.agents.values():
                 if getattr(agent, "shard_id", None) == shard:
-                    agent.backend_catalog = info["catalog"]
-                    agent.log = info["log"]
+                    agent.rebind(info["catalog"], info["log"])
         self.snapshot_store.invalidate(reason="shard-promotion")
 
     def attach_history(self, recorder):

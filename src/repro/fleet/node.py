@@ -29,7 +29,6 @@ from repro.cache.mtcache import MTCache
 from repro.common.errors import CircuitOpenError, FleetStateError, NetworkError
 from repro.fleet.breaker import BreakerState, CircuitBreaker
 from repro.obs.metrics import NULL_REGISTRY
-from repro.replication.agent import DistributionAgent
 from repro.replication.failover import AgentSupervisor
 
 #: Default slack added past a covering outage window before a deferred
@@ -254,12 +253,7 @@ class FleetNode(MTCache):
         keys = []
         for source in self.backend.replication_sources():
             key = self._agent_key(region.cid, source.shard_id)
-            agent = DistributionAgent(
-                region, source.catalog, source.log, self.catalog, self.clock,
-                registry=self.metrics, checkpoints=self.checkpoints,
-                shard_id=source.shard_id, checkpoint_key=key,
-            )
-            agent.attach_heartbeat(self._local_heartbeats[key])
+            agent = self.build_agent(region, source.catalog, source.log, source.shard_id)
             for view_name in region.view_names:
                 agent.subscribe(self.catalog.matview(view_name), truncate=False)
             self.network.wrap_agent(agent, node=self.name, shard=source.shard_id)

@@ -1,7 +1,8 @@
 """Replication: heartbeat service and distribution agents maintaining the
 cache's materialized views one region at a time, in commit order — plus
-the durability plumbing (checkpointed resume cutoffs, standby promotion)
-that keeps regions maintained across agent death."""
+the log tailer they share with the shard replicas and the durability
+plumbing (checkpointed resume cutoffs, standby promotion) that keeps
+regions maintained across agent death."""
 
 from repro.replication.agent import DistributionAgent
 from repro.replication.checkpoint import Checkpoint, CheckpointStore

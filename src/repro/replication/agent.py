@@ -1,11 +1,12 @@
 """Distribution agents (paper §3.1).
 
 A distribution agent owns one currency region: the set of local materialized
-views it refreshes, plus the region's local heartbeat table.  On every wake
-it replays the back-end replication log *in commit order*, one transaction
-at a time, applying each change to every subscribed view whose predicate the
-row satisfies.  Because a region's views are only ever updated together by
-the same agent, they are mutually consistent at all times — which is the
+views it refreshes, plus the region's local heartbeat table.  It is the
+cache tier's sink of :class:`~repro.replication.tailer.LogTailer`: every
+wake hands it the back-end's committed transactions whole and in commit
+order, and it applies each change to every subscribed view whose predicate
+the row satisfies.  Because a region's views are only ever updated together
+by the same agent, they are mutually consistent at all times — which is the
 invariant the compile-time consistency checker relies on.
 
 The propagation **delay** models delivery latency: an agent waking at time
@@ -18,6 +19,7 @@ from repro.common.errors import ReplicationError
 from repro.engine.expressions import OutputCol, RowBinding, evaluator
 from repro.obs.metrics import NULL_REGISTRY
 from repro.replication.heartbeat import HEARTBEAT_TABLE, local_heartbeat_name
+from repro.replication.tailer import LogTailer, upsert
 from repro.txn.log import Operation
 
 
@@ -54,38 +56,33 @@ class _ViewSubscription:
         return self.predicate is None or self.predicate(base_values) is True
 
 
-class DistributionAgent:
+class DistributionAgent(LogTailer):
     """Propagates committed back-end changes to one currency region."""
 
     def __init__(self, region_info, backend_catalog, replication_log, cache_catalog, clock,
                  registry=None, checkpoints=None, shard_id=None, checkpoint_key=None):
+        # The checkpoint key is distinct per shard agent (e.g. ``"r#p1"``)
+        # so sibling agents of one region don't clobber each other's
+        # resume cutoffs.
+        super().__init__(
+            clock, checkpoints,
+            checkpoint_key if checkpoint_key is not None else region_info.cid,
+        )
         self.region = region_info
         self.backend_catalog = backend_catalog
         self.log = replication_log
         self.cache_catalog = cache_catalog
-        self.clock = clock
         #: Partition this agent tails (None: unsharded back-end).  On a
         #: sharded deployment a region runs one agent per partition; each
         #: writes its own entry in ``view.shard_snapshots`` and the view's
         #: scalar ``snapshot_time`` is the minimum over shards — a result
         #: is only as current as its stalest contributing shard.
         self.shard_id = shard_id
-        #: Key for durable checkpoints and scheduler events.  Distinct per
-        #: shard agent (e.g. ``"r#p1"``) so sibling agents of one region
-        #: don't clobber each other's resume cutoffs.
-        self.checkpoint_key = checkpoint_key if checkpoint_key is not None else region_info.cid
-        self.applied_txn = 0
-        self.snapshot_time = 0.0
         self._subscriptions = {}  # base table name -> [_ViewSubscription]
         self._local_heartbeat = None
-        self._event = None
-        self._interval = None
         #: Metrics registry: refresh counts, records applied, staleness
         #: gauge — all labelled by region.  The owning cache sets this.
         self.registry = registry if registry is not None else NULL_REGISTRY
-        #: Durable resume cutoff (survives agent death).  None disables
-        #: checkpointing; the owning cache passes its CheckpointStore.
-        self.checkpoints = checkpoints
         #: Simulated time of the last propagation wake that actually ran
         #: (injected stall windows skip the wake without touching this),
         #: which is what the failover supervisor watches.
@@ -125,7 +122,7 @@ class DistributionAgent:
         self.snapshot_time = now
         self._sync_view(view)
         self._sync_views_metadata()
-        self._checkpoint()
+        self.checkpoint()
 
     def unsubscribe(self, view):
         """Remove a view's subscription (it stops receiving updates)."""
@@ -138,19 +135,18 @@ class DistributionAgent:
 
     def start(self, scheduler, interval=None):
         """Begin periodic propagation on the scheduler."""
-        interval = interval if interval is not None else self.region.update_interval
-        self._interval = interval
-        if self._event is not None:
-            self._event.cancel()
-        self._event = scheduler.every(
-            interval, self.propagate, name=f"agent:{self.checkpoint_key}"
+        if interval is None:
+            interval = self.region.update_interval
+        return super().start(
+            scheduler, interval, self.propagate, f"agent:{self.checkpoint_key}"
         )
-        return self._event
 
-    def stop(self):
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+    def rebind(self, backend_catalog, replication_log):
+        """Re-point at a promoted shard primary.  Its log is a
+        prefix-consistent copy of the dead one's, so the tail position
+        and the durable checkpoint stay valid."""
+        self.backend_catalog = backend_catalog
+        self.log = replication_log
 
     # ------------------------------------------------------------------
     # Propagation
@@ -166,24 +162,10 @@ class DistributionAgent:
             cutoff = self.clock.now() - self.region.update_delay
         if cutoff < self.snapshot_time:
             return 0
-        applied = 0
-        # Skip against the cutoff held at entry, not the live counter: a
-        # multi-statement transaction emits several records under one txn
-        # id, and advancing ``applied_txn`` on the first would skip its
-        # siblings.  All records of a txn share one commit_time, so a txn
-        # never straddles the cutoff break below.
-        resume_floor = self.applied_txn
-        for record in self.log.records:
-            if record.txn_id <= resume_floor:
-                continue
-            if record.commit_time > cutoff:
-                break
-            if self._apply(record):
-                applied += 1
-            self.applied_txn = max(self.applied_txn, record.txn_id)
+        applied = self.advance(self.log, cutoff)
         self.snapshot_time = max(self.snapshot_time, cutoff)
         self._sync_views_metadata()
-        self._checkpoint()
+        self.checkpoint()
         labels = {"region": self.region.cid}
         if self.shard_id is not None:
             labels["shard"] = str(self.shard_id)
@@ -228,15 +210,8 @@ class DistributionAgent:
                 self._sync_view(sub.view)
 
     # ------------------------------------------------------------------
-    # Durability & failover
+    # Failover
     # ------------------------------------------------------------------
-    def _checkpoint(self):
-        if self.checkpoints is not None:
-            self.checkpoints.save(
-                self.checkpoint_key, self.applied_txn, self.snapshot_time,
-                saved_at=self.clock.now(),
-            )
-
     def adopt(self, other):
         """Take over ``other``'s subscriptions and local heartbeat table.
 
@@ -252,21 +227,12 @@ class DistributionAgent:
         self._interval = other._interval
         return self
 
-    def resume_from_checkpoint(self):
-        """Restore the durable cutoff (no-op without a store/checkpoint).
-
-        The next :meth:`propagate` then replays the log from there; the
-        stretch between the checkpoint and whatever the dead agent had
-        actually applied is re-applied, which :meth:`_apply` tolerates.
-        """
-        if self.checkpoints is None:
-            return None
-        checkpoint = self.checkpoints.load(self.checkpoint_key)
-        if checkpoint is None:
-            return None
-        self.applied_txn = checkpoint.applied_txn
-        self.snapshot_time = checkpoint.snapshot_time
-        return checkpoint
+    # ------------------------------------------------------------------
+    # Sink: idempotent application of one transaction
+    # ------------------------------------------------------------------
+    def apply_transaction(self, records):
+        """The number of records that changed a local table."""
+        return sum(1 for record in records if self._apply(record))
 
     def _apply(self, record):
         """Apply one log record; returns True if anything changed locally."""
@@ -281,62 +247,24 @@ class DistributionAgent:
                 changed = True
         return changed
 
-    def _apply_to_view(self, sub, record):
-        """Apply one record to one view — idempotently.
-
-        Every op locates the current local row by primary key first, so
-        INSERT degrades to an upsert: re-applying an already-applied log
-        prefix (checkpointed failover, replayed restart) leaves the view
-        byte-identical instead of duplicating rows.
-        """
-        view_table = sub.view.table
-        ci = view_table.clustered_index()
-        rid = None
-        for candidate in ci.seek(record.pk):
-            rid = candidate
-            break
-        if record.op is Operation.DELETE:
-            if rid is not None:
-                view_table.delete(rid)
-                return True
-            return False
-        # INSERT / UPDATE: the row may enter, leave, or change within the
-        # view; both upsert against the current local state.
-        now_in = sub.satisfies(record.values)
-        if rid is not None and now_in:
-            view_table.update(rid, sub.project(record.values), xtime=record.txn_id,
-                              commit_time=record.commit_time)
-            return True
-        if rid is not None and not now_in:
-            view_table.delete(rid)
-            return True
-        if rid is None and now_in:
-            view_table.insert(sub.project(record.values), xtime=record.txn_id,
-                              commit_time=record.commit_time)
-            return True
-        return False
+    @staticmethod
+    def _apply_to_view(sub, record):
+        """Apply one record to one view: the row may enter, leave, or
+        change within the view's predicate."""
+        keep = record.op is not Operation.DELETE and sub.satisfies(record.values)
+        return upsert(
+            sub.view.table, record, sub.project(record.values) if keep else None
+        )
 
     def _apply_heartbeat(self, record):
         """Replicate this region's heartbeat row into the local table."""
-        if self._local_heartbeat is None:
+        if (
+            self._local_heartbeat is None
+            or record.pk[0] != self.region.cid
+            or record.op is Operation.DELETE
+        ):
             return False
-        cid = record.pk[0]
-        if cid != self.region.cid:
-            return False
-        if record.op is not Operation.INSERT and record.op is not Operation.UPDATE:
-            return False
-        existing = None
-        for rid, values in self._local_heartbeat.scan():
-            if values[0] == cid:
-                existing = rid
-                break
-        if existing is None:
-            self._local_heartbeat.insert(record.values, xtime=record.txn_id,
-                                         commit_time=record.commit_time)
-        else:
-            self._local_heartbeat.update(existing, record.values, xtime=record.txn_id,
-                                         commit_time=record.commit_time)
-        return True
+        return upsert(self._local_heartbeat, record, record.values)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,12 +1,12 @@
-"""Durable resume cutoffs for distribution agents.
+"""Durable resume cutoffs for log tailers (agents and shard replicas).
 
-A :class:`CheckpointStore` models the one piece of agent state that
-survives a process death: the ``(applied_txn, snapshot_time)`` cutoff the
-agent had durably reached.  A restarted (or promoted standby) agent
-resumes from the stored cutoff and replays the replication-log suffix;
-because :meth:`DistributionAgent._apply` is idempotent, replaying a
+A :class:`CheckpointStore` models the one piece of tailer state that
+survives a process death: the ``(applied_txn, snapshot_time)`` cutoff it
+had durably reached.  A restarted (or promoted standby) tailer resumes
+from the stored cutoff and replays the replication-log suffix; because
+sinks write through :func:`repro.replication.tailer.upsert`, replaying a
 prefix that was already applied — the cutoff necessarily lags anything a
-crashed agent applied after its last checkpoint — is harmless.
+crashed tailer applied after its last checkpoint — is harmless.
 
 The store is deliberately tiny: an in-memory dict standing in for a
 fsync'd file per region.  What matters for the chaos harness is the

@@ -19,7 +19,6 @@ healthy host, which is the only reason to promote at all.
 """
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.replication.agent import DistributionAgent
 
 __all__ = ["AgentSupervisor"]
 
@@ -84,13 +83,9 @@ class AgentSupervisor:
         # The standby tails the *same* replication source as the dead
         # primary (its partition's catalog and log, not necessarily the
         # whole back-end) and inherits its checkpoint identity.
-        standby = DistributionAgent(
-            old.region, old.backend_catalog, old.log,
-            cache.catalog, cache.clock,
-            registry=old.registry, checkpoints=old.checkpoints,
-            shard_id=old.shard_id, checkpoint_key=old.checkpoint_key,
-        )
-        standby.adopt(old)
+        standby = cache.build_agent(
+            old.region, old.backend_catalog, old.log, old.shard_id
+        ).adopt(old)
         checkpoint = standby.resume_from_checkpoint()
         # Catch the region up immediately, then resume the normal cadence.
         standby.propagate()

@@ -57,6 +57,7 @@ from repro.optimizer.cost import CostModel
 from repro.optimizer.query_info import _constant_value, _has_subquery, _split_conjuncts
 from repro.replication.checkpoint import CheckpointStore
 from repro.replication.heartbeat import HEARTBEAT_TABLE, heartbeat_schema
+from repro.replication.tailer import transactions_after
 from repro.shard.replica import ShardFailureDetector, ShardReplica
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -390,10 +391,10 @@ class ShardedBackend(Backend):
             raise ExecutionError(f"shard p{shard} has no replicas to promote")
         old = self.partitions[shard]
         winner = max(standbys, key=lambda r: (r.applied_txn, -r.replica_id))
-        tail_txns = sorted({
-            record.txn_id for record in old.txn_manager.log.records
-            if record.txn_id > winner.applied_txn
-        })
+        tail_txns = [
+            records[0].txn_id
+            for records in transactions_after(old.txn_manager.log, winner.applied_txn)
+        ]
         pending, lost = [], []
         if self.durable_log:
             pending = tail_txns

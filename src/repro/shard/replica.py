@@ -3,22 +3,14 @@
 Each :class:`ShardReplica` is a warm standby for one partition of a
 :class:`~repro.shard.ShardedBackend`: a complete
 :class:`~repro.cache.backend.BackendServer` of its own whose tables are
-kept in sync by *tailing the primary's replication log* — the same
-transactional-replication machinery the cache tier's
-:class:`~repro.replication.agent.DistributionAgent` uses, applied at
-full-table granularity.  Replay is idempotent (every op locates the row
-by primary key first, so a re-applied prefix is a no-op) and
-txn-faithful: the applied records are appended verbatim to the replica's
-*own* replication log with their original transaction ids and commit
-times, so after a promotion the replica's log is a prefix-consistent
-copy of the primary's and cache agents resume tailing it from their
-checkpoints without missing or re-counting a transaction.
-
-Durability mirrors the cache tier: each replica checkpoints its
-``(applied_txn, snapshot_time)`` into a shared
-:class:`~repro.replication.checkpoint.CheckpointStore` after every
-apply batch, and :meth:`ShardReplica.resume_from_checkpoint` rebuilds
-the tail position after a (simulated) replica restart.
+kept in sync by *tailing the primary's replication log*.  It is the
+shard tier's sink of :class:`~repro.replication.tailer.LogTailer` (which
+states the whole-transaction, replay-safe contract): every transaction
+is upserted into the full tables by primary key and appended verbatim to
+the replica's *own* replication log with its original transaction id and
+commit time, so after a promotion the replica's log is a
+prefix-consistent copy of the primary's and cache agents resume tailing
+it from their checkpoints without missing or re-counting a transaction.
 
 :class:`ShardFailureDetector` watches the heartbeat rows on every
 primary (the paper's §3.1 heartbeat table doubles as the liveness
@@ -29,135 +21,83 @@ runs on the simulated scheduler, so detection latency is deterministic
 per seed.
 """
 
+from repro.replication.tailer import LogTailer, transactions_after, upsert
 from repro.txn.log import LogRecord, Operation
 
 __all__ = ["ShardReplica", "ShardFailureDetector"]
 
 
-class ShardReplica:
+class ShardReplica(LogTailer):
     """One warm standby tailing a shard primary's replication log."""
 
     def __init__(self, shard_id, replica_id, server, clock, *,
                  checkpoints=None, checkpoint_key=None):
+        super().__init__(
+            clock, checkpoints, checkpoint_key or f"shard{shard_id}/r{replica_id}"
+        )
         self.shard_id = shard_id
         self.replica_id = replica_id
         #: The standby's own BackendServer (schema kept in lockstep by
         #: the owning ShardedBackend's fan-out DDL).
         self.server = server
-        self.clock = clock
-        #: Last transaction id applied from the primary's log.
-        self.applied_txn = 0
-        #: Commit time of the last applied transaction.
-        self.snapshot_time = 0.0
-        self.checkpoints = checkpoints
-        self.checkpoint_key = checkpoint_key or f"shard{shard_id}/r{replica_id}"
         self._log_supplier = None
-        self._event = None
 
-    # ------------------------------------------------------------------
-    # Ship cadence
-    # ------------------------------------------------------------------
     def start(self, scheduler, interval, log_supplier):
         """Begin tailing: ``log_supplier()`` must return the *current*
         primary's replication log (a callable, so a promotion that swaps
         the primary re-points every surviving replica for free)."""
         self._log_supplier = log_supplier
-        if self._event is not None:
-            self._event.cancel()
-        self._event = scheduler.every(
-            interval, self.tail, name=f"replica:{self.checkpoint_key}"
+        return super().start(
+            scheduler, interval, self.tail, f"replica:{self.checkpoint_key}"
         )
-        return self._event
-
-    def stop(self):
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
 
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
     def tail(self, cutoff=None):
-        """Apply every log record past ``applied_txn`` (commit time <=
-        ``cutoff``, default now).  Returns the number of transactions
-        applied."""
+        """Apply every transaction past ``applied_txn`` (commit time <=
+        ``cutoff``, default now).  Returns the number applied."""
         if self._log_supplier is None:
             return 0
         return self.apply_from(self._log_supplier(), cutoff=cutoff)
 
     def apply_from(self, log, cutoff=None):
-        """Replay ``log``'s tail into the standby server, mirroring each
-        record into the standby's own log (same txn id, same commit
-        time) so the copy is itself a valid replication source."""
-        cutoff = self.clock.now() if cutoff is None else cutoff
-        manager = self.server.txn_manager
-        applied = set()
-        # Compare against the position at entry, not the advancing
-        # ``applied_txn`` — a transaction's records share one txn id, and
-        # advancing mid-transaction would skip every op after the first.
-        floor = self.applied_txn
-        for record in log.records:
-            if record.txn_id <= floor:
-                continue
-            if record.commit_time > cutoff:
-                break
-            self._apply_record(record)
-            manager.log.append(LogRecord(
-                record.txn_id, record.commit_time, record.table, record.op,
-                record.pk, values=record.values, old_values=record.old_values,
-            ))
-            if record.txn_id not in applied:
-                applied.add(record.txn_id)
-                manager.committed.append((record.txn_id, record.commit_time))
-            self.applied_txn = record.txn_id
-            self.snapshot_time = max(self.snapshot_time, record.commit_time)
+        """Replay ``log``'s tail into the standby server; the position
+        is checkpointed whenever it moved."""
+        applied = self.advance(log, self.clock.now() if cutoff is None else cutoff)
         if applied:
-            # Keep the standby's txn counter in lockstep so DML after a
-            # promotion continues the primary's id sequence.
-            manager._next_txn_id = max(manager._next_txn_id, self.applied_txn + 1)
-            self._checkpoint()
-        return len(applied)
+            self.checkpoint()
+        return applied
 
-    def _apply_record(self, record):
-        """One record, applied idempotently by primary-key seek."""
-        table = self.server.catalog.table(record.table).table
-        rid = table.pk_lookup(record.pk)
-        if record.op is Operation.DELETE:
-            if rid is not None:
-                table.delete(rid, xtime=record.txn_id,
-                             commit_time=record.commit_time)
-        elif rid is None:
-            table.insert(tuple(record.values), xtime=record.txn_id,
-                         commit_time=record.commit_time)
-        else:
-            table.update(rid, tuple(record.values), xtime=record.txn_id,
-                         commit_time=record.commit_time)
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-    def _checkpoint(self):
-        if self.checkpoints is not None:
-            self.checkpoints.save(
-                self.checkpoint_key, self.applied_txn, self.snapshot_time,
-                saved_at=self.clock.now(),
+    def apply_transaction(self, records):
+        """Upsert one transaction and mirror it into the standby's own
+        log (same txn id, same commit time) so the copy is itself a
+        valid replication source.  ``snapshot_time`` is the commit time
+        of the last applied transaction."""
+        manager = self.server.txn_manager
+        txn_id, commit_time = records[0].txn_id, records[0].commit_time
+        for record in records:
+            upsert(
+                self.server.catalog.table(record.table).table, record,
+                None if record.op is Operation.DELETE else record.values,
             )
-
-    def resume_from_checkpoint(self):
-        """Adopt the durable tail position (after a replica restart whose
-        in-memory position was lost).  Returns the checkpoint, or None."""
-        if self.checkpoints is None:
-            return None
-        checkpoint = self.checkpoints.load(self.checkpoint_key)
-        if checkpoint is not None:
-            self.applied_txn = checkpoint.applied_txn
-            self.snapshot_time = checkpoint.snapshot_time
-        return checkpoint
+        # The standby's txn counter moves in lockstep with the mirror (so
+        # DML after a promotion continues the primary's id sequence); a
+        # replayed transaction is at or below it and is not mirrored twice.
+        if manager.last_txn_id < txn_id:
+            for record in records:
+                manager.log.append(LogRecord(
+                    record.txn_id, record.commit_time, record.table, record.op,
+                    record.pk, values=record.values, old_values=record.old_values,
+                ))
+            manager.committed.append((txn_id, commit_time))
+            manager._next_txn_id = txn_id + 1
+        self.snapshot_time = max(self.snapshot_time, commit_time)
+        return 1
 
     def lag_behind(self, log):
         """Transactions in ``log`` this replica has not applied yet."""
-        last = log.records[-1].txn_id if log.records else 0
-        return max(0, last - self.applied_txn)
+        return sum(1 for _ in transactions_after(log, self.applied_txn))
 
     def __repr__(self):
         return (

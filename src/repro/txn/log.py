@@ -15,6 +15,8 @@ without sharing row ids with the master heap.
 
 import enum
 
+from repro.common.errors import ReplicationError
+
 
 class Operation(enum.Enum):
     INSERT = "insert"
@@ -45,12 +47,20 @@ class LogRecord:
 
 
 class ReplicationLog:
-    """An append-only, globally ordered log of committed changes."""
+    """An append-only, globally ordered log of committed changes.
+
+    Transaction ids never decrease along the log — every tailer bisects
+    on that — so :meth:`append` refuses a record that would break it."""
 
     def __init__(self):
         self._records = []
 
     def append(self, record):
+        if self._records and record.txn_id < self._records[-1].txn_id:
+            raise ReplicationError(
+                f"log append out of commit order: txn {record.txn_id} after "
+                f"txn {self._records[-1].txn_id}"
+            )
         record.seq = len(self._records)
         self._records.append(record)
 
@@ -63,26 +73,3 @@ class ReplicationLog:
     @property
     def records(self):
         return self._records
-
-    def records_for(self, table, after_txn=0, up_to_commit_time=None):
-        """Yield records for ``table`` with txn_id > after_txn, optionally
-        restricted to commit_time <= up_to_commit_time, in log order."""
-        for record in self._records:
-            if record.table != table:
-                continue
-            if record.txn_id <= after_txn:
-                continue
-            if up_to_commit_time is not None and record.commit_time > up_to_commit_time:
-                continue
-            yield record
-
-    def last_txn_before(self, commit_time):
-        """Return the id of the last transaction committed at or before
-        ``commit_time`` (0 if none)."""
-        last = 0
-        for record in self._records:
-            if record.commit_time <= commit_time:
-                last = max(last, record.txn_id)
-            else:
-                break
-        return last

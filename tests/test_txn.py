@@ -3,10 +3,10 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.common.errors import StorageError, TransactionError
+from repro.common.errors import ReplicationError, StorageError, TransactionError
 from repro.storage.schema import Column, DataType, Schema
 from repro.storage.table import HeapTable
-from repro.txn.log import Operation
+from repro.txn.log import LogRecord, Operation
 from repro.txn.manager import TransactionManager
 
 
@@ -155,24 +155,15 @@ class TestReplicationLog:
         assert record.old_values == (7, 3.5)
         assert record.values == (7, 4.5)
 
-    def test_records_for_filters(self):
-        clock, _, manager = make_manager()
+    def test_append_refuses_a_txn_id_below_the_last(self):
+        _, _, manager = make_manager()
         manager.run(lambda txn: txn.insert("t", (1, 1.0)))
-        clock.advance(10.0)
         manager.run(lambda txn: txn.insert("t", (2, 2.0)))
-        records = list(manager.log.records_for("t", after_txn=0, up_to_commit_time=5.0))
-        assert [r.pk for r in records] == [(1,)]
-        records = list(manager.log.records_for("t", after_txn=1))
-        assert [r.pk for r in records] == [(2,)]
-
-    def test_last_txn_before(self):
-        clock, _, manager = make_manager()
-        manager.run(lambda txn: txn.insert("t", (1, 1.0)))
-        clock.advance(10.0)
-        manager.run(lambda txn: txn.insert("t", (2, 2.0)))
-        assert manager.log.last_txn_before(5.0) == 1
-        assert manager.log.last_txn_before(15.0) == 2
-        assert manager.log.last_txn_before(-1.0) == 0
+        log = manager.log
+        log.append(LogRecord(2, 0.0, "t", Operation.UPDATE, (2,), values=(2, 3.0)))
+        with pytest.raises(ReplicationError, match="out of commit order"):
+            log.append(LogRecord(1, 0.0, "t", Operation.DELETE, (1,)))
+        assert [r.txn_id for r in log] == [1, 2, 2]
 
     def test_seq_numbers_are_global(self):
         _, _, manager = make_manager()
