@@ -14,6 +14,7 @@ query's C&C constraint:
 * inserts/deletes/updates are forwarded transparently to the back-end.
 """
 
+import contextlib
 import enum
 import hashlib
 from collections import OrderedDict
@@ -27,6 +28,7 @@ from repro.engine.analyze import analysis_rows, instrument, render_analysis
 from repro.engine.executor import ExecutionContext, Executor, PhaseTimings, QueryResult
 from repro.engine.expressions import OutputCol, RowBinding, compile_expr
 from repro.obs.metrics import MetricsRegistry, NullRegistry
+from repro.obs.ring import Ring
 from repro.obs.trace import TraceLog
 from repro.optimizer.candidates import Candidate, stamp_estimates
 from repro.optimizer.cost import guard_probability
@@ -312,29 +314,14 @@ class QueryLogEntry:
         return f"QueryLogEntry({self.sql[:40]!r}... {where}, {self.rows} rows)"
 
 
-class QueryLog:
+class QueryLog(Ring):
     """A bounded ring of QueryLogEntry records."""
 
     def __init__(self, capacity=200):
-        self.capacity = capacity
-        self._entries = []
-
-    def record(self, entry):
-        self._entries.append(entry)
-        if len(self._entries) > self.capacity:
-            del self._entries[: len(self._entries) - self.capacity]
+        super().__init__(capacity)
 
     def recent(self, n=10):
-        return list(self._entries[-n:])
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def clear(self):
-        self._entries.clear()
+        return super().recent(n)
 
     def summary(self):
         """Aggregate counters over the retained window."""
@@ -1268,23 +1255,31 @@ class MTCache:
                 return self._execute_plan(
                     plan, sql_text=sql_or_stmt, trace=trace, session=session
                 )
-            registry = self.metrics
-            owned = trace is None
-            if owned:
-                trace = registry.new_trace()
-            prev = registry.active_trace
-            registry.active_trace = trace
-            try:
+            with self._trace_scope(trace) as trace:
                 # Parse inside the trace window so the parse span joins it.
-                stmt = parse(sql_or_stmt, registry=registry)
+                stmt = parse(sql_or_stmt, registry=self.metrics)
                 return self._dispatch(
                     stmt, sql_text=sql_or_stmt, trace=trace, session=session
                 )
-            finally:
-                registry.active_trace = prev
-                if owned:
-                    self.traces.record(trace)
         return self._dispatch(sql_or_stmt, sql_text=None, trace=trace, session=session)
+
+    @contextlib.contextmanager
+    def _trace_scope(self, trace):
+        """Make ``trace`` the registry's active trace for the block, so the
+        parse/optimize spans join it.  Given None (no caller opened one),
+        a fresh trace is yielded and recorded in ``self.traces`` on exit."""
+        registry = self.metrics
+        owned = trace is None
+        if owned:
+            trace = registry.new_trace()
+        prev = registry.active_trace
+        registry.active_trace = trace
+        try:
+            yield trace
+        finally:
+            registry.active_trace = prev
+            if owned:
+                self.traces.record(trace)
 
     def _dispatch(self, stmt, sql_text=None, trace=None, session=None):
         if isinstance(stmt, ast.BeginTimeordered):
@@ -1404,23 +1399,13 @@ class MTCache:
         self._check_plan_epoch()
 
     def _execute_select(self, select, sql_text=None, trace=None, session=None):
-        registry = self.metrics
-        owned = trace is None
-        if owned:
-            trace = registry.new_trace()
-        prev = registry.active_trace
-        registry.active_trace = trace
-        try:
+        with self._trace_scope(trace) as trace:
             # Optimizing by SQL text engages the compiled-plan cache; the
             # optimize span enrolls in the active trace.
             plan = self.optimize(sql_text if sql_text is not None else select)
             return self._execute_plan(
                 plan, sql_text=sql_text, select=select, trace=trace, session=session
             )
-        finally:
-            registry.active_trace = prev
-            if owned:
-                self.traces.record(trace)
 
     def _plan_history_meta(self, plan):
         """The plan's static history metadata ``(bound, classes)``:
@@ -1494,12 +1479,11 @@ class MTCache:
         else:
             prev = registry.active_trace
             registry.active_trace = trace
-            qspan = trace.span("mtcache.execute", node=getattr(self, "name", "cache"))
-            qspan.__enter__()
+            span = trace.open("mtcache.execute", {"node": getattr(self, "name", "cache")})
             try:
                 result = self._run_plan(plan, trace, session=session)
             finally:
-                qspan.__exit__(None, None, None)
+                trace.close(span)
                 registry.active_trace = prev
                 if owned:
                     self.traces.record(trace)
@@ -1543,8 +1527,7 @@ class MTCache:
             backend_result = self.backend.execute(parse(root.sql))
             ctx.record_remote_query(root.sql, len(backend_result.rows))
             result = QueryResult(
-                backend_result.columns, backend_result.rows, backend_result.timings,
-                ctx, trace_id=trace.trace_id if trace else None,
+                backend_result.columns, backend_result.rows, backend_result.timings, ctx
             )
         else:
             result = self.executor.execute(root, ctx=ctx, column_names=plan.column_names)
@@ -1590,7 +1573,10 @@ class MTCache:
             return QueryResult(["plan"], [(line,) for line in lines], PhaseTimings(), ctx)
         root = plan.root()
         instrument(root)
-        result = self._run_plan(plan, self.metrics.new_trace(), session=session)
+        # Under the caller's trace when there is one (EXPLAIN ANALYZE via
+        # execute()), else an owned one: either way trace_id resolves.
+        with self._trace_scope(self.metrics.active_trace) as trace:
+            result = self._run_plan(plan, trace, session=session)
         records = analysis_rows(root)
         for record in records:
             if record["q_error"] is not None:
@@ -1609,8 +1595,7 @@ class MTCache:
             f"total {result.timings.total * 1e3:.3f}ms",
         ] + session_lines + render_analysis(records)
         out = QueryResult(
-            ["plan"], [(line,) for line in lines], result.timings, result.context,
-            plan=plan, trace_id=result.trace_id,
+            ["plan"], [(line,) for line in lines], result.timings, result.context, plan=plan
         )
         out.analysis = records
         return out

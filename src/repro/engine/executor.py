@@ -139,7 +139,7 @@ class QueryResult:
     (SwitchUnion branch decisions, remote queries issued).
     """
 
-    def __init__(self, columns, rows, timings, context, plan=None, trace_id=None):
+    def __init__(self, columns, rows, timings, context, plan=None):
         self.columns = list(columns)
         # Rows are materialized fresh by every execution path, so a list
         # input is adopted as-is (the copy only matters for iterators).
@@ -147,7 +147,12 @@ class QueryResult:
         self.timings = timings
         self.context = context
         self.plan = plan
-        self.trace_id = trace_id
+
+    @property
+    def trace_id(self):
+        """Id of the trace this result's context ran under (None: untraced)."""
+        trace = self.context.trace if self.context is not None else None
+        return trace.trace_id if trace is not None else None
 
     @property
     def warnings(self):
@@ -278,12 +283,12 @@ class Executor:
 
         traced = bool(trace)
         t0 = timer()
-        span = trace.span("exec.setup").__enter__() if traced else None
+        span = trace.open("exec.setup") if traced else None
         plan.open(ctx)
-        if span is not None:
-            span.__exit__(None, None, None)
+        if traced:
+            trace.close(span)
         t1 = timer()
-        span = trace.span("exec.run").__enter__() if traced else None
+        span = trace.open("exec.run") if traced else None
         if engine == "row" or batch_size <= 1:
             # Legacy row-at-a-time path (debugging / equivalence baseline).
             rows = list(plan.rows())
@@ -302,13 +307,13 @@ class Executor:
             for chunk in plan.batches(batch_size):
                 extend(chunk)
                 n_batches += 1
-        if span is not None:
-            span.__exit__(None, None, None)
+        if traced:
+            trace.close(span)
         t2 = timer()
-        span = trace.span("exec.shutdown").__enter__() if traced else None
+        span = trace.open("exec.shutdown") if traced else None
         plan.close()
-        if span is not None:
-            span.__exit__(None, None, None)
+        if traced:
+            trace.close(span)
         t3 = timer()
 
         timings = PhaseTimings(setup=t1 - t0, run=t2 - t1, shutdown=t3 - t2)
@@ -327,7 +332,4 @@ class Executor:
                 (self._c_branch_local if index == 0 else self._c_branch_remote).inc()
         if column_names is None:
             column_names = [c.name for c in plan.output.columns]
-        return QueryResult(
-            column_names, rows, timings, ctx, plan=plan,
-            trace_id=trace.trace_id if traced else None,
-        )
+        return QueryResult(column_names, rows, timings, ctx, plan=plan)

@@ -239,13 +239,13 @@ class FleetRouter:
         fleet = self.fleet
         trace = fleet.metrics.new_trace()
         span = (
-            trace.span("fleet.route", policy=self.policy.name).__enter__()
+            trace.open("fleet.route", {"policy": self.policy.name})
             if trace else None
         )
         try:
             node = self.route(sql, bound=bound)
             if span is not None:
-                span.attrs["node"] = node.name
+                trace.annotate(span, "node", node.name)
             fleet.metrics.counter(
                 "fleet_routed_total",
                 labels={"node": node.name, "policy": self.policy.name},
@@ -262,7 +262,7 @@ class FleetRouter:
                 node.inflight -= 1
         finally:
             if span is not None:
-                span.__exit__(None, None, None)
+                trace.close(span)
             fleet.traces.record(trace)
         timings = getattr(result, "timings", None)
         service = max(timings.total if timings is not None else 0.0, _MIN_SERVICE)

@@ -226,19 +226,19 @@ class SimulatedNetwork:
         With a ``trace``, the whole attempt is a ``net.call`` span of that
         trace, annotated with the node and the outcome.
         """
-        span = trace.span("net.call", node=node or "-").__enter__() if trace else None
+        span = trace.open("net.call", {"node": node or "-"}) if trace else None
         try:
             outcome, result = self._attempt(fn, args, node, shards)
             if span is not None:
-                span.attrs["outcome"] = outcome
+                trace.annotate(span, "outcome", outcome)
             return result
         except NetworkError as exc:
             if span is not None:
-                span.attrs["outcome"] = exc.reason
+                trace.annotate(span, "outcome", exc.reason)
             raise
         finally:
             if span is not None:
-                span.__exit__(None, None, None)
+                trace.close(span)
 
     def _attempt(self, fn, args, node, shards=None):
         rtt = self.latency

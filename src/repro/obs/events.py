@@ -9,6 +9,8 @@ attributes, into a fixed-capacity ring (newest wins), so the CLI's
 recent timeline of a run without unbounded memory.
 """
 
+from repro.obs.ring import Ring
+
 __all__ = ["Event", "EventLog", "SEVERITIES"]
 
 #: Severity names in ascending order of urgency.
@@ -34,12 +36,11 @@ class Event:
         return f"Event({when}[{self.severity}] {self.kind}: {self.message})"
 
 
-class EventLog:
+class EventLog(Ring):
     """Fixed-capacity ring of :class:`Event` records."""
 
     def __init__(self, capacity=256):
-        self.capacity = capacity
-        self._entries = []
+        super().__init__(capacity)
         #: Optional live tap (``sink(event)`` on every record): the ring
         #: forgets, the sink — e.g. a history recorder — keeps the full
         #: sequence of a run.
@@ -47,25 +48,23 @@ class EventLog:
 
     def record(self, kind, message, severity="info", time=None, **attrs):
         """Append an event; returns it (or None when capacity is 0)."""
-        if self.capacity <= 0:
+        if not self._entries.maxlen:
             return None
         event = Event(kind, message, severity=severity, time=time, attrs=attrs)
         self._entries.append(event)
-        if len(self._entries) > self.capacity:
-            del self._entries[: len(self._entries) - self.capacity]
         if self.sink is not None:
             self.sink(event)
         return event
 
     def recent(self, n=20, kind=None, min_severity=None):
         """The last ``n`` events, optionally filtered by kind/severity."""
-        entries = self._entries
+        entries = list(self._entries)
         if kind is not None:
             entries = [e for e in entries if e.kind == kind]
         if min_severity is not None:
             floor = SEVERITIES[min_severity]
             entries = [e for e in entries if SEVERITIES[e.severity] >= floor]
-        return list(entries[-n:])
+        return entries[-n:]
 
     def counts_by_kind(self):
         out = {}
@@ -78,12 +77,3 @@ class EventLog:
         for event in self._entries:
             out[event.severity] = out.get(event.severity, 0) + 1
         return out
-
-    def clear(self):
-        self._entries.clear()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)

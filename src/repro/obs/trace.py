@@ -1,30 +1,32 @@
 """Trace spans and cross-tier trace context.
 
-A :class:`Span` times one named section of work with
-``time.perf_counter`` and remembers where it sat in the call tree: spans
-opened while another span is active record that span as their parent and
-inherit depth + 1.  The per-registry stack that provides the nesting is
-plain Python list push/pop — cheap enough to leave on in production
-paths.
+A query's spans are written as flat *records* and read as :class:`Span`
+objects.  A :class:`TraceContext` is an append-only list of
+``[name, attrs, parent index, start, end, registry span]`` records plus
+a stack of the indices still open: ``open`` appends a record, ``close``
+stamps its end time — no objects, so tracing stays on for every query.
+A record's position is its identity (``span_id`` is ``s<index + 1>``,
+its parent the index that was innermost when it opened), and the one
+trace is handed down every tier a query crosses — fleet router, a
+node's MTCache, the simulated network — so the records form one tree.
+Reading (``trace.spans``, :class:`TraceExporter`, the CLI's ``\\trace``)
+materialises a :class:`Span` view per record; name, parent, depth,
+elapsed and the id strings exist only once somebody looks.
 
-On top of the per-registry nesting, a :class:`TraceContext` gives spans
-*distributed* identity: a ``trace_id`` shared by every span of one query
-plus per-span ``span_id``/``parent_id`` links, so a query that hops from
-the fleet router to a node's MTCache to the simulated network produces
-one causal tree even though each tier records into its own registry.
-Registry-created spans enroll automatically in the registry's
-``active_trace`` (when one is set); components that are handed a trace
-explicitly open trace-only spans with ``trace.span(name, **attrs)``.
-
-Finished spans are kept in a bounded :class:`SpanLog` ring (newest wins)
-and also feed the owning registry's ``span_seconds`` histogram family;
-finished traces land in a :class:`TraceLog` ring and are rendered by
-:class:`TraceExporter` as an ASCII tree or Chrome ``trace_event`` JSON.
+Registry spans (``registry.span("parse")``) are real :class:`Span`
+context managers: they nest on their registry's stack, land in its
+bounded :class:`SpanLog` ring, feed its ``span_seconds`` histograms and,
+when the registry has an ``active_trace``, enrol in it by opening a
+record that points back at them.  Finished traces land in a
+:class:`TraceLog` ring.
 """
 
+import contextlib
 import itertools
 import json
 import time
+
+from repro.obs.ring import Ring
 
 __all__ = [
     "Span",
@@ -40,18 +42,18 @@ __all__ = [
 class Span:
     """One timed, possibly nested, section of work.
 
-    Use as a context manager::
+    Either a registry span, used as a context manager::
 
         with registry.span("optimize"):
             with registry.span("enumerate_joins"):
                 ...
 
-    After exit, ``elapsed`` holds the wall time in seconds, ``parent``
-    the enclosing span's name (or None at top level) and ``depth`` the
-    nesting level (0 at top level).  When the span belongs to a
-    :class:`TraceContext` it additionally carries ``trace_id`` /
-    ``span_id`` / ``parent_id`` identity and an ``attrs`` dict of
-    caller-provided key/value annotations.
+    or the read-side view of one :class:`TraceContext` record.  After
+    exit, ``elapsed`` holds the wall time in seconds, ``parent`` the
+    enclosing span's name (or None at top level) and ``depth`` the
+    nesting level (0 at top level).  A span that belongs to a trace
+    additionally carries ``trace_id`` / ``span_id`` / ``parent_id``
+    identity and an ``attrs`` dict of caller-provided annotations.
     """
 
     __slots__ = (
@@ -66,71 +68,70 @@ class Span:
         "parent_id",
         "_registry",
         "_trace",
+        "_index",
     )
 
-    def __init__(self, name, registry, trace=None, attrs=None):
+    def __init__(self, name, registry=None):
         self.name = name
         self._registry = registry
-        self._trace = trace
-        self.attrs = attrs
+        self._trace = None
+        self._index = None
+        self.attrs = None
         self.parent = None
         self.depth = 0
         self.start = None
         self.elapsed = None
-        self.trace_id = None
-        self.span_id = None
-        self.parent_id = None
+        self.trace_id = self.span_id = self.parent_id = None
 
     def __enter__(self):
         registry = self._registry
-        if registry is not None:
-            stack = registry.span_log.stack
-            if stack:
-                self.parent = stack[-1].name
-                self.depth = len(stack)
-            stack.append(self)
-            if self._trace is None:
-                self._trace = registry.active_trace
-        trace = self._trace
-        if trace is not None:
-            trace._enter(self)
-        self.start = time.perf_counter()
+        stack = registry.span_log.stack
+        if stack:
+            self.parent = stack[-1].name
+            self.depth = len(stack)
+        stack.append(self)
+        trace = registry.active_trace
+        if trace:
+            self._trace = trace
+            self._index = trace.open(self.name, owner=self)
+            trace._describe(self, self._index)
+        else:
+            self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._finish(time.perf_counter())
+        self._close()
         return False
 
-    def _finish(self, end):
-        """Close this span at time ``end``; idempotent.
+    def _close(self, end=None):
+        """Finish through the trace when enrolled (the record is closed
+        and calls back :meth:`_finish`), else directly."""
+        if self._trace is not None:
+            self._trace.close(self._index, end)
+        else:
+            self._finish(time.perf_counter() if end is None else end)
 
-        The span is removed from the registry and trace stacks *wherever
-        it sits*: if an exception unwound past nested spans, everything
-        above it is an orphan that will never see its own ``__exit__``,
-        so those spans are finalized here (with this span's end time) to
-        keep parent/depth attribution intact for later spans.
+    def _finish(self, end):
+        """The registry half of finishing, at time ``end``; idempotent.
+
+        The span leaves its registry's stack *wherever it sits*: if an
+        exception unwound past nested spans, everything above it is an
+        orphan that will never see its own ``__exit__``, so those spans
+        are closed here (with this span's end time) to keep parent/depth
+        attribution intact for later spans.
         """
         if self.elapsed is not None:
             return
         self.elapsed = end - self.start
         registry = self._registry
-        if registry is not None:
-            self._pop_from(registry.span_log.stack, end)
-        trace = self._trace
-        if trace is not None:
-            self._pop_from(trace.stack, end)
-            trace.record(self)
-        if registry is not None:
-            registry._finish_span(self)
-
-    def _pop_from(self, stack, end):
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] is self:
-                orphans = stack[i + 1 :]
-                del stack[i:]
-                for orphan in reversed(orphans):
-                    orphan._finish(end)
-                return
+        stack = registry.span_log.stack
+        if self in stack:
+            at = stack.index(self)
+            orphans = stack[at + 1 :]
+            del stack[at:]
+            for orphan in reversed(orphans):
+                orphan._close(end)
+        registry._finish_span(self)
 
     def __repr__(self):
         elapsed = f"{self.elapsed * 1e3:.3f}ms" if self.elapsed is not None else "open"
@@ -138,99 +139,158 @@ class Span:
         return f"Span({self.name!r}, depth={self.depth}, {elapsed}{ident})"
 
 
-class SpanLog:
+class SpanLog(Ring):
     """Bounded ring of finished spans plus the live nesting stack."""
 
     def __init__(self, capacity=512):
-        self.capacity = capacity
+        super().__init__(capacity)
         self.stack = []  # currently open spans, innermost last
-        self._entries = []
-
-    def record(self, span):
-        if self.capacity <= 0:
-            return
-        self._entries.append(span)
-        if len(self._entries) > self.capacity:
-            del self._entries[: len(self._entries) - self.capacity]
-
-    def recent(self, n=20):
-        return list(self._entries[-n:])
 
     def clear(self):
-        self._entries.clear()
+        super().clear()
         self.stack.clear()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
 
 
 class TraceContext:
-    """Identity and span collection for one end-to-end query.
+    """Identity and span records for one end-to-end query.
 
     A trace is created by whichever tier first sees the query (the fleet
     router, or MTCache itself for single-cache use) and passed down the
-    call chain; every span entered while it is a registry's
-    ``active_trace`` — or created directly with :meth:`span` — gets the
-    shared ``trace_id``, a fresh ``span_id``, and a ``parent_id``
-    pointing at the innermost open span of the trace, regardless of
-    which registry the span reports to.
+    call chain; every span opened on it — directly with :meth:`open`, or
+    by a registry span while it is that registry's ``active_trace`` —
+    becomes a record whose parent is the innermost record still open,
+    regardless of which registry the span reports to.
     """
 
-    __slots__ = ("trace_id", "spans", "stack", "_next_span")
+    __slots__ = ("_seq", "_records", "_done", "stack")
 
     _ids = itertools.count(1)
 
-    def __init__(self, trace_id=None):
-        if trace_id is None:
-            trace_id = f"t{next(TraceContext._ids):06d}"
-        self.trace_id = trace_id
-        self.spans = []  # finished spans, in completion order
-        self.stack = []  # open spans of this trace, innermost last
-        self._next_span = 1
+    def __init__(self):
+        self._seq = next(TraceContext._ids)
+        self._records = []  # [name, attrs, parent, start, end, owner], open order
+        self._done = []  # indices of finished records, completion order
+        self.stack = []  # indices of open records, innermost last
 
-    def span(self, name, registry=None, **attrs):
-        """A trace-only span (no registry stack/histogram unless given)."""
-        return Span(name, registry, trace=self, attrs=attrs or None)
+    @property
+    def trace_id(self):
+        return f"t{self._seq:06d}"
 
-    def _enter(self, span):
+    # -- write side ----------------------------------------------------
+    def open(self, name, attrs=None, owner=None):
+        """Start a span now; returns its index, the handle for
+        :meth:`annotate` and :meth:`close`.  ``owner`` is the registry
+        :class:`Span` enrolling itself, told when the record closes."""
+        records = self._records
+        stack = self.stack
+        index = len(records)
+        records.append(
+            [name, attrs, stack[-1] if stack else -1, time.perf_counter(), None, owner]
+        )
+        stack.append(index)
+        return index
+
+    def annotate(self, index, key, value):
+        """Set one attr on a span that is already open."""
+        record = self._records[index]
+        if record[1] is None:
+            record[1] = {}
+        record[1][key] = value
+
+    def close(self, index, end=None):
+        """Finish span ``index`` (now, unless ``end`` is given); idempotent.
+
+        Spans still open above it are orphans — an exception unwound past
+        them — and finish innermost first with the same end time.
+        """
+        if end is None:
+            end = time.perf_counter()
+        stack = self.stack
+        if stack and stack[-1] == index:
+            closing = (stack.pop(),)
+        elif index in stack:
+            at = stack.index(index)
+            closing = reversed(stack[at:])
+            del stack[at:]
+        else:
+            return
+        records = self._records
+        for i in closing:
+            record = records[i]
+            record[4] = end
+            self._done.append(i)
+            if record[5] is not None:
+                record[5]._finish(end)
+
+    @contextlib.contextmanager
+    def span(self, name, **attrs):
+        """``with trace.span(name, **attrs):`` around :meth:`open`/:meth:`close`."""
+        index = self.open(name, attrs or None)
+        try:
+            yield index
+        finally:
+            self.close(index)
+
+    # -- read side -----------------------------------------------------
+    def _depth(self, index):
+        """Nesting depth of record ``index``; a registry span on the
+        chain contributes the depth its own stack gave it."""
+        depth = 0
+        while True:
+            _, _, parent, _, _, owner = self._records[index]
+            if owner is not None:
+                return depth + owner.depth
+            if parent < 0:
+                return depth
+            index = parent
+            depth += 1
+
+    def _describe(self, span, index):
+        """Give ``span`` the identity and position of record ``index``."""
+        parent, span.start = self._records[index][2:4]
         span.trace_id = self.trace_id
-        span.span_id = f"s{self._next_span}"
-        self._next_span += 1
-        if self.stack:
-            top = self.stack[-1]
-            span.parent_id = top.span_id
+        span.span_id = f"s{index + 1}"
+        if parent >= 0:
+            span.parent_id = f"s{parent + 1}"
             if span.parent is None:
-                span.parent = top.name
-                span.depth = top.depth + 1
-        self.stack.append(span)
+                span.parent = self._records[parent][0]
+                span.depth = self._depth(parent) + 1
 
-    def record(self, span):
-        self.spans.append(span)
+    def _view(self, index):
+        name, attrs, _, start, end, span = self._records[index]
+        if span is None:
+            span = Span(name)
+            span.attrs = attrs
+            if end is not None:
+                span.elapsed = end - start
+            self._describe(span, index)
+        return span
+
+    @property
+    def spans(self):
+        """The finished spans, in completion order (views built per read)."""
+        return [self._view(index) for index in self._done]
 
     @property
     def finished(self):
         return not self.stack
 
     def root(self):
-        """The first recorded span with no parent (None while running)."""
-        for span in self.spans:
-            if span.parent_id is None:
-                return span
+        """The first finished span with no parent (None while running)."""
+        for index in self._done:
+            if self._records[index][2] < 0:
+                return self._view(index)
         return None
 
     def duration(self):
         """Wall seconds from earliest span start to latest span end."""
-        if not self.spans:
+        done = [self._records[index] for index in self._done]
+        if not done:
             return 0.0
-        start = min(s.start for s in self.spans)
-        end = max(s.start + s.elapsed for s in self.spans)
-        return end - start
+        return max(r[4] for r in done) - min(r[3] for r in done)
 
     def __len__(self):
-        return len(self.spans)
+        return len(self._done)
 
     def __bool__(self):
         # ``if trace:`` is the tracing fast-path test everywhere; without
@@ -238,16 +298,14 @@ class TraceContext:
         return True
 
     def __repr__(self):
-        return f"TraceContext({self.trace_id!r}, spans={len(self.spans)})"
+        return f"TraceContext({self.trace_id!r}, spans={len(self)})"
 
 
 class _NullTrace:
     """Falsy no-op trace returned by ``NullRegistry.new_trace()``.
 
-    Keeps the uninstrumented path allocation-free: every ``span()`` is
-    the shared NULL_SPAN and nothing is recorded.  Truthiness is the
-    fast-path test (``if trace:``), so code holding a NULL_TRACE skips
-    trace work entirely.
+    Truthiness is the fast-path test (``if trace:``), so code holding a
+    NULL_TRACE skips trace work entirely and nothing is recorded.
     """
 
     __slots__ = ()
@@ -259,14 +317,8 @@ class _NullTrace:
     def __bool__(self):
         return False
 
-    def span(self, name, registry=None, **attrs):
+    def span(self, name, **attrs):
         return NULL_SPAN
-
-    def _enter(self, span):
-        pass
-
-    def record(self, span):
-        pass
 
     def root(self):
         return None
@@ -281,19 +333,15 @@ class _NullTrace:
         return "<NullTrace>"
 
 
-class TraceLog:
+class TraceLog(Ring):
     """Bounded ring of finished traces (newest wins)."""
 
     def __init__(self, capacity=64):
-        self.capacity = capacity
-        self._entries = []
+        super().__init__(capacity)
 
     def record(self, trace):
-        if self.capacity <= 0 or not trace or not trace.spans:
-            return
-        self._entries.append(trace)
-        if len(self._entries) > self.capacity:
-            del self._entries[: len(self._entries) - self.capacity]
+        if len(trace):
+            self._entries.append(trace)
 
     def get(self, trace_id):
         for trace in reversed(self._entries):
@@ -301,36 +349,15 @@ class TraceLog:
                 return trace
         return None
 
-    def latest(self):
-        return self._entries[-1] if self._entries else None
-
-    def recent(self, n=20):
-        return list(self._entries[-n:])
-
-    def clear(self):
-        self._entries.clear()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
 
 class TraceExporter:
     """Render a finished :class:`TraceContext` for humans and tools."""
 
     @staticmethod
-    def _tree(trace):
-        """(roots, children) maps from parent_id links, in start order."""
-        children = {}
-        roots = []
-        for span in sorted(trace.spans, key=lambda s: (s.start, s.span_id)):
-            if span.parent_id is None:
-                roots.append(span)
-            else:
-                children.setdefault(span.parent_id, []).append(span)
-        return roots, children
+    def _in_start_order(trace):
+        if trace is None:
+            return []
+        return sorted(trace.spans, key=lambda s: (s.start, s.span_id))
 
     @staticmethod
     def _format_span(span):
@@ -344,49 +371,49 @@ class TraceExporter:
     @classmethod
     def ascii_tree(cls, trace):
         """The trace as an indented ASCII tree, one line per span."""
-        if trace is None or not trace.spans:
+        spans = cls._in_start_order(trace)
+        if not spans:
             return "(empty trace)"
-        roots, children = cls._tree(trace)
+        children = {}  # parent_id (None: roots) -> spans, in start order
+        for span in spans:
+            children.setdefault(span.parent_id, []).append(span)
         lines = [
-            f"trace {trace.trace_id}: {len(trace.spans)} spans, "
+            f"trace {trace.trace_id}: {len(spans)} spans, "
             f"{trace.duration() * 1e3:.3f}ms"
         ]
 
-        def walk(span, prefix, is_last):
-            branch = "└─ " if is_last else "├─ "
-            lines.append(prefix + branch + cls._format_span(span))
-            kids = children.get(span.span_id, [])
-            child_prefix = prefix + ("   " if is_last else "│  ")
-            for i, kid in enumerate(kids):
-                walk(kid, child_prefix, i == len(kids) - 1)
+        def walk(kids, prefix):
+            for i, span in enumerate(kids):
+                is_last = i == len(kids) - 1
+                lines.append(prefix + ("└─ " if is_last else "├─ ") + cls._format_span(span))
+                walk(children.get(span.span_id, []), prefix + ("   " if is_last else "│  "))
 
-        for i, root in enumerate(roots):
-            walk(root, "", i == len(roots) - 1)
+        walk(children.get(None, []), "")
         return "\n".join(lines)
 
     @classmethod
     def chrome_json(cls, trace):
         """Chrome ``trace_event`` JSON (load via chrome://tracing)."""
         events = []
-        if trace is not None and trace.spans:
-            base = min(s.start for s in trace.spans)
-            for span in sorted(trace.spans, key=lambda s: (s.start, s.span_id)):
-                args = {"span_id": span.span_id}
-                if span.parent_id is not None:
-                    args["parent_id"] = span.parent_id
-                if span.attrs:
-                    args.update({k: str(v) for k, v in span.attrs.items()})
-                events.append(
-                    {
-                        "name": span.name,
-                        "ph": "X",
-                        "ts": round((span.start - base) * 1e6, 3),
-                        "dur": round((span.elapsed or 0.0) * 1e6, 3),
-                        "pid": 0,
-                        "tid": 0,
-                        "args": args,
-                    }
-                )
+        spans = cls._in_start_order(trace)
+        base = min((s.start for s in spans), default=0.0)
+        for span in spans:
+            args = {"span_id": span.span_id}
+            if span.parent_id is not None:
+                args["parent_id"] = span.parent_id
+            if span.attrs:
+                args.update({k: str(v) for k, v in span.attrs.items()})
+            events.append(
+                {
+                    "name": span.name,
+                    "ph": "X",
+                    "ts": round((span.start - base) * 1e6, 3),
+                    "dur": round((span.elapsed or 0.0) * 1e6, 3),
+                    "pid": 0,
+                    "tid": 0,
+                    "args": args,
+                }
+            )
         return json.dumps(
             {"traceEvents": events, "displayTimeUnit": "ms"}, indent=2, sort_keys=True
         )

@@ -13,6 +13,7 @@ aggregates every node's metrics snapshot under node-labelled keys.
 """
 
 import random
+from collections import deque
 
 from repro.common.errors import ReproError
 
@@ -33,7 +34,7 @@ class DriverReport:
         self.errors = 0
         #: Trace ids of the most recent traced queries (bounded ring);
         #: look them up in ``fleet.traces`` / ``cache.traces``.
-        self.trace_ids = []
+        self.trace_ids = deque(maxlen=64)
         #: Recent structured events across the target's registries at end
         #: of run (guard fallbacks, breaker transitions, faults, ...).
         self.events = []
@@ -69,8 +70,6 @@ class DriverReport:
         trace_id = getattr(result, "trace_id", None)
         if trace_id is not None:
             self.trace_ids.append(trace_id)
-            if len(self.trace_ids) > 64:
-                del self.trace_ids[:-64]
         self.warnings += len(result.warnings)
 
     def record_error(self, bound, exc):

@@ -103,8 +103,10 @@ class TestTracePropagation:
         log = TraceLog(capacity=2)
         traces = [TraceContext() for _ in range(3)]
         for trace in traces:
-            trace.record(object())  # non-empty so record() keeps it
+            with trace.span("work"):  # non-empty so record() keeps it
+                pass
             log.record(trace)
+        log.record(TraceContext())  # an empty trace is not worth a slot
         assert len(log) == 2
         assert log.get(traces[0].trace_id) is None
         assert log.get(traces[2].trace_id) is traces[2]
@@ -372,6 +374,33 @@ class TestExplainAnalyze:
         text = "\n".join(line for (line,) in result.rows)
         assert "actual:" in text and "q-err" in text and "est.rows" in text
         assert "(never executed)" in text
+
+    def test_explain_analyze_trace_id_resolves(self):
+        # Through execute(): the analysed run joins the statement's own
+        # trace, beside its parse/optimize spans.
+        cache = make_cache()
+        result = cache.execute("EXPLAIN ANALYZE " + GUARDED)
+        trace = cache.traces.get(result.trace_id)
+        assert trace is not None and len(cache.traces) == 1
+        by_name = {span.name: span for span in trace.spans}
+        assert {"parse", "optimize", "exec.setup", "exec.run", "exec.shutdown"} <= set(by_name)
+        for name in ("parse", "optimize", "exec.setup", "exec.run", "exec.shutdown"):
+            assert by_name[name].parent_id is None
+        # Called directly there is no caller trace: an owned one is recorded.
+        direct = cache.explain(GUARDED, analyze=True)
+        trace = cache.traces.get(direct.trace_id)
+        assert trace is not None and direct.trace_id != result.trace_id
+        assert [span.name for span in trace.spans] == [
+            "exec.setup", "exec.run", "exec.shutdown"]
+
+    def test_explain_command_prints_a_trace_id_that_resolves(self):
+        cache = make_cache()
+        out = io.StringIO()
+        shell = Shell(cache, out=out)
+        shell.handle("\\explain " + GUARDED)
+        (line,) = [l for l in out.getvalue().splitlines() if l.startswith("trace: ")]
+        shell.handle("\\trace " + line.split()[1])
+        assert "exec.run" in out.getvalue() and "no trace" not in out.getvalue()
 
     def test_plain_explain_does_not_execute(self):
         cache = make_cache()
