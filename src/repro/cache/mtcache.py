@@ -16,10 +16,11 @@ query's C&C constraint:
 
 import contextlib
 import enum
+import functools
 import hashlib
-from collections import OrderedDict
 
 from repro.catalog.catalog import Catalog
+from repro.cc.constraint import constraint_from_select
 from repro.cc.properties import BACKEND_REGION, ConsistencyProperty
 from repro.cc.timeline import TimelineSession
 from repro.common.errors import CatalogError, CurrencyError, OptimizerError
@@ -40,11 +41,19 @@ from repro.plan.snapshot import (
     instantiate_snapshot,
     serialize_plan,
 )
+from repro.plan.template import (
+    BoundPlan,
+    PlanCache,
+    PlanTemplate,
+    ShapeRecipe,
+    parameterize,
+)
 from repro.replication.agent import DistributionAgent
 from repro.replication.checkpoint import CheckpointStore
 from repro.replication.heartbeat import heartbeat_schema, local_heartbeat_name
 from repro.sql import ast
 from repro.sql.compare import equal_ignoring_qualifiers
+from repro.sql.lexer import fingerprint
 from repro.sql.parser import parse, parse_expression
 from repro.storage.table import HeapTable
 
@@ -228,18 +237,7 @@ class CachePlacement(PlacementProvider):
 
     def whole_query_candidate(self, query_info):
         """Ship the entire statement (minus the currency clause)."""
-        original = query_info.select
-        select = ast.Select(
-            original.items,
-            original.from_items,
-            where=original.where,
-            group_by=original.group_by,
-            having=original.having,
-            order_by=original.order_by,
-            distinct=original.distinct,
-            currency=None,
-            limit=original.limit,
-        )
+        select = query_info.select.replace(currency=None)
         binding = RowBinding([OutputCol(name) for _, name in query_info.items])
         return self._remote_candidate(
             select,
@@ -275,15 +273,22 @@ class CachePlacement(PlacementProvider):
             width = est_width
         total = cost + self.cost_model.transfer(rows, max(width, 1.0))
         delivered = ConsistencyProperty.single(BACKEND_REGION, aliases)
+        # A template's remote text has placeholders where its bindable
+        # literals go; the operator renders it per execution.
+        params = ast.params_of(select.where) if "\x00" in sql else None
 
         def build(sql=sql, binding=binding, shards=shards):
             if shards is None:
-                return ops.RemoteQuery(sql, binding, self.mtcache.remote_executor)
+                return ops.RemoteQuery(
+                    sql, binding, self.mtcache.remote_executor, params=params
+                )
 
             def pinned_executor(q):
                 return self.mtcache.remote_executor(q, shards=shards)
 
-            return ops.RemoteQuery(sql, binding, pinned_executor, shards=shards)
+            return ops.RemoteQuery(
+                sql, binding, pinned_executor, shards=shards, params=params
+            )
 
         return Candidate(build, total, rows, width, binding, delivered, aliases, kind, detail=sql[:60])
 
@@ -378,7 +383,8 @@ class MTCache:
       back-end branch, ``"error"`` aborts with :class:`CurrencyError`,
       ``"serve_stale"`` returns local data with a violation warning
       attached to ``result.warnings``;
-    * ``plan_cache_size`` — LRU capacity of the compiled-plan cache;
+    * ``plan_cache_size`` — LRU capacity of the compiled-plan cache (of
+      its statement texts, and of the plan templates they share);
     * ``metrics`` — a :class:`~repro.obs.MetricsRegistry` (default) or
       :class:`~repro.obs.NullRegistry` to turn instrumentation off;
     * ``batch_size`` — chunk size of the batch execution engine
@@ -410,8 +416,11 @@ class MTCache:
         #: re-optimization only if a view's consistency properties
         #: change").  Keyed by SQL text, LRU-ordered (least recently used
         #: first); invalidated whenever the catalog changes in a way that
-        #: can affect plan choice or validity.
-        self._plan_cache = OrderedDict()
+        #: can affect plan choice or validity.  An entry is a BoundPlan
+        #: (this text's literals + the compiled template its shape shares,
+        #: which the cache also owns: see repro.plan.template) or a
+        #: SnapshotPlan.
+        self._plan_cache = PlanCache()
         self._plan_cache_size = plan_cache_size
         #: Ring buffer of recent query executions (monitoring aid).
         self.query_log = QueryLog()
@@ -493,6 +502,10 @@ class MTCache:
             help="compiled-plan cache activity")
         self._c_plan_misses = registry.counter(
             "plan_cache_events_total", labels={"event": "misses"})
+        self._c_plan_binds = registry.counter(
+            "plan_cache_events_total", labels={"event": "binds"})
+        self._c_plan_evictions = registry.counter(
+            "plan_cache_events_total", labels={"event": "evictions"})
         # queries_total is labelled by run-time routing outcome, which is
         # only known post-execution — resolve lazily but memoize per label.
         self._c_queries_by_routing = {}
@@ -537,7 +550,7 @@ class MTCache:
         config fingerprint every published snapshot was keyed under, so
         keeping them would only produce fingerprint misses anyway.
         """
-        if self._plan_cache:
+        if self._plan_cache or self._plan_cache.templates:
             self._plan_cache_event("invalidations")
         self._plan_cache.clear()
         if self.snapshot_store is not None and len(self.snapshot_store):
@@ -1096,21 +1109,22 @@ class MTCache:
         Equality and IN sargs on the base table's partition column
         intersect; only an unambiguous single-shard pin is returned —
         anything wider falls back to the conservative all-shards guard.
+        A plan template's bindable key is classified by its shard, not
+        read, so the template is keyed on the shard it pins.
         """
         pcol = self.backend.partition_column(operand.table_name)
         if pcol is None:
             return None
+        # A partial, not a closure: a classed template keeps it for life.
+        shard_of = functools.partial(self.backend.shard_of, operand.table_name)
         pinned = None
         for sarg in operand.sargs:
             if sarg.column != pcol:
                 continue
             if sarg.op == "=":
-                shards = {self.backend.shard_of(operand.table_name, sarg.value)}
+                shards = {ast.classify(sarg.value, shard_of)}
             elif sarg.op == "in":
-                shards = {
-                    self.backend.shard_of(operand.table_name, value)
-                    for value in sarg.value
-                }
+                shards = {ast.classify(value, shard_of) for value in sarg.value}
             else:
                 continue
             pinned = shards if pinned is None else pinned & shards
@@ -1130,33 +1144,117 @@ class MTCache:
     # Query processing
     # ------------------------------------------------------------------
     def optimize(self, sql_or_select, use_cache=True):
-        """Optimize a SELECT; returns an OptimizedPlan.
+        """Optimize a SELECT; returns an executable plan.
 
-        Dynamic plans are cached by SQL text and reused until the cache's
-        consistency-relevant state changes (views, regions, statistics);
-        the run-time currency guards keep reused plans correct across
-        replication progress.  Complex queries (derived tables /
+        A SQL text engages the plan cache: dynamic plans are reused until
+        the cache's consistency-relevant state changes (views, regions,
+        statistics); the run-time currency guards keep reused plans
+        correct across replication progress.  A parsed Select, or
+        ``use_cache=False``, optimizes exactly that statement, literals
+        and all, and stores nothing.  Complex queries (derived tables /
         subqueries) are shipped whole.
         """
-        if isinstance(sql_or_select, str):
-            key = sql_or_select
-            self._check_plan_epoch()
-            cached = self._plan_cache.get(key) if use_cache else None
-            if cached is not None:
-                self._plan_cache.move_to_end(key)  # LRU: touch on hit
+        if not isinstance(sql_or_select, str):
+            return self._optimize_select(sql_or_select)
+        if use_cache:
+            plan = self._lookup_plan(sql_or_select)
+            if plan is not None:
+                return plan
+        select = parse(sql_or_select, registry=self.metrics)
+        if use_cache:
+            return self._compile_plan(sql_or_select, select)
+        return self._optimize_select(select)
+
+    def _lookup_plan(self, sql):
+        """The one probe of the plan cache, shared by :meth:`execute` and
+        :meth:`optimize`: the text LRU, then the shared snapshot store (a
+        plan published for this very text), then the templates
+        (fingerprint the text, bind its literals into the shape's compiled
+        plan).  None: the text has to be parsed (a first-of-its-key SELECT
+        goes on to :meth:`_compile_plan`)."""
+        self._check_plan_epoch()
+        plan = self._plan_cache.get(sql)
+        if plan is not None:
+            self._plan_cache.move_to_end(sql)  # LRU: touch on hit
+            if not self._counters_null:
                 self._c_plan_hits.inc()
-                return cached
-            if use_cache:
-                snap_plan = self._probe_snapshots(key)
-                if snap_plan is not None:
-                    # Precompiled by a peer (or a past life of this node):
-                    # no parse, no optimize — instantiate and cache.
-                    self._cache_plan(key, snap_plan)
-                    return snap_plan
-            select = parse(sql_or_select)
+            return plan
+        if sql.lstrip()[:6].lower() != "select":
+            return None  # DML, DDL, EXPLAIN: nothing to look up
+        plan = self._probe_snapshots(sql)
+        if plan is not None:
+            # Precompiled by a peer (or a past life of this node): no
+            # parse, no optimize — but an instantiation, hence a miss.
+            self._c_plan_misses.inc()
         else:
-            key = None
-            select = sql_or_select
+            shape, literals = fingerprint(sql)
+            template = self._plan_cache.probe_template(shape, literals)
+            if template is None:
+                return None
+            self._c_plan_hits.inc()
+            self._c_plan_binds.inc()
+            plan = BoundPlan(template, literals)
+            # The shared store stays text-keyed: a text this node resolved
+            # without a snapshot is published, bound or compiled, exactly
+            # when it used to be (ROADMAP 3(c) folds the store into the
+            # templates and drops this).
+            self._publish_snapshot(sql, plan)
+        self._remember_plan(sql, plan)
+        return plan
+
+    def _compile_plan(self, sql, select):
+        """Plan-cache miss: compile ``select`` (the parse of ``sql``) into
+        a template and return it bound to this statement's literals.
+
+        The optimizer runs on a copy whose bindable literals are opaque
+        Params.  Whatever reads one anyway raises ParamRead: that slot is
+        pinned to its value (it joins the template's key) and the
+        statement is optimized again — in the worst case with every
+        literal pinned, which is the old text-keyed behaviour.
+        """
+        shape, literals = fingerprint(sql)
+        known = self._plan_cache.recipes.get(shape)
+        pinned = set(known.pinned) if known is not None else set()
+        if "\x00" in sql:
+            pinned.update(range(len(literals)))  # the placeholder byte is taken
+        while True:
+            params = ast.Params(literals)
+            bindable, slots = parameterize(select, params, pinned)
+            try:
+                plan = self._optimize_select(bindable)
+                # Cached plans keep their built operator tree across
+                # executions; building it here keeps a late value read
+                # inside the try.
+                plan.reuse_root = self.engine != "row"
+                plan.root()
+                break
+            except ast.ParamRead as read:
+                pinned.add(read.slot)
+                self._plan_cache_event("demotions")
+        classes = dict(known.classes) if known is not None else {}
+        classes.update(params.classes)
+        recipe = ShapeRecipe(
+            len(literals),
+            set(range(len(literals))).difference(slots),
+            {slot: fn for slot, fn in classes.items() if slot in slots},
+        )
+        template = PlanTemplate(plan, params, shape, recipe)
+        self._c_plan_misses.inc()
+        evicted = self._plan_cache.add_template(template, self._plan_cache_size)
+        if evicted:
+            self._plan_cache_event("template_evictions", evicted)
+        bound = BoundPlan(template, literals)
+        self._remember_plan(sql, bound)
+        self._publish_snapshot(sql, bound)
+        return bound
+
+    def _remember_plan(self, sql, plan):
+        evicted = self._plan_cache.remember(sql, plan, self._plan_cache_size)
+        if evicted:
+            self._c_plan_evictions.inc(evicted)
+
+    def _optimize_select(self, select):
+        """Run the optimizer on one parsed Select; returns an OptimizedPlan."""
         with self.metrics.span("optimize"):
             try:
                 query_info = analyze_select(select, self.catalog)
@@ -1170,44 +1268,20 @@ class MTCache:
                 # Subquery-bearing statements ship to the back-end wholesale;
                 # the master trivially satisfies any C&C constraint.
                 candidate = self._ship_whole(select, query_info)
-                plan = OptimizedPlan(candidate, [name for _, name in query_info.items], query_info)
-            else:
-                plan = self.optimizer.optimize_info(query_info)
-        if key is not None and use_cache:
-            self._cache_plan(key, plan)
-            self._publish_snapshot(key, plan)
-        return plan
-
-    def _cache_plan(self, key, plan):
-        self._c_plan_misses.inc()
-        while len(self._plan_cache) >= self._plan_cache_size:
-            self._plan_cache.popitem(last=False)  # evict least recent
-            self._plan_cache_event("evictions")
-        # Cached plans are executed repeatedly; under the batch and
-        # columnar engines they also keep their built operator tree
-        # across executions (row mode rebuilds it, matching the old
-        # per-execution semantics).
-        plan.reuse_root = self.engine != "row"
-        self._plan_cache[key] = plan
+                return OptimizedPlan(
+                    candidate, [name for _, name in query_info.items], query_info
+                )
+            return self.optimizer.optimize_info(query_info)
 
     def _ship_whole(self, select, query_info):
-        stripped = ast.Select(
-            select.items,
-            select.from_items,
-            where=select.where,
-            group_by=select.group_by,
-            having=select.having,
-            order_by=select.order_by,
-            distinct=select.distinct,
-            currency=None,
-            limit=select.limit,
-        )
+        stripped = select.replace(currency=None)
         sql = stripped.to_sql()
         names = [name for _, name in query_info.items] if query_info.items else []
         binding = RowBinding([OutputCol(n) for n in names])
+        params = ast.params_of(select.where)
 
         def build(sql=sql, binding=binding):
-            return ops.RemoteQuery(sql, binding, self.remote_executor)
+            return ops.RemoteQuery(sql, binding, self.remote_executor, params=params)
 
         delivered = ConsistencyProperty.single(BACKEND_REGION, query_info.constraint.operands)
         cost, rows, width = self.backend.estimate(stripped)
@@ -1245,13 +1319,9 @@ class MTCache:
         if isinstance(sql_or_stmt, str):
             # Hot path: a SQL text with a cached plan skips the parser and
             # the optimizer entirely — epoch compare, one dict probe, then
-            # execution.
-            self._check_plan_epoch()
-            plan = self._plan_cache.get(sql_or_stmt)
+            # execution; a new text of a known shape binds its literals.
+            plan = self._lookup_plan(sql_or_stmt)
             if plan is not None:
-                self._plan_cache.move_to_end(sql_or_stmt)  # LRU: touch on hit
-                if not self._counters_null:
-                    self._c_plan_hits.inc()
                 return self._execute_plan(
                     plan, sql_text=sql_or_stmt, trace=trace, session=session
                 )
@@ -1299,7 +1369,7 @@ class MTCache:
                 )
             return None
         if isinstance(stmt, ast.Explain):
-            return self.explain(stmt.select, analyze=stmt.analyze, session=session)
+            return self.explain(stmt, session=session)
         if isinstance(stmt, ast.Select):
             return self._execute_select(
                 stmt, sql_text=sql_text, trace=trace, session=session
@@ -1400,9 +1470,13 @@ class MTCache:
 
     def _execute_select(self, select, sql_text=None, trace=None, session=None):
         with self._trace_scope(trace) as trace:
-            # Optimizing by SQL text engages the compiled-plan cache; the
-            # optimize span enrolls in the active trace.
-            plan = self.optimize(sql_text if sql_text is not None else select)
+            # A text reaches here parsed, after missing the plan cache:
+            # compile it into the cache.  The optimize span enrolls in
+            # the active trace.
+            if sql_text is not None:
+                plan = self._compile_plan(sql_text, select)
+            else:
+                plan = self._optimize_select(select)
             return self._execute_plan(
                 plan, sql_text=sql_text, select=select, trace=trace, session=session
             )
@@ -1548,24 +1622,41 @@ class MTCache:
         wrappers off cached/reused plans; the returned result carries the
         structured per-node records in ``result.analysis``.
 
+        The ``template:`` line says how the statement's text is cached:
+        its shape and, per literal slot, ``free`` (bound per statement),
+        ``class=<shard>`` (keyed by the shard the value lives on) or
+        ``pinned=<value>`` (part of the key: a literal the plan depends
+        on, or one the optimizer tried to read) — i.e. which statements
+        share this compiled plan.
+
         Pass a read-your-writes ``session`` to see the session decision:
         each strict-table guard that consulted the session's commit floor
         contributes a ``session guard`` line saying whether the floor was
         already applied locally or forced the remote branch.
         """
+        text = None
         if isinstance(select, str):
-            stmt = parse(select)
-            if isinstance(stmt, ast.Explain):
-                analyze = analyze or stmt.analyze
-                select = stmt.select
-            else:
-                select = stmt
-        plan = self.optimize(select, use_cache=not analyze)
-        constraint = plan.query_info.constraint
+            text = select
+            select = parse(select, registry=self.metrics)
+        if isinstance(select, ast.Explain):
+            analyze = analyze or select.analyze
+            select, text = select.select, select.text
+        if analyze or text is None:
+            # A fresh plan for exactly this statement (ANALYZE instruments
+            # the tree, which a cached one must not be).
+            plan = self._optimize_select(select)
+        else:
+            # The plan executing this text would run, compiled on a miss.
+            plan = self._lookup_plan(text) or self._compile_plan(text, select)
+        if plan.query_info is not None:
+            constraint = plan.query_info.constraint
+        else:  # instantiated from a snapshot
+            constraint, _ = constraint_from_select(select)
         header = [
             f"summary: {plan.summary()}",
             f"estimated cost: {plan.cost:.1f}",
             f"constraint: {constraint!r}",
+            self._plan_cache.describe(text),
         ]
         if not analyze:
             lines = header + plan.explain().splitlines()

@@ -152,17 +152,20 @@ def compile_expr(expr, binding, ctx=None):
     row_fn = _compile(expr, binding, ctx, row_mode=True)
     if row_fn is not None:
 
-        def env_fn(env, _fn=row_fn):
+        def fn(env, _fn=row_fn):
             return _fn(env.row)
 
-        env_fn.row_fn = row_fn
+        fn.row_fn = row_fn
         pos = getattr(row_fn, "column_pos", None)
         if pos is not None:
-            env_fn.column_pos = pos
-        env_fn.ir = _ir_of(expr, binding)
-        return env_fn
-    fn = _compile(expr, binding, ctx, row_mode=False)
+            fn.column_pos = pos
+    else:
+        fn = _compile(expr, binding, ctx, row_mode=False)
     fn.ir = _ir_of(expr, binding)
+    params = ast.params_of(expr)
+    if params is not None:
+        #: The cell the IR's ("param", slot) nodes read (plan templates).
+        fn.params = params
     return fn
 
 
@@ -202,6 +205,10 @@ def _compile(expr, binding, ctx, row_mode):
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda _: value
+
+    if isinstance(expr, ast.Param):
+        params, slot = expr.params, expr.slot
+        return lambda _: params[slot]
 
     if isinstance(expr, ast.ColumnRef):
         locator = binding.resolve(expr)

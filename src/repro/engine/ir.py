@@ -29,6 +29,7 @@ Node forms (plain tuples, JSON-serializable via to_obj/from_obj)::
 
     ("const", value)                 ("col", position)
     ("outer", locator)               ("now",)
+    ("param", slot)                  a plan template's bindable literal
     ("bin", op, left, right)         op: and or = <> < <= > >= + - * / %
     ("not", x)                       ("neg", x)
     ("isnull", x, negated)           ("between", x, lo, hi, negated)
@@ -61,6 +62,8 @@ def from_ast(expr, binding):
         if value is not None and not isinstance(value, _SCALARS):
             raise IRUnsupported(f"non-scalar literal: {value!r}")
         return ("const", value)
+    if isinstance(expr, ast.Param):
+        return ("param", expr.slot)
     if isinstance(expr, ast.ColumnRef):
         locator = binding.resolve(expr)
         scope, pos = locator
@@ -110,11 +113,15 @@ def const_ir(value):
 # ----------------------------------------------------------------------
 # JSON round-trip
 # ----------------------------------------------------------------------
-def to_obj(node):
-    """IR tuple tree -> nested lists (json.dumps-ready)."""
+def to_obj(node, params=None):
+    """IR tuple tree -> nested lists (json.dumps-ready).  ``params`` is
+    the cell ``("param", slot)`` nodes read; they are written out as the
+    constants currently bound, so the serialized form stays const-only."""
     tag = node[0]
     if tag == "const":
         return ["const", node[1]]
+    if tag == "param":
+        return ["const", params[node[1]]]
     if tag == "col":
         return ["col", node[1]]
     if tag == "outer":
@@ -122,10 +129,13 @@ def to_obj(node):
     if tag == "now":
         return ["now"]
     if tag == "inlist":
-        return ["inlist", to_obj(node[1]), [to_obj(i) for i in node[2]], node[3]]
+        return [
+            "inlist", to_obj(node[1], params),
+            [to_obj(i, params) for i in node[2]], node[3],
+        ]
     out = [tag]
     for part in node[1:]:
-        out.append(to_obj(part) if isinstance(part, tuple) else part)
+        out.append(to_obj(part, params) if isinstance(part, tuple) else part)
     return out
 
 
@@ -159,34 +169,39 @@ def _locator_tuple(obj):
 # ----------------------------------------------------------------------
 # IR -> closure (same dual-mode contract as compile_expr)
 # ----------------------------------------------------------------------
-def compile_ir(node, ctx=None):
+def compile_ir(node, ctx=None, params=None):
     """Re-compile an IR tree into the ``fn(env)`` closure contract of
     :func:`repro.engine.expressions.compile_expr` (with ``row_fn`` /
     ``column_pos`` attached when the expression is local-only).  The
     rebuilt closure carries the IR back as ``fn.ir``, so a re-serialized
-    snapshot round-trips bit-identically."""
-    row_fn = _build(node, ctx, row_mode=True)
+    snapshot round-trips bit-identically.  ``params`` is the cell that
+    ``("param", slot)`` nodes read."""
+    row_fn = _build(node, ctx, True, params)
     if row_fn is not None:
 
-        def env_fn(env, _fn=row_fn):
+        def fn(env, _fn=row_fn):
             return _fn(env.row)
 
-        env_fn.row_fn = row_fn
+        fn.row_fn = row_fn
         pos = getattr(row_fn, "column_pos", None)
         if pos is not None:
-            env_fn.column_pos = pos
-        env_fn.ir = node
-        return env_fn
-    fn = _build(node, ctx, row_mode=False)
+            fn.column_pos = pos
+    else:
+        fn = _build(node, ctx, False, params)
     fn.ir = node
+    if params is not None:
+        fn.params = params
     return fn
 
 
-def _build(node, ctx, row_mode):
+def _build(node, ctx, row_mode, params):
     tag = node[0]
     if tag == "const":
         value = node[1]
         return lambda _: value
+    if tag == "param":
+        slot = node[1]
+        return lambda _: params[slot]
     if tag == "col":
         pos = node[1]
 
@@ -207,13 +222,13 @@ def _build(node, ctx, row_mode):
             raise ExecutionError("GETDATE() in IR without an expression context")
         return lambda _: ctx.now()
     if tag == "bin":
-        left = _build(node[2], ctx, row_mode)
-        right = _build(node[3], ctx, row_mode)
+        left = _build(node[2], ctx, row_mode, params)
+        right = _build(node[3], ctx, row_mode, params)
         if left is None or right is None:
             return None
         return _binary(node[1], left, right)
     if tag == "not":
-        inner = _build(node[1], ctx, row_mode)
+        inner = _build(node[1], ctx, row_mode, params)
         if inner is None:
             return None
 
@@ -223,21 +238,21 @@ def _build(node, ctx, row_mode):
 
         return _not
     if tag == "neg":
-        inner = _build(node[1], ctx, row_mode)
+        inner = _build(node[1], ctx, row_mode, params)
         if inner is None:
             return None
         return lambda arg: None if (v := inner(arg)) is None else -v
     if tag == "isnull":
-        inner = _build(node[1], ctx, row_mode)
+        inner = _build(node[1], ctx, row_mode, params)
         if inner is None:
             return None
         if node[2]:
             return lambda arg: inner(arg) is not None
         return lambda arg: inner(arg) is None
     if tag == "between":
-        operand = _build(node[1], ctx, row_mode)
-        low = _build(node[2], ctx, row_mode)
-        high = _build(node[3], ctx, row_mode)
+        operand = _build(node[1], ctx, row_mode, params)
+        low = _build(node[2], ctx, row_mode, params)
+        high = _build(node[3], ctx, row_mode, params)
         if operand is None or low is None or high is None:
             return None
         negated = node[4]
@@ -253,8 +268,8 @@ def _build(node, ctx, row_mode):
 
         return _between
     if tag == "inlist":
-        operand = _build(node[1], ctx, row_mode)
-        items = [_build(i, ctx, row_mode) for i in node[2]]
+        operand = _build(node[1], ctx, row_mode, params)
+        items = [_build(i, ctx, row_mode, params) for i in node[2]]
         if operand is None or any(i is None for i in items):
             return None
         negated = node[3]
@@ -285,7 +300,9 @@ class _Gen:
     like FALSE), and ``NOT x`` becomes ``is_false(x)`` — De Morgan over
     the guarded comparison forms.  Constants are passed through the exec
     namespace (never repr-injected), so any comparable Python value the
-    row engine accepts works here too.
+    row engine accepts works here too.  A ``("param", slot)`` reads
+    ``_p[slot]``, the kernel's fourth argument (never NULL: bindable
+    literals are NUMBER/STRING tokens).
     """
 
     def __init__(self):
@@ -315,6 +332,8 @@ class _Gen:
             if node[1] is None:
                 return "False", "None"
             return None, self._const(node[1])
+        if tag == "param":
+            return None, f"_p[{node[1]}]"
         if tag == "col":
             col = self._col(node[1])
             tmp = f"_t{self._n_tmp}"
@@ -402,16 +421,21 @@ class _Gen:
 
     def _inlist(self, node, negate):
         _, items, negated = node[1], node[2], node[3]
-        if any(i[0] != "const" for i in items):
+        if any(i[0] not in ("const", "param") for i in items):
             raise _ColumnarUnsupported("inlist with non-constant items")
-        values = [i[1] for i in items]
+        values = [i[1] for i in items if i[0] == "const"]
         has_null = any(v is None for v in values)
-        try:
-            members = set(v for v in values if v is not None)
-        except TypeError:
-            raise _ColumnarUnsupported("unhashable IN-list item") from None
         guard, expr = self.value(node[1])
-        set_name = self._const(members)
+        if len(values) == len(items):
+            try:
+                members = set(v for v in values if v is not None)
+            except TypeError:
+                raise _ColumnarUnsupported("unhashable IN-list item") from None
+            set_name = self._const(members)
+        else:
+            # Bindable items are only known per execution: a tuple display.
+            parts = [self.value(i)[1] for i in items if i[1] is not None]
+            set_name = "(" + "".join(f"{part}, " for part in parts) + ")"
         inside = f"{expr} in {set_name}"
         # Truth table of x IN (...) under SQL nulls: TRUE iff x matches a
         # non-null item; FALSE iff x is non-null, matches nothing, and the
@@ -447,9 +471,11 @@ _SELECTION_CACHE = {}
 
 
 def selection_fn(node):
-    """Compile an IR predicate to ``fn(columns, sel, n) -> sel'`` — the
-    columnar filter kernel — or return None when the IR (or the lack of
-    one) forces the row fallback.  Compiled kernels are cached per IR."""
+    """Compile an IR predicate to ``fn(columns, sel, n, params=None) ->
+    sel'`` — the columnar filter kernel — or return None when the IR (or
+    the lack of one) forces the row fallback.  Compiled kernels are cached
+    per IR; ``params`` is the cell of a predicate that has ``("param",
+    slot)`` nodes (``predicate.params``)."""
     if node is None:
         return None
     try:
@@ -476,7 +502,7 @@ def _compile_selection(node):
         f"    {var} = columns[{pos}]\n" for pos, var in sorted(gen.col_vars.items())
     )
     source = (
-        "def _selection(columns, sel, n):\n"
+        "def _selection(columns, sel, n, _p=None):\n"
         f"{binds}"
         "    if sel is None:\n"
         f"        return [i for i in range(n) if {test}]\n"

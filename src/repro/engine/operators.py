@@ -34,6 +34,7 @@ from repro.common.errors import ExecutionError
 from repro.engine.columnar import ColumnBatch, column_store
 from repro.engine.expressions import make_env, row_fn_of, row_fns_of
 from repro.engine.ir import selection_fn
+from repro.sql.ast import render_params
 
 #: Target chunk size of the batch protocol.  Large enough to amortize
 #: per-batch dispatch, small enough to stay cache-resident.
@@ -254,7 +255,8 @@ class SeqScan(PhysicalOperator):
         self._record_fused(self._ctx)
         if not store.length:
             return []
-        sel = sel_fn(store.columns, None, store.length)
+        sel = sel_fn(store.columns, None, store.length,
+                     getattr(predicate, "params", None))
         if not sel:
             return []
         return [ColumnBatch(store.columns, store.length, sel)]
@@ -523,8 +525,9 @@ class Filter(PhysicalOperator):
         sel_fn = selection_fn(getattr(self.predicate, "ir", None))
         if sel_fn is not None:
             self._record_fused(self._ctx)
+            params = getattr(self.predicate, "params", None)
             for batch in self.child.col_batches(size):
-                sel = sel_fn(batch.columns, batch.sel, batch.length)
+                sel = sel_fn(batch.columns, batch.sel, batch.length, params)
                 if sel:
                     yield ColumnBatch(batch.columns, batch.length, sel)
             return
@@ -1417,10 +1420,15 @@ class RemoteQuery(PhysicalOperator):
     by the cache's connection to the back-end.  The query is issued during
     ``open`` (binding phase), mirroring the paper's observation that remote
     binding makes plan setup more expensive.
+
+    In a plan template the text holds placeholders for the statement's
+    bindable literals; ``params`` is then the template's parameter cell
+    and ``sql`` renders the text for the statement currently bound.
     """
 
-    def __init__(self, sql, output, remote_executor, shards=None):
-        self.sql = sql
+    def __init__(self, sql, output, remote_executor, shards=None, params=None):
+        self._sql = sql
+        self._params = params
         self.output = output
         self.remote_executor = remote_executor
         #: Optional shard pin the executor closure was built with; carried
@@ -1428,10 +1436,17 @@ class RemoteQuery(PhysicalOperator):
         self.shards = shards
         self._buffered = None
 
+    @property
+    def sql(self):
+        if self._params is None:
+            return self._sql
+        return render_params(self._sql, self._params)
+
     def open(self, ctx, outer_env=None):
-        rows = self.remote_executor(self.sql)
+        sql = self.sql
+        rows = self.remote_executor(sql)
         self._buffered = rows
-        ctx.record_remote_query(self.sql, len(rows))
+        ctx.record_remote_query(sql, len(rows))
 
     def rows(self):
         return iter(self._buffered)

@@ -27,6 +27,7 @@ from repro.obs.trace import TraceLog
 from repro.optimizer.query_info import _constant_value, _split_conjuncts
 from repro.plan.store import PlanSnapshotStore
 from repro.sql import ast
+from repro.sql.lexer import fingerprint
 from repro.sql.parser import parse
 
 #: Floor on a query's simulated service time, so zero-cost results still
@@ -47,9 +48,16 @@ class FleetRouter:
     and exposes the legs as ``result.shard_results``.
     """
 
+    #: Bound on the remembered shapes (a memo, so clearing it is harmless).
+    NEVER_SCATTERS_MAX = 1024
+
     def __init__(self, fleet, policy="round_robin"):
         self.fleet = fleet
         self.policy = make_policy(policy)
+        #: Statement shapes known not to scatter, valid for one back-end
+        #: ddl epoch (partition columns are schema).
+        self._never_scatters = set()
+        self._scatter_epoch = None
 
     def set_policy(self, policy):
         self.policy = make_policy(policy)
@@ -116,55 +124,36 @@ class FleetRouter:
         shape where splitting is exact (shards hold disjoint rows and
         there is no final aggregation/ordering pass).  Anything else
         returns None and routes as a single query.
+
+        Whether a statement *can* scatter is a property of its shape
+        (the fingerprint fixes everything but the literals' values), so
+        the router parses only shapes that can, and remembers the rest
+        until the back-end's schema changes.
         """
         backend = self.fleet.backend
         if getattr(backend, "partition_count", 1) <= 1:
             return None
         if not isinstance(sql, str):
             return None
+        epoch = backend.ddl_epoch
+        if (
+            epoch != self._scatter_epoch
+            or len(self._never_scatters) > self.NEVER_SCATTERS_MAX
+        ):
+            self._never_scatters.clear()
+            self._scatter_epoch = epoch
+        shape, _ = fingerprint(sql)
+        if shape in self._never_scatters:
+            return None
         try:
             stmt = parse(sql)
         except ParseError:
+            return None  # not remembered: LIMIT 1.5 and LIMIT 1 share a shape
+        target = self._scatter_in_list(stmt)
+        if target is None:
+            self._never_scatters.add(shape)
             return None
-        if not isinstance(stmt, ast.Select):
-            return None
-        if (
-            len(stmt.from_items) != 1
-            or not isinstance(stmt.from_items[0], ast.FromTable)
-            or stmt.group_by
-            or stmt.having is not None
-            or stmt.order_by
-            or stmt.distinct
-            or stmt.limit is not None
-        ):
-            return None
-        for item in stmt.items:
-            if item.star:
-                continue
-            if any(
-                isinstance(node, ast.FuncCall) and node.is_aggregate
-                for node in item.expr.walk()
-            ):
-                return None
-        table = stmt.from_items[0]
-        pcol = backend.partition_column(table.name)
-        if pcol is None:
-            return None
-        conjuncts = _split_conjuncts(stmt.where)
-        split_at = None
-        for i, conjunct in enumerate(conjuncts):
-            if (
-                isinstance(conjunct, ast.InList)
-                and not conjunct.negated
-                and isinstance(conjunct.operand, ast.ColumnRef)
-                and conjunct.operand.name == pcol
-                and conjunct.operand.qualifier in (None, table.alias)
-            ):
-                if split_at is not None:
-                    return None  # two IN lists on the key: don't split
-                split_at = i
-        if split_at is None:
-            return None
+        table, conjuncts, split_at = target
         in_list = conjuncts[split_at]
         by_shard = {}
         for item in in_list.items:
@@ -187,6 +176,51 @@ class FleetRouter:
             )
             legs.append((shard, leg.to_sql()))
         return legs
+
+    def _scatter_in_list(self, stmt):
+        """``(table, conjuncts, index of the partition-column IN-list)``
+        for a statement of the one shape that scatters, else None.  Looks
+        at structure only, never at a literal's value."""
+        if not isinstance(stmt, ast.Select):
+            return None
+        if (
+            len(stmt.from_items) != 1
+            or not isinstance(stmt.from_items[0], ast.FromTable)
+            or stmt.group_by
+            or stmt.having is not None
+            or stmt.order_by
+            or stmt.distinct
+            or stmt.limit is not None
+        ):
+            return None
+        for item in stmt.items:
+            if item.star:
+                continue
+            if any(
+                isinstance(node, ast.FuncCall) and node.is_aggregate
+                for node in item.expr.walk()
+            ):
+                return None
+        table = stmt.from_items[0]
+        pcol = self.fleet.backend.partition_column(table.name)
+        if pcol is None:
+            return None
+        conjuncts = _split_conjuncts(stmt.where)
+        split_at = None
+        for i, conjunct in enumerate(conjuncts):
+            if (
+                isinstance(conjunct, ast.InList)
+                and not conjunct.negated
+                and isinstance(conjunct.operand, ast.ColumnRef)
+                and conjunct.operand.name == pcol
+                and conjunct.operand.qualifier in (None, table.alias)
+            ):
+                if split_at is not None:
+                    return None  # two IN lists on the key: don't split
+                split_at = i
+        if split_at is None:
+            return None
+        return table, conjuncts, split_at
 
     def _execute_scatter(self, legs, bound=None, session=None):
         """Run the legs through the normal routed path and merge."""

@@ -16,14 +16,21 @@ from repro.sql import ast
 
 def _const_key_fns(values):
     """Key evaluators for plan-time constants, carrying their IR so the
-    plan can snapshot (falls back to bare closures for exotic values)."""
+    plan can snapshot (falls back to bare closures for exotic values).
+    A bindable literal compiles to a read of its parameter cell."""
     out = []
     for v in values:
+        if isinstance(v, ast.Param):
+            out.append(compile_expr(v, _NO_COLUMNS))
+            continue
         try:
             out.append(compile_ir(const_ir(v)))
         except IRUnsupported:
             out.append(lambda env, v=v: v)
     return out
+
+
+_NO_COLUMNS = RowBinding([])
 
 
 def combine_conjuncts(conjuncts):
@@ -266,8 +273,14 @@ class PlacementProvider:
                 if range_low is None and range_high is None:
                     key_fns = _const_key_fns(eq_values)
                     return ops.IndexSeek(table, index, key_fns, binding, predicate=predicate)
-                low = tuple(eq_values) + ((range_low,) if range_low is not None else ())
-                high = tuple(eq_values) + ((range_high,) if range_high is not None else ())
+                # Range bounds are baked into the operator, so an equality
+                # prefix must be known now: reading a Param's value raises
+                # ParamRead and the template build pins that slot.
+                prefix = tuple(
+                    v.value if isinstance(v, ast.Param) else v for v in eq_values
+                )
+                low = prefix + ((range_low,) if range_low is not None else ())
+                high = prefix + ((range_high,) if range_high is not None else ())
                 return ops.IndexRangeScan(
                     table,
                     index,

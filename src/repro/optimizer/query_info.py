@@ -19,7 +19,10 @@ from repro.sql import ast
 class Sarg:
     """A sargable predicate on one column: ``col <op> constant``.
 
-    ``op`` is one of = < <= > >=.  BETWEEN contributes two sargs.
+    ``op`` is one of = < <= > >= in.  BETWEEN contributes two sargs.
+    ``value`` is the constant (a tuple of them for ``in``); in a plan
+    template the constant of an ``=`` and the items of an ``in`` may be
+    opaque :class:`~repro.sql.ast.Param` markers.
     """
 
     __slots__ = ("column", "op", "value", "expr")
@@ -268,9 +271,14 @@ class _Resolver:
 
 
 def _constant_value(expr):
-    """Evaluate a constant literal expression, or return (False, None)."""
+    """Evaluate a constant literal expression, or return (False, None).
+    A bindable literal (:class:`~repro.sql.ast.Param`) is its own, opaque,
+    value: sargs carry it to the index-key and shard-pin code that knows
+    how to consume one."""
     if isinstance(expr, ast.Literal):
         return True, expr.value
+    if isinstance(expr, ast.Param):
+        return True, expr
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         ok, value = _constant_value(expr.operand)
         if ok and isinstance(value, (int, float)):

@@ -72,7 +72,8 @@ def _expr_obj(fn, what="predicate"):
     node = getattr(fn, "ir", None)
     if node is None:
         raise SnapshotUnsupported(f"{what} has no IR (subquery or correlated)")
-    return eir.to_obj(node)
+    # A template's bindable literals serialize as the constants bound now.
+    return eir.to_obj(node, getattr(fn, "params", None))
 
 
 def _expr_objs(fns, what):

@@ -46,6 +46,8 @@ the shards it touched, so ``simulated_makespan()`` reflects partition
 parallelism (max over shards, not sum).
 """
 
+from functools import partial
+
 from repro.cache.backend import BackendServer
 from repro.common.backend import Backend, ReplicationSource, stable_shard_hash
 from repro.common.clock import SimulatedClock
@@ -542,7 +544,9 @@ class ShardedBackend(Backend):
         )
 
     def _conjunct_shards(self, table_name, pcol, alias, conjunct):
-        """Shards a conjunct restricts the table to, or None (no pin)."""
+        """Shards a conjunct restricts the table to, or None (no pin).
+        A plan template's bindable key is classified, not read: the
+        template is then keyed on the shard it was compiled for."""
         if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
             left, right = conjunct.left, conjunct.right
             if not self._is_pcol_ref(left, pcol, alias):
@@ -550,7 +554,7 @@ class ShardedBackend(Backend):
             if self._is_pcol_ref(left, pcol, alias):
                 ok, value = _constant_value(right)
                 if ok:
-                    return {self.shard_of(table_name, value)}
+                    return {ast.classify(value, partial(self.shard_of, table_name))}
         elif (
             isinstance(conjunct, ast.InList)
             and not conjunct.negated
@@ -561,7 +565,7 @@ class ShardedBackend(Backend):
                 ok, value = _constant_value(item)
                 if not ok:
                     return None
-                shards.add(self.shard_of(table_name, value))
+                shards.add(ast.classify(value, partial(self.shard_of, table_name)))
             return shards
         return None
 
@@ -575,6 +579,10 @@ class ShardedBackend(Backend):
             shards = self._conjunct_shards(table_name, pcol, alias, conjunct)
             if shards is not None:
                 pinned = shards if pinned is None else pinned & shards
+        if pinned is not None and not pinned:
+            # Contradictory key predicates (k = 1 AND k = 2 on different
+            # shards) select nothing; any one shard answers with no rows.
+            return {self._home_shard(table_name)}
         return pinned
 
     @staticmethod

@@ -6,6 +6,8 @@ back-end server as SQL text, so faithful round-tripping is part of the
 execution path.
 """
 
+import re
+
 from repro.common.errors import ParseError
 
 #: Currency bound value meaning "any staleness is acceptable".
@@ -46,8 +48,19 @@ class Expr:
 
 
 class Literal(Expr):
-    def __init__(self, value):
+    def __init__(self, value, slot=None):
         self.value = value
+        #: Index of the NUMBER/STRING token this literal was parsed from,
+        #: among the statement's literals (``fingerprint(sql)[1][slot]``);
+        #: None for NULL/TRUE/FALSE and literals built in code.
+        self.slot = slot
+
+    def __eq__(self, other):
+        if type(other) is not Literal:
+            return NotImplemented  # a Param gets to refuse the comparison
+        return self.value == other.value
+
+    __hash__ = Expr.__hash__
 
     def to_sql(self):
         if self.value is None:
@@ -58,6 +71,101 @@ class Literal(Expr):
             escaped = self.value.replace("'", "''")
             return f"'{escaped}'"
         return repr(self.value)
+
+
+class ParamRead(Exception):
+    """Plan-time code read the value of a :class:`Param`.
+
+    The plan being compiled would have baked that value in, so it cannot
+    be shared across bindings: the template build catches this, pins
+    ``slot`` to its exact value and compiles again.
+    """
+
+    def __init__(self, slot):
+        super().__init__(f"plan-time read of parameter ?{slot}")
+        self.slot = slot
+
+
+class Params(list):
+    """The parameter cell of one plan template: the literal values, by
+    slot, of the statement the template is running.  Compiled closures
+    read it on every row, binding a statement overwrites it in place.
+    ``classes`` maps each slot plan-time code classified
+    (:meth:`Param.classify`) to the classifying function."""
+
+    def __init__(self, values=()):
+        super().__init__(values)
+        self.classes = {}
+
+
+class Param(Expr):
+    """A bindable literal: stands for ``params[slot]`` in a plan compiled
+    once per statement shape.
+
+    The value is *opaque* at plan time — ``value``, comparison, hashing,
+    ordering, arithmetic and truth all raise :class:`ParamRead` — so the
+    optimizer cannot choose a plan by it unnoticed.  The sanctioned
+    consumers are expression compilation (a read of the cell per row),
+    ``to_sql`` (a placeholder, filled in by :func:`render_params`) and
+    :meth:`classify`.
+    """
+
+    def __init__(self, slot, params):
+        self.slot = slot
+        self.params = params
+
+    def to_sql(self):
+        return f"\x00{self.slot}\x00"
+
+    def __repr__(self):
+        return f"Param(?{self.slot})"
+
+    def classify(self, fn):
+        """``fn(value)`` for a plan decision that may depend on the value
+        through ``fn`` alone (which shard a key lives on).  Recorded, so
+        the template's key carries ``fn`` of the bound value and a binding
+        of another class compiles its own plan."""
+        self.params.classes[self.slot] = fn
+        return fn(self.params[self.slot])
+
+    def _read(self, *_):
+        raise ParamRead(self.slot)
+
+    value = property(_read)
+    __hash__ = __bool__ = __neg__ = __int__ = __float__ = __index__ = _read
+    __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _read
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _read
+    __truediv__ = __rtruediv__ = __mod__ = __rmod__ = _read
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        raise ParamRead(self.slot)
+
+
+def classify(value, fn):
+    """``fn(value)`` for a plan-time constant that may be a :class:`Param`."""
+    return value.classify(fn) if isinstance(value, Param) else fn(value)
+
+
+def params_of(expr):
+    """The parameter cell of the bindable literals under ``expr``, or None."""
+    if expr is not None:
+        for node in expr.walk():
+            if isinstance(node, Param):
+                return node.params
+    return None
+
+
+_PLACEHOLDER_RE = re.compile("\x00([0-9]+)\x00")
+
+
+def render_params(sql, params):
+    """``sql`` with every :class:`Param` placeholder replaced by its
+    current value, quoted as a literal."""
+    return _PLACEHOLDER_RE.sub(
+        lambda match: Literal(params[int(match.group(1))]).to_sql(), sql
+    )
 
 
 class ColumnRef(Expr):
@@ -366,6 +474,16 @@ class Select(Statement):
         self.currency = currency
         self.limit = limit
 
+    def replace(self, **changes):
+        """A copy of this block with some clauses replaced."""
+        clauses = dict(
+            items=self.items, from_items=self.from_items, where=self.where,
+            group_by=self.group_by, having=self.having, order_by=self.order_by,
+            distinct=self.distinct, currency=self.currency, limit=self.limit,
+        )
+        clauses.update(changes)
+        return Select(**clauses)
+
     def to_sql(self):
         parts = ["SELECT"]
         if self.distinct:
@@ -505,9 +623,13 @@ class Explain(Statement):
     """EXPLAIN [ANALYZE] <select>: return the chosen plan instead of (or,
     with ANALYZE, alongside actually) executing it."""
 
-    def __init__(self, select, analyze=False):
+    def __init__(self, select, analyze=False, text=None):
         self.select = select
         self.analyze = analyze
+        #: Source text of ``select`` (None when built in code): the plan
+        #: cache is keyed on statement text, so EXPLAIN needs it to show
+        #: the plan that executing the statement would run.
+        self.text = text
 
     def to_sql(self):
         keyword = "EXPLAIN ANALYZE" if self.analyze else "EXPLAIN"

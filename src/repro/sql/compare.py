@@ -14,6 +14,11 @@ def equal_ignoring_qualifiers(a, b):
     """True if two expressions are structurally equal modulo qualifiers."""
     if a is None or b is None:
         return a is b
+    for side in (a, b):
+        if isinstance(side, ast.Param):
+            # Matching a predicate against a bindable literal would need
+            # its value: the template build pins the slot and retries.
+            raise ast.ParamRead(side.slot)
     if type(a) is not type(b):
         return False
     if isinstance(a, ast.ColumnRef):

@@ -1,12 +1,20 @@
-"""A hand-written SQL tokenizer.
+"""The SQL tokenizer, and the statement fingerprint built on its patterns.
 
-Produces a flat list of :class:`Token` objects.  Keywords are recognized
-case-insensitively; identifiers are lower-cased (the engine is
-case-insensitive like most SQL systems).  String literals use single quotes
-with ``''`` as the escape for a quote.
+:class:`Lexer` produces a flat list of :class:`Token` objects.  Keywords
+are recognized case-insensitively; identifiers are lower-cased (the engine
+is case-insensitive like most SQL systems).  String literals use single
+quotes with ``''`` as the escape for a quote.
+
+:func:`fingerprint` splits a statement's text into its *shape* (the text
+with every NUMBER/STRING token cut out) and the values of those tokens,
+without building tokens or an AST — the plan cache keys compiled plans
+on the shape, the fleet router memoises routing decisions on it.  Both
+scan with the same sub-patterns, so the ``n``-th fingerprint literal is
+the ``n``-th literal token (``Token.slot``).
 """
 
 import enum
+import re
 
 from repro.common.errors import ParseError
 
@@ -37,17 +45,76 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%")
-PUNCT = "(),."
+# Sub-patterns shared by the tokenizer and the fingerprint.  A number is
+# digits with at most one dot (``1.``, ``.5``); a word may hold digits but
+# not start with one, so a digit inside ``c_custkey2`` never starts a number.
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
+_STRING = r"'(?:[^']|'')*'"
+_WORD = r"[^\W\d]\w*"
+_COMMENT = r"--[^\n]*|/\*[\s\S]*?\*/"
+
+_BLANKS = rf"(?:\s+|{_COMMENT})*"
+_BLANKS_RE = re.compile(_BLANKS)
+_TOKEN_RE = re.compile(
+    rf"{_BLANKS}(?:(?P<number>{_NUMBER})|(?P<string>{_STRING})|(?P<word>{_WORD})"
+    r"|(?P<operator><=|>=|<>|!=|/(?!\*)|[=<>+\-*%])|(?P<punct>[(),.])|(?P<eof>\Z))"
+)
+
+# The fingerprint only needs the literals: one branch swallows runs of
+# words and the separators that cannot start a literal or a comment, so
+# the scan takes one step per literal rather than one per token.
+_LITERAL_RE = re.compile(
+    rf"(?:{_WORD}(?:[\s,()=<>!*+%]|\.(?![0-9]))*)+"
+    rf"|({_NUMBER})|({_STRING})|{_COMMENT}"
+)
+
+
+_TYPES = {type_.value: type_ for type_ in TokenType}
+
+
+def _number_value(text):
+    return float(text) if "." in text else int(text)
+
+
+def _string_value(text):
+    return text[1:-1].replace("''", "'")
+
+
+def fingerprint(sql):
+    """Split ``sql`` into ``(shape, literals)``.
+
+    ``literals`` are the values of the NUMBER and STRING tokens in order
+    (what :meth:`Lexer.tokens` would produce); ``shape`` is the text with
+    each of them replaced by ``?``.  Everything else — keywords, names,
+    spacing, comments — stays in the shape verbatim, so two texts with the
+    same shape differ in their literals only.
+    """
+    pieces = []
+    literals = []
+    pos = 0
+    for match in _LITERAL_RE.finditer(sql):
+        group = match.lastindex
+        if group is None:
+            continue
+        start, end = match.span()
+        text = sql[start:end]
+        literals.append(_number_value(text) if group == 1 else _string_value(text))
+        pieces.append(sql[pos:start])
+        pos = end
+    pieces.append(sql[pos:])
+    return "?".join(pieces), literals
 
 
 class Token:
-    __slots__ = ("type", "value", "pos")
+    __slots__ = ("type", "value", "pos", "slot")
 
-    def __init__(self, type_, value, pos):
+    def __init__(self, type_, value, pos, slot=None):
         self.type = type_
         self.value = value
         self.pos = pos
+        #: For NUMBER and STRING tokens: the token's index among the
+        #: statement's literals, i.e. its position in ``fingerprint(sql)[1]``.
+        self.slot = slot
 
     def is_keyword(self, *words):
         return self.type is TokenType.KEYWORD and self.value in words
@@ -61,99 +128,40 @@ class Lexer:
 
     def __init__(self, text):
         self.text = text
-        self.pos = 0
 
     def tokens(self):
         """Return the full token list, terminated by an EOF token."""
+        text = self.text
         out = []
+        n_literals = 0
+        pos = 0
         while True:
-            token = self._next()
-            out.append(token)
-            if token.type is TokenType.EOF:
-                return out
-
-    def _peek(self, offset=0):
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def _next(self):
-        self._skip_whitespace_and_comments()
-        if self.pos >= len(self.text):
-            return Token(TokenType.EOF, "", self.pos)
-        start = self.pos
-        ch = self.text[self.pos]
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(start)
-        if ch == "'":
-            return self._string(start)
-        if ch.isalpha() or ch == "_":
-            return self._word(start)
-        for op in OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self.pos += len(op)
-                return Token(TokenType.OPERATOR, op, start)
-        if ch in PUNCT:
-            self.pos += 1
-            return Token(TokenType.PUNCT, ch, start)
-        raise ParseError(f"unexpected character {ch!r}", start)
-
-    def _skip_whitespace_and_comments(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif self.text.startswith("--", self.pos):
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl < 0 else nl + 1
-            elif self.text.startswith("/*", self.pos):
-                end = self.text.find("*/", self.pos + 2)
-                if end < 0:
-                    raise ParseError("unterminated block comment", self.pos)
-                self.pos = end + 2
+            match = _TOKEN_RE.match(text, pos)
+            if match is None:
+                self._fail(pos)
+            kind = match.lastgroup  # a _TOKEN_RE group, named like its TokenType
+            start = match.start(kind)
+            pos = match.end()
+            value = match.group(kind)
+            if kind == "word":
+                value = value.lower()
+                type_ = TokenType.KEYWORD if value in KEYWORDS else TokenType.IDENT
+                out.append(Token(type_, value, start))
+            elif kind == "number" or kind == "string":
+                value = _number_value(value) if kind == "number" else _string_value(value)
+                out.append(Token(_TYPES[kind], value, start, n_literals))
+                n_literals += 1
             else:
-                return
+                out.append(Token(_TYPES[kind], value, start))
+                if kind == "eof":
+                    return out
 
-    def _number(self, start):
-        is_float = False
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isdigit():
-                self.pos += 1
-            elif ch == "." and not is_float:
-                is_float = True
-                self.pos += 1
-            else:
-                break
-        text = self.text[start : self.pos]
-        value = float(text) if is_float else int(text)
-        return Token(TokenType.NUMBER, value, start)
-
-    def _string(self, start):
-        self.pos += 1  # opening quote
-        chunks = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError("unterminated string literal", start)
-            ch = self.text[self.pos]
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chunks.append("'")
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                return Token(TokenType.STRING, "".join(chunks), start)
-            chunks.append(ch)
-            self.pos += 1
-
-    def _word(self, start):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch == "_":
-                self.pos += 1
-            else:
-                break
-        word = self.text[start : self.pos].lower()
-        if word in KEYWORDS:
-            return Token(TokenType.KEYWORD, word, start)
-        return Token(TokenType.IDENT, word, start)
+    def _fail(self, pos):
+        """Name what stopped the scan at (or after the blanks at) ``pos``."""
+        text = self.text
+        pos = _BLANKS_RE.match(text, pos).end()
+        if text.startswith("/*", pos):
+            raise ParseError("unterminated block comment", pos)
+        if text[pos] == "'":
+            raise ParseError("unterminated string literal", pos)
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)

@@ -140,7 +140,8 @@ class Parser:
         elif token.is_keyword("explain"):
             self._advance()
             analyze = self._accept_keyword("analyze") is not None
-            stmt = ast.Explain(self._select(), analyze=analyze)
+            text = self.sql[self._peek().pos:]
+            stmt = ast.Explain(self._select(), analyze=analyze, text=text)
         elif token.is_keyword("begin"):
             self._advance()
             self._expect_keyword("timeordered")
@@ -572,10 +573,9 @@ class Parser:
 
     def _primary(self):
         token = self._peek()
-        if token.type is TokenType.NUMBER:
-            return ast.Literal(self._advance().value)
-        if token.type is TokenType.STRING:
-            return ast.Literal(self._advance().value)
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+            self._advance()
+            return ast.Literal(token.value, slot=token.slot)
         if token.is_keyword("null"):
             self._advance()
             return ast.Literal(None)

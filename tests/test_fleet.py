@@ -1,6 +1,7 @@
 """Tests for repro.fleet: routing policies, the simulated network, fault
 injection, circuit breaking, and driving a fleet with the workload driver."""
 
+import gc
 import io
 
 import pytest
@@ -422,10 +423,18 @@ class TestCapacityLedger:
         single = make_fleet(n_nodes=1)
         triple = make_fleet(n_nodes=3)
         factory = point_lookup_factory("t", "id", (1, 20))
-        for fleet in (single, triple):
-            fleet.reset_load()
-            WorkloadDriver(fleet, seed=2).run(factory, [600], n_queries=30,
-                                             think_time=0)
+        # The ledger charges wall-clock service time, and a lookup bound
+        # into a shared template runs in ~15 us: take enough of them, with
+        # the collector parked, that one pause cannot outweigh the split.
+        gc.collect()
+        gc.disable()
+        try:
+            for fleet in (single, triple):
+                fleet.reset_load()
+                WorkloadDriver(fleet, seed=2).run(factory, [600], n_queries=600,
+                                                 think_time=0)
+        finally:
+            gc.enable()
         assert single.simulated_makespan() > 0
         # Three nodes split the same work; allow generous scheduling slack.
         assert triple.simulated_makespan() < single.simulated_makespan()
