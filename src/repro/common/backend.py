@@ -39,9 +39,11 @@ def stable_shard_hash(value):
     must be stable so logs, benchmarks and equivalence tests replay
     identically.  Integers use a Knuth multiplicative mix (plain
     ``key % M`` would correlate with sequential key ranges); everything
-    else hashes its ``repr`` bytes through CRC-32.
+    else hashes its ``repr`` bytes through CRC-32.  A whole-number float
+    is the same SQL value as the integer (``1 = 1.0``), so it hashes as
+    one and a ``key = 1.0`` probe finds the row stored under ``1``.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or (isinstance(value, float) and value.is_integer()):
         value = int(value)
     if isinstance(value, int):
         return (value * 0x9E3779B1) & 0xFFFFFFFF

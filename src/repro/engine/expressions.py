@@ -275,16 +275,7 @@ def _compile(expr, binding, ctx, row_mode):
         items = [_compile(i, binding, ctx, row_mode) for i in expr.items]
         if operand is None or any(i is None for i in items):
             return None
-        negated = expr.negated
-
-        def _in(arg):
-            v = operand(arg)
-            if v is None:
-                return None
-            result = any(item(arg) == v for item in items)
-            return (not result) if negated else result
-
-        return _in
+        return _in_list(operand, items, expr.negated)
 
     if isinstance(expr, ast.FuncCall):
         return _compile_func(expr, ctx)
@@ -338,6 +329,27 @@ def _compile(expr, binding, ctx, row_mode):
         return _in_subquery
 
     raise ExecutionError(f"cannot compile expression: {expr!r}")
+
+
+def _in_list(operand, items, negated):
+    """``x [NOT] IN (items)`` under SQL nulls, shared with the IR compiler:
+    TRUE iff x matches an item; UNKNOWN if x is NULL, or if it matches
+    nothing and some item is NULL; FALSE otherwise (NOT flips TRUE/FALSE)."""
+
+    def _in(arg):
+        v = operand(arg)
+        if v is None:
+            return None
+        saw_null = False
+        for item in items:
+            w = item(arg)
+            if w is None:
+                saw_null = True
+            elif w == v:
+                return not negated
+        return None if saw_null else negated
+
+    return _in
 
 
 def _binary(op, left, right):

@@ -37,7 +37,7 @@ Node forms (plain tuples, JSON-serializable via to_obj/from_obj)::
 """
 
 from repro.common.errors import ExecutionError
-from repro.engine.expressions import _binary
+from repro.engine.expressions import _binary, _in_list
 from repro.sql import ast
 
 
@@ -272,16 +272,7 @@ def _build(node, ctx, row_mode, params):
         items = [_build(i, ctx, row_mode, params) for i in node[2]]
         if operand is None or any(i is None for i in items):
             return None
-        negated = node[3]
-
-        def _in(arg):
-            v = operand(arg)
-            if v is None:
-                return None
-            result = any(item(arg) == v for item in items)
-            return (not result) if negated else result
-
-        return _in
+        return _in_list(operand, items, node[3])
     raise ExecutionError(f"unknown IR node: {tag!r}")
 
 

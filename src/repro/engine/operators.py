@@ -271,20 +271,34 @@ class IndexSeek(PhysicalOperator):
     Key evaluation is hoisted to ``open()`` — the key cannot change within
     one execution, so re-deriving it per ``rows()`` call (as the row engine
     once did) only burned allocations on the hottest lookup path.
+
+    ``in_fns`` (optional) makes it an IN-list seek: the key is the equality
+    prefix plus one of the IN items on the next key column.  ``open()``
+    evaluates the items once, drops NULLs (they match nothing), folds
+    duplicates (``1`` and ``1.0`` are one key) and probes each remaining
+    key in the order it first appears — so the output is *not* in index
+    order.
     """
 
-    def __init__(self, table, index, key_fns, output, predicate=None):
+    def __init__(self, table, index, key_fns, output, predicate=None, in_fns=None):
         self.table = table
         self.index = index
         self.key_fns = list(key_fns)  # fn(env of outer) -> key component
         self.output = output
         self.predicate = predicate
+        self.in_fns = None if in_fns is None else list(in_fns)
         self._outer_env = None
         self._ctx = None
         self._key = None
         # Single-component keys (the common point lookup) skip the
         # key-tuple genexpr at open().
         self._single_key_fn = self.key_fns[0] if len(self.key_fns) == 1 else None
+        if in_fns is not None:
+            # The IN probe replaces the rid sources on this instance only,
+            # so the equality spine pays nothing for its existence.
+            self._single_key_fn = None
+            self._keys = ()
+            self._rid_iter = self._rid_list = self._in_rid_list
 
     def open(self, ctx, outer_env=None):
         self._ctx = ctx
@@ -295,6 +309,36 @@ class IndexSeek(PhysicalOperator):
             self._key = (single(env),)
         else:
             self._key = tuple([fn(env) for fn in self.key_fns])
+            if self.in_fns is not None:
+                self._keys = self._in_keys(env)
+
+    def _in_keys(self, env):
+        prefix = self._key
+        if None in prefix:
+            return []  # a NULL equality component matches no row
+        seen = set()
+        keys = []
+        for fn in self.in_fns:
+            value = fn(env)
+            if value is None or value in seen:
+                continue
+            seen.add(value)
+            keys.append(prefix + (value,))
+        return keys
+
+    def _in_rid_list(self):
+        index = self.index
+        full = len(index.key_positions)
+        out = []
+        for key in self._keys:
+            try:
+                if len(key) == full:
+                    out.extend(index.seek_list(key))
+                else:
+                    out.extend([rid for _, rid in index.range(low=key, high=key)])
+            except TypeError:
+                continue  # an item of another type equals no stored key
+        return out
 
     def _rid_iter(self):
         key = self._key
@@ -369,6 +413,8 @@ class IndexSeek(PhysicalOperator):
         ]
 
     def describe(self):
+        if self.in_fns is not None:
+            return f"IndexSeek({self.table.name}.{self.index.name} IN {len(self.in_fns)})"
         return f"IndexSeek({self.table.name}.{self.index.name})"
 
 

@@ -7,6 +7,8 @@ adds matching local materialized views — guarded by SwitchUnions when a
 finite currency bound applies — and remote-query candidates.
 """
 
+from collections import namedtuple
+
 from repro.cc.properties import BACKEND_REGION, ConsistencyProperty
 from repro.engine.expressions import ExpressionContext, OutputCol, RowBinding, compile_expr
 from repro.engine import operators as ops
@@ -241,26 +243,19 @@ class PlacementProvider:
         # --- index paths ------------------------------------------------
         live_sargs = [s for s in sargs if s.expr not in skip_conjuncts]
         for index in table.indexes.values():
-            plan = _match_index(index, live_sargs)
-            if plan is None:
+            match = _match_index(index, live_sargs)
+            if match is None:
                 continue
-            eq_values, range_low, range_high, low_inc, high_inc, used_exprs = plan
-            prefix_sel = _prefix_selectivity(
-                stats, index, eq_values, range_low, range_high, low_inc, high_inc
-            )
-            matched = max(base_rows * prefix_sel, 0.0)
-            residual = [c for c in live_conjuncts if c not in used_exprs]
-            cost = cm.index_descent + cm.fused_pipeline(
+            matched = max(base_rows * _prefix_selectivity(stats, index, match), 0.0)
+            residual = [c for c in live_conjuncts if c not in match.used_exprs]
+            probes = 1 if match.in_values is None else len(match.in_values)
+            cost = probes * cm.index_descent + cm.fused_pipeline(
                 cm.index_row + (cm.filter_row if residual else 0.0), matched
             )
 
             def build_index(
                 index=index,
-                eq_values=eq_values,
-                range_low=range_low,
-                range_high=range_high,
-                low_inc=low_inc,
-                high_inc=high_inc,
+                match=match,
                 residual=tuple(residual),
                 binding=binding,
             ):
@@ -270,14 +265,18 @@ class PlacementProvider:
                     if residual_expr is not None
                     else None
                 )
+                range_low, range_high = match.range_low, match.range_high
                 if range_low is None and range_high is None:
-                    key_fns = _const_key_fns(eq_values)
-                    return ops.IndexSeek(table, index, key_fns, binding, predicate=predicate)
+                    key_fns = _const_key_fns(match.eq_values)
+                    in_fns = None if match.in_values is None else _const_key_fns(match.in_values)
+                    return ops.IndexSeek(
+                        table, index, key_fns, binding, predicate=predicate, in_fns=in_fns
+                    )
                 # Range bounds are baked into the operator, so an equality
                 # prefix must be known now: reading a Param's value raises
                 # ParamRead and the template build pins that slot.
                 prefix = tuple(
-                    v.value if isinstance(v, ast.Param) else v for v in eq_values
+                    v.value if isinstance(v, ast.Param) else v for v in match.eq_values
                 )
                 low = prefix + ((range_low,) if range_low is not None else ())
                 high = prefix + ((range_high,) if range_high is not None else ())
@@ -287,11 +286,18 @@ class PlacementProvider:
                     binding,
                     low=low if low else None,
                     high=high if high else None,
-                    low_inclusive=low_inc,
-                    high_inclusive=high_inc,
+                    low_inclusive=match.low_inc,
+                    high_inclusive=match.high_inc,
                     predicate=predicate,
                 )
 
+            # An IN seek probes its keys in list order, not index order,
+            # so it delivers no sort order.
+            sort_order = (
+                tuple((alias, c) for c in index.column_names)
+                if match.in_values is None
+                else ()
+            )
             candidates.append(
                 Candidate(
                     build_index,
@@ -303,18 +309,24 @@ class PlacementProvider:
                     [alias],
                     f"{kind_prefix}-index",
                     detail=f"{table.name}.{index.name}",
-                    sort_order=tuple((alias, c) for c in index.column_names),
+                    sort_order=sort_order,
                 )
             )
         return candidates
 
 
-def _match_index(index, sargs):
-    """Match sargs against an index key prefix.
+#: How sargs use an index: an equality prefix, then optionally one IN-list
+#: *or* a range on the next key column; ``used_exprs`` are the conjuncts
+#: the access consumes (the rest stay residual).
+IndexMatch = namedtuple(
+    "IndexMatch",
+    "eq_values in_values range_low range_high low_inc high_inc used_exprs",
+)
 
-    Returns (eq_values, range_low, range_high, low_inc, high_inc,
-    used_exprs) or None if the index is unusable.
-    """
+
+def _match_index(index, sargs):
+    """Match sargs against an index key prefix: an :class:`IndexMatch`, or
+    None if the index is unusable."""
     by_column = {}
     for sarg in sargs:
         by_column.setdefault(sarg.column, []).append(sarg)
@@ -334,38 +346,52 @@ def _match_index(index, sargs):
     else:
         position = len(index.column_names)
 
-    # Optional range on the next key column.
-    range_low = range_high = None
+    # Optional IN-list (the shortest, if several) or range on the next key
+    # column; key columns after it stay residual.
+    in_values = range_low = range_high = None
     low_inc = high_inc = True
     if position < len(index.column_names):
         column_sargs = by_column.get(index.column_names[position], [])
-        for s in column_sargs:
-            if s.op in (">", ">="):
-                if range_low is None or s.value > range_low:
-                    range_low = s.value
-                    low_inc = s.op == ">="
-                used_exprs.add(s.expr)
-            elif s.op in ("<", "<="):
-                if range_high is None or s.value < range_high:
-                    range_high = s.value
-                    high_inc = s.op == "<="
-                used_exprs.add(s.expr)
+        in_lists = [s for s in column_sargs if s.op == "in"]
+        if in_lists:
+            shortest = min(in_lists, key=lambda s: len(s.value))
+            in_values = shortest.value
+            used_exprs.add(shortest.expr)
+        else:
+            for s in column_sargs:
+                if s.op in (">", ">="):
+                    if range_low is None or s.value > range_low:
+                        range_low = s.value
+                        low_inc = s.op == ">="
+                    used_exprs.add(s.expr)
+                elif s.op in ("<", "<="):
+                    if range_high is None or s.value < range_high:
+                        range_high = s.value
+                        high_inc = s.op == "<="
+                    used_exprs.add(s.expr)
 
-    if not eq_values and range_low is None and range_high is None:
+    if not eq_values and in_values is None and range_low is None and range_high is None:
         return None
-    return eq_values, range_low, range_high, low_inc, high_inc, used_exprs
+    return IndexMatch(
+        eq_values, in_values, range_low, range_high, low_inc, high_inc, used_exprs
+    )
 
 
-def _prefix_selectivity(stats, index, eq_values, range_low, range_high, low_inc, high_inc):
+def _prefix_selectivity(stats, index, match):
     selectivity = 1.0
-    for i, _ in enumerate(eq_values):
+    for i, _ in enumerate(match.eq_values):
         selectivity *= stats.column(index.column_names[i]).eq_selectivity()
-    if range_low is not None or range_high is not None:
-        column = index.column_names[len(eq_values)]
-        selectivity *= stats.column(column).range_selectivity(
-            low=range_low, high=range_high, low_inclusive=low_inc, high_inclusive=high_inc
-        )
-    return selectivity
+    if match.in_values is None and match.range_low is None and match.range_high is None:
+        return selectivity
+    column = stats.column(index.column_names[len(match.eq_values)])
+    if match.in_values is not None:
+        return selectivity * min(1.0, len(match.in_values) * column.eq_selectivity())
+    return selectivity * column.range_selectivity(
+        low=match.range_low,
+        high=match.range_high,
+        low_inclusive=match.low_inc,
+        high_inclusive=match.high_inc,
+    )
 
 
 class BackendPlacement(PlacementProvider):

@@ -117,7 +117,7 @@ def _ser_seq_scan(op):
 
 
 def _ser_index_seek(op):
-    return {
+    out = {
         "op": "IndexSeek",
         "table": op.table.name,
         "index": op.index.name,
@@ -125,6 +125,10 @@ def _ser_index_seek(op):
         "binding": _binding_obj(op.output),
         "predicate": _expr_obj(op.predicate),
     }
+    # Only an IN seek carries "in": an equality seek's record is unchanged.
+    if op.in_fns is not None:
+        out["in"] = _expr_objs(op.in_fns, "IN item")
+    return out
 
 
 def _ser_index_range(op):
@@ -341,6 +345,7 @@ class _Instantiator:
             self._exprs(node["keys"]),
             self._binding(node["binding"]),
             predicate=self._expr(node["predicate"]),
+            in_fns=self._exprs(node["in"]) if "in" in node else None,
         )
 
     def _build_IndexRangeScan(self, node):

@@ -27,26 +27,24 @@ class TestMatchIndex:
 
     def test_single_equality(self):
         plan = _match_index(self.make_index("a"), [sarg("a", "=", 5)])
-        eq_values, lo, hi, *_ = plan
-        assert eq_values == [5]
-        assert lo is None and hi is None
+        assert plan.eq_values == [5]
+        assert plan.in_values is None
+        assert plan.range_low is None and plan.range_high is None
 
     def test_equality_prefix_plus_range(self):
         plan = _match_index(
             self.make_index("a", "b"),
             [sarg("a", "=", 5), sarg("b", ">", 1), sarg("b", "<=", 9)],
         )
-        eq_values, lo, hi, lo_inc, hi_inc, used = plan
-        assert eq_values == [5]
-        assert (lo, hi) == (1, 9)
-        assert not lo_inc and hi_inc
-        assert len(used) == 3
+        assert plan.eq_values == [5]
+        assert (plan.range_low, plan.range_high) == (1, 9)
+        assert not plan.low_inc and plan.high_inc
+        assert len(plan.used_exprs) == 3
 
     def test_leading_range_only(self):
         plan = _match_index(self.make_index("a", "b"), [sarg("a", ">=", 3)])
-        eq_values, lo, hi, lo_inc, _, _ = plan
-        assert eq_values == []
-        assert lo == 3 and lo_inc
+        assert plan.eq_values == []
+        assert plan.range_low == 3 and plan.low_inc
 
     def test_no_leading_column_match(self):
         assert _match_index(self.make_index("a", "b"), [sarg("b", "=", 1)]) is None
@@ -59,17 +57,44 @@ class TestMatchIndex:
             self.make_index("a"),
             [sarg("a", ">", 1), sarg("a", ">=", 5)],
         )
-        _, lo, _, lo_inc, _, _ = plan
-        assert lo == 5 and lo_inc
+        assert plan.range_low == 5 and plan.low_inc
 
     def test_gap_in_prefix_stops_matching(self):
         plan = _match_index(
             self.make_index("a", "b", "c"),
             [sarg("a", "=", 1), sarg("c", "=", 3)],
         )
-        eq_values, lo, hi, *_ = plan
-        assert eq_values == [1]
-        assert lo is None and hi is None
+        assert plan.eq_values == [1]
+        assert plan.range_low is None and plan.range_high is None
+
+    def test_leading_in_list(self):
+        s = sarg("a", "in", (3, 1), "a IN (3, 1)")
+        plan = _match_index(self.make_index("a", "b"), [s])
+        assert plan.eq_values == [] and plan.in_values == (3, 1)
+        assert plan.used_exprs == {s.expr}
+
+    def test_in_list_after_equality_prefix_ends_the_key(self):
+        eq = sarg("a", "=", 5)
+        in_b = sarg("b", "in", (1, 2), "b IN (1, 2)")
+        plan = _match_index(
+            self.make_index("a", "b", "c"), [eq, in_b, sarg("c", "=", 7)]
+        )
+        assert plan.eq_values == [5] and plan.in_values == (1, 2)
+        assert plan.used_exprs == {eq.expr, in_b.expr}  # c stays residual
+
+    def test_shortest_in_list_wins_and_range_stays_residual(self):
+        long_ = sarg("a", "in", (1, 2, 3), "a IN (1, 2, 3)")
+        short = sarg("a", "in", (2, 3), "a IN (2, 3)")
+        plan = _match_index(self.make_index("a"), [long_, short, sarg("a", ">", 1)])
+        assert plan.in_values == (2, 3)
+        assert plan.range_low is None
+        assert plan.used_exprs == {short.expr}
+
+    def test_equality_beats_in_list_on_one_column(self):
+        eq = sarg("a", "=", 5)
+        plan = _match_index(self.make_index("a"), [sarg("a", "in", (5, 6), "a IN (5, 6)"), eq])
+        assert plan.eq_values == [5] and plan.in_values is None
+        assert plan.used_exprs == {eq.expr}
 
 
 class TestEstimateSelectivity:

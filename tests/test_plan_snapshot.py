@@ -142,6 +142,49 @@ class TestSnapshotRoundTrip:
         with pytest.raises(SnapshotUnsupported):
             instantiate_snapshot(snapshot, bare)
 
+    #: The IndexSeek record of an equality seek, captured before IN seeks
+    #: existed: an operator that is not an IN seek serializes as before.
+    EQ_SEEK_RECORD = (
+        '{"op": "IndexSeek", "table": "t_copy", "index": "pk_t_copy", '
+        '"keys": [["const", 7]], "binding": [["t", "id"], ["t", "v"], ["t", "w"]], '
+        '"predicate": null, "est_rows": 1.0, "est_cost": 8.49625}'
+    )
+
+    @staticmethod
+    def seek_record(snapshot):
+        node = snapshot["root"]
+        while node["op"] != "IndexSeek":
+            node = node["inputs"][0] if node["op"] == "SwitchUnion" else node["child"]
+        return node
+
+    def test_equality_seek_record_is_unchanged(self):
+        cache = make_cache()
+        sql = "SELECT t.id, t.v FROM t WHERE t.id = 7 CURRENCY BOUND 600 SEC ON (t)"
+        snapshot = serialize_plan(cache.optimize(sql, use_cache=False), engine=cache.engine)
+        assert json.dumps(self.seek_record(snapshot)) == self.EQ_SEEK_RECORD
+        assert snapshot["version"] == SNAPSHOT_VERSION == 1
+
+    def test_in_seek_roundtrips_onto_another_node(self):
+        fleet = CacheFleet(make_backend(rows=400), n_nodes=2)
+        fleet.create_region("r", 4.0, 1.0, heartbeat_interval=0.5)
+        fleet.create_matview("t_copy", "t", ["id", "v", "w"], region="r")
+        fleet.run_for(6.0)
+        publisher, peer = fleet.nodes
+        sql = ("SELECT t.id, t.v FROM t WHERE t.id IN (9, 3, 3.0, NULL, 999) "
+               "AND t.v > 1 CURRENCY BOUND 600 SEC ON (t)")
+        plan = publisher.optimize(sql, use_cache=False)
+        snapshot = json.loads(json.dumps(serialize_plan(plan, engine=publisher.engine)))
+        record = self.seek_record(snapshot)
+        assert record["in"] == [["const", 9], ["const", 3], ["const", 3.0],
+                                ["const", None], ["const", 999]]
+        replay = instantiate_snapshot(snapshot, peer)
+        assert replay.explain() == plan.explain()
+        assert "IndexSeek(t_copy.pk_t_copy IN 5)" in replay.explain()
+        fresh = publisher._execute_plan(plan, sql_text=sql)
+        moved = peer._execute_plan(replay, sql_text=sql)
+        assert moved.rows == fresh.rows == [(9, 2), (3, 3)]
+        assert moved.routing == fresh.routing == "local"
+
     def test_estimates_restamped(self):
         cache = make_cache()
         plan = cache.optimize("SELECT t.id FROM t WHERE t.v = 3", use_cache=False)

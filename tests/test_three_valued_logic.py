@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.expressions import OutputCol, RowBinding, evaluator
+from repro.engine.operators import ENGINES
 from repro.sql import ast
 from repro.sql.parser import parse_expression
 
@@ -110,3 +111,75 @@ class TestWhereSemantics:
         backend.execute("INSERT INTO t VALUES (1, 5), (2, NULL)")
         backend.refresh_statistics()
         assert backend.execute("SELECT x.id FROM t x WHERE x.v IS NULL").rows == [(2,)]
+
+
+# ----------------------------------------------------------------------
+# [NOT] IN with NULL items, on every engine, against stdlib sqlite3
+# ----------------------------------------------------------------------
+IN_LIST_PREDICATES = [
+    "t.v NOT IN (10, NULL)",
+    "t.v IN (10, NULL)",
+    "NOT (t.v IN (10, NULL))",
+    "NOT (t.v NOT IN (10, NULL))",
+    "t.v NOT IN (10, 20)",
+    "t.v IN (NULL)",
+    "t.v NOT IN (NULL)",
+    "t.k IN (3, NULL) OR t.v NOT IN (1, NULL)",
+    "t.k IN (3, NULL) OR NOT (t.v IN (4, NULL))",
+]
+
+#: Small stays under the executor's COLUMNAR_MIN_EST_ROWS (every engine
+#: runs the row closures); large crosses it (columnar runs its kernel).
+IN_LIST_TABLE_SIZES = {"small": 20, "large": 200}
+
+
+def _in_list_rows(n):
+    return [(k, None if k % 7 == 0 else k % 30) for k in range(1, n + 1)]
+
+
+@pytest.fixture(scope="module")
+def in_list_backends():
+    from repro.cache.backend import BackendServer
+
+    out = {}
+    for engine in ENGINES:
+        kwargs = {"engine": engine, "batch_size": 1} if engine == "row" else {"engine": engine}
+        for size, n in IN_LIST_TABLE_SIZES.items():
+            backend = BackendServer(**kwargs)
+            backend.create_table("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+            values = ", ".join(
+                f"({k}, {'NULL' if v is None else v})" for k, v in _in_list_rows(n)
+            )
+            backend.execute(f"INSERT INTO t VALUES {values}")
+            backend.refresh_statistics()
+            out[engine, size] = backend
+    return out
+
+
+def _sqlite_rows(n, sql):
+    import sqlite3
+
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+    db.executemany("INSERT INTO t VALUES (?, ?)", _in_list_rows(n))
+    return sorted(db.execute(sql).fetchall())
+
+
+class TestInListWithNullItems:
+    @pytest.mark.parametrize("size", sorted(IN_LIST_TABLE_SIZES))
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("predicate", IN_LIST_PREDICATES)
+    def test_matches_sqlite(self, in_list_backends, engine, size, predicate):
+        sql = f"SELECT t.k FROM t WHERE {predicate}"
+        rows = in_list_backends[engine, size].execute(sql).rows
+        assert sorted(rows) == _sqlite_rows(IN_LIST_TABLE_SIZES[size], sql), sql
+
+    def test_closures_follow_the_kernel_truth_table(self):
+        # x [NOT] IN (1, NULL): a hit is TRUE (FALSE negated), a miss UNKNOWN.
+        expr = parse_expression("t.a IN (1, NULL)")
+        negated = parse_expression("t.a NOT IN (1, NULL)")
+        assert (evaluate(expr, 1), evaluate(negated, 1)) == (True, False)
+        assert (evaluate(expr, 2), evaluate(negated, 2)) == (None, None)
+        assert (evaluate(expr, None), evaluate(negated, None)) == (None, None)
+        plain = parse_expression("t.a NOT IN (1, 3)")
+        assert (evaluate(plain, 2), evaluate(plain, 3)) == (True, False)
