@@ -2,7 +2,8 @@
 database cache enforcing C&C constraints."""
 
 from repro.cache.backend import BackendServer
-from repro.cache.mtcache import CachePlacement, FallbackPolicy, MTCache
+from repro.cache.mtcache import FallbackPolicy, MTCache
+from repro.cache.placement import CachePlacement
 
 __all__ = [
     "BackendServer",

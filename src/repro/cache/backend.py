@@ -11,6 +11,12 @@ iterator executor.  It also exposes the two endpoints MTCache needs:
 Single-block queries go through the cost-based optimizer; queries with
 derived tables or subqueries take the naive recursive path (scan, cross
 join, filter with a subquery runner, aggregate, sort).
+
+A SELECT *text* (every remote branch the cache ships) is compiled through
+the server's :class:`~repro.plan.compiler.PlanCompiler`, the same plan
+cache the cache tier uses: a text hit or a template bind runs a compiled
+plan without parse or optimize.  Parsed statements and naive-path
+statements stay uncached — the reference path.
 """
 
 from repro.catalog.catalog import Catalog
@@ -31,6 +37,7 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.optimizer.cost import CostModel
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.placement import BackendPlacement
+from repro.plan.compiler import PlanCompiler, is_select_text
 from repro.replication.heartbeat import HEARTBEAT_TABLE, HeartbeatService, heartbeat_schema
 from repro.sql import ast
 from repro.sql.parser import parse
@@ -73,6 +80,19 @@ class BackendServer(Backend):
             clock=self.clock, subquery_runner=self._run_subquery
         )
         self.optimizer = Optimizer(self.placement, registry=self.metrics)
+        #: Compiled plans of SELECT texts, emptied by every epoch bump.
+        #: Events go to the registry given here, like the optimizer's and
+        #: the executor's, not to one a fleet attaches later.
+        registry = self.metrics
+
+        def report(event, n=1):
+            registry.counter("plan_cache_events_total", labels={"event": event},
+                             help="compiled-plan cache activity").inc(n)
+
+        self.plans = PlanCompiler(
+            lambda select: self.optimizer.optimize(select, self.catalog),
+            report, reuse_root=self.engine != "row",
+        )
         self.executor = Executor(clock=self.clock, registry=self.metrics,
                                  batch_size=self.batch_size, engine=self.engine)
         self.heartbeats = HeartbeatService(
@@ -94,7 +114,11 @@ class BackendServer(Backend):
         return self._ddl_epoch
 
     def bump_ddl_epoch(self):
+        """Move to a new schema/statistics version.  Every DDL and
+        statistics refresh comes through here, so no plan this server
+        compiled under the old version is served again."""
         self._ddl_epoch += 1
+        self.plans.clear()
         return self._ddl_epoch
 
     def create_table(self, sql_or_stmt):
@@ -142,11 +166,14 @@ class BackendServer(Backend):
         """Execute any supported statement.
 
         SELECT returns a QueryResult; DML returns the number of affected
-        rows; DDL returns the created object.
+        rows; DDL returns the created object.  A SELECT text runs through
+        the plan cache (:meth:`execute_text`).
         """
+        if isinstance(sql_or_stmt, str) and is_select_text(sql_or_stmt):
+            return self.execute_text(sql_or_stmt, ctx=ctx)
         stmt = parse(sql_or_stmt) if isinstance(sql_or_stmt, str) else sql_or_stmt
         if isinstance(stmt, ast.Explain):
-            return self.explain(stmt.select)
+            return self.explain(stmt.text if stmt.text is not None else stmt.select)
         if isinstance(stmt, ast.Select):
             return self.execute_select(stmt, ctx=ctx)
         if isinstance(stmt, ast.Insert):
@@ -185,7 +212,29 @@ class BackendServer(Backend):
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
+    def execute_text(self, sql, select=None, ctx=None):
+        """Run a SELECT text through the plan cache.
+
+        A text hit or a template bind executes a compiled plan: no parse,
+        no optimize.  A miss parses ``sql`` — unless the caller hands its
+        parse in as ``select`` — and compiles it.  A statement the
+        optimizer refuses takes the naive path, uncached.  The sharded
+        coordinator enters its partitions here.
+        """
+        ctx = ctx or ExecutionContext(clock=self.clock)
+        plan = self.plans.lookup(sql)
+        if plan is None:
+            if select is None:
+                select = parse(sql)
+            try:
+                plan = self.plans.compile(sql, select)
+            except OptimizerError:
+                return self._execute_naive(select, ctx)
+        return self.executor.execute(plan.root(), ctx=ctx, column_names=plan.column_names)
+
     def execute_select(self, select, ctx=None):
+        """Optimize and run one parsed Select, caching nothing: the
+        reference path every compiled plan must agree with."""
         ctx = ctx or ExecutionContext(clock=self.clock)
         try:
             plan = self.optimizer.optimize(select, self.catalog)
@@ -201,21 +250,34 @@ class BackendServer(Backend):
         return self.optimizer.optimize(select, self.catalog)
 
     def explain(self, select):
-        """EXPLAIN: a one-column result of plan-description lines."""
+        """EXPLAIN: a one-column result of plan-description lines.
+
+        For a SELECT text, the plan executing that text would run
+        (compiled on a miss, as execution would) and the ``template:``
+        line of the cache's EXPLAIN: the text's shape and which literal
+        slots are bound per statement.  A parsed Select is optimized
+        afresh and has no template.
+        """
         from repro.engine.executor import PhaseTimings, QueryResult
 
+        text = None
         if isinstance(select, str):
-            select = parse(select)
+            text, select = select, parse(select)
         try:
-            plan = self.optimizer.optimize(select, self.catalog)
+            if text is None:
+                plan = self.optimizer.optimize(select, self.catalog)
+            else:
+                plan = self.plans.lookup(text) or self.plans.compile(text, select)
             lines = [
                 f"summary: {plan.summary()}",
                 f"estimated cost: {plan.cost:.1f}",
                 f"estimated rows: {plan.est_rows:.0f}",
+                self.plans.describe(text),
             ] + plan.explain().splitlines()
         except OptimizerError:
             root, _, _ = self._build_naive(select)
-            lines = ["summary: naive plan"] + root.explain().splitlines()
+            lines = ["summary: naive plan", self.plans.describe(text)]
+            lines += root.explain().splitlines()
         ctx = ExecutionContext(clock=self.clock)
         return QueryResult(["plan"], [(line,) for line in lines], PhaseTimings(), ctx)
 

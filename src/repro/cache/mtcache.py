@@ -19,6 +19,7 @@ import enum
 import functools
 import hashlib
 
+from repro.cache.placement import CachePlacement
 from repro.catalog.catalog import Catalog
 from repro.cc.constraint import constraint_from_select
 from repro.cc.properties import BACKEND_REGION, ConsistencyProperty
@@ -27,270 +28,25 @@ from repro.common.errors import CatalogError, CurrencyError, OptimizerError
 from repro.engine import operators as ops
 from repro.engine.analyze import analysis_rows, instrument, render_analysis
 from repro.engine.executor import ExecutionContext, Executor, PhaseTimings, QueryResult
-from repro.engine.expressions import OutputCol, RowBinding, compile_expr
+from repro.engine.expressions import OutputCol, RowBinding
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.ring import Ring
 from repro.obs.trace import TraceLog
-from repro.optimizer.candidates import Candidate, stamp_estimates
-from repro.optimizer.cost import guard_probability
+from repro.optimizer.candidates import Candidate
 from repro.optimizer.optimizer import Optimizer, OptimizedPlan
-from repro.optimizer.placement import PlacementProvider, combine_conjuncts
 from repro.optimizer.query_info import analyze_select
+from repro.plan.compiler import PLAN_CACHE_SIZE, PlanCompiler, is_select_text
 from repro.plan.snapshot import (
     SnapshotUnsupported,
     instantiate_snapshot,
     serialize_plan,
 )
-from repro.plan.template import (
-    BoundPlan,
-    PlanCache,
-    PlanTemplate,
-    ShapeRecipe,
-    parameterize,
-)
 from repro.replication.agent import DistributionAgent
 from repro.replication.checkpoint import CheckpointStore
 from repro.replication.heartbeat import heartbeat_schema, local_heartbeat_name
 from repro.sql import ast
-from repro.sql.compare import equal_ignoring_qualifiers
-from repro.sql.lexer import fingerprint
 from repro.sql.parser import parse, parse_expression
 from repro.storage.table import HeapTable
-
-
-class CachePlacement(PlacementProvider):
-    """Placement provider for the cache: local views + remote queries.
-
-    ``probability_aware`` toggles the §3.2.4 guard-probability term in the
-    SwitchUnion cost.  When off, guarded plans are costed as if the guard
-    always passed (p = 1) — the ablation baseline: the optimizer then
-    overestimates how useful a rarely-fresh replica is.
-    """
-
-    def __init__(self, mtcache, cost_model, probability_aware=True):
-        super().__init__(cost_model, clock=mtcache.clock)
-        self.mtcache = mtcache
-        self.probability_aware = probability_aware
-
-    # ------------------------------------------------------------------
-    # Local views (with currency guards)
-    # ------------------------------------------------------------------
-    def access_candidates(self, operand, query_info):
-        candidates = []
-        bound = query_info.constraint.bound_for(operand.alias)
-        if bound <= 0:
-            return candidates  # local data can never be 0-stale
-        for view in self._matching_views(operand):
-            region = self.mtcache.catalog.region(view.region)
-            if bound < region.update_delay and bound != ast.UNBOUNDED:
-                # Compile-time pruning: the region can never guarantee the
-                # requested currency (paper §3.2.2, last paragraph).
-                continue
-            candidates.extend(self._view_candidates(operand, query_info, view, region, bound))
-        return candidates
-
-    def _matching_views(self, operand):
-        """View matching: same base table, covering columns, predicate
-        implied by the query's conjuncts."""
-        for view in self.mtcache.catalog.matviews_on(operand.table_name):
-            if not operand.needed_columns <= set(view.columns):
-                continue
-            if view.predicate is not None and not any(
-                equal_ignoring_qualifiers(view.predicate, conjunct)
-                for conjunct in operand.conjuncts
-            ):
-                continue
-            yield view
-
-    def _view_candidates(self, operand, query_info, view, region, bound):
-        alias = operand.alias
-        skip = tuple(
-            conjunct
-            for conjunct in operand.conjuncts
-            if view.predicate is not None
-            and equal_ignoring_qualifiers(view.predicate, conjunct)
-        )
-        binding = RowBinding([OutputCol(c, alias) for c in view.columns])
-        local_delivered = ConsistencyProperty.single(region.cid, [alias])
-        locals_ = self.base_table_candidates(
-            view.table,
-            alias,
-            operand.conjuncts,
-            operand.sargs,
-            view.stats,
-            local_delivered,
-            "view",
-            binding=binding,
-            skip_conjuncts=skip,
-        )
-        strict = self.mtcache.table_consistency(view.base_table) == "strict"
-        if bound == ast.UNBOUNDED and not strict:
-            # No guard needed: any staleness is acceptable.  (Consistency
-            # still matters, hence the region id in the property.)  Strict
-            # tables keep the guard even unbounded: the selector must be
-            # able to bounce a read whose session floor outruns the local
-            # replica, however stale the query is willing to go.
-            return locals_
-
-        # Finite bound: wrap each local alternative in a SwitchUnion whose
-        # selector is the currency guard over the region's local heartbeat.
-        # A plan whose sargs pin the operand to one partition only answers
-        # for that shard's replication lag (and its remote fallback only
-        # hits that shard).
-        shard = self.mtcache.shard_hint(operand)
-        remote = self._operand_remote_candidate(operand, shard=shard)
-        if self.probability_aware:
-            p = guard_probability(bound, region.update_delay, region.update_interval)
-        else:
-            p = 1.0
-        guarded = []
-        common_binding = remote.binding  # needed columns, sorted
-        needed = sorted(operand.needed_columns)
-        delivered = ConsistencyProperty.single(("guarded", region.cid, bound), [alias])
-        for local in locals_:
-            def build(local=local, remote=remote, view=view, bound=bound,
-                      needed=needed, common_binding=common_binding, shard=shard):
-                # Project the local branch to the remote branch's column
-                # order so both SwitchUnion inputs agree — unless the view
-                # already produces exactly those columns in that order.
-                if [c.name for c in local.binding.columns] == needed:
-                    local_branch = local.operator()
-                else:
-                    exprs = [
-                        compile_expr(ast.ColumnRef(c, qualifier=operand.alias),
-                                     local.binding, self.expr_ctx)
-                        for c in needed
-                    ]
-                    local_branch = stamp_estimates(
-                        ops.Project(local.operator(), exprs, common_binding), local.rows
-                    )
-                selector = self.mtcache.make_currency_guard(view, bound, shard=shard)
-                return ops.SwitchUnion(
-                    [local_branch, remote.operator()],
-                    selector,
-                    common_binding,
-                    label=view.name,
-                )
-
-            cost = self.cost_model.switch_union(
-                p, local.cost + self.cost_model.project(local.rows), remote.cost
-            )
-            guarded.append(
-                Candidate(
-                    build,
-                    cost,
-                    local.rows,
-                    remote.width,
-                    common_binding,
-                    delivered,
-                    [alias],
-                    "guarded-view",
-                    detail=f"{view.name}|{local.kind}",
-                )
-            )
-        return guarded
-
-    # ------------------------------------------------------------------
-    # Remote candidates
-    # ------------------------------------------------------------------
-    def _operand_remote_candidate(self, operand, shard=None):
-        """A remote query fetching one operand (σπ of a base table)."""
-        needed = sorted(operand.needed_columns)
-        select = ast.Select(
-            [ast.SelectItem(ast.ColumnRef(c, qualifier=operand.alias)) for c in needed],
-            [ast.FromTable(operand.table_name, operand.alias)],
-            where=combine_conjuncts(operand.conjuncts),
-        )
-        binding = RowBinding([OutputCol(c, operand.alias) for c in needed])
-        width = sum(operand.stats.column(c).avg_width for c in needed)
-        return self._remote_candidate(
-            select, binding, [operand.alias], "remote-fetch", width=width,
-            shards=None if shard is None else (shard,),
-        )
-
-    def subset_remote_candidate(self, aliases, query_info):
-        """One remote query computing the σπ⋈ of an alias subset."""
-        aliases = frozenset(aliases)
-        items = []
-        binding_cols = []
-        from_items = []
-        conjuncts = []
-        width = 0.0
-        for alias in sorted(aliases):
-            operand = query_info.operand(alias)
-            from_items.append(ast.FromTable(operand.table_name, alias))
-            for column in sorted(operand.needed_columns):
-                items.append(ast.SelectItem(ast.ColumnRef(column, qualifier=alias)))
-                binding_cols.append(OutputCol(column, alias))
-                width += operand.stats.column(column).avg_width
-            conjuncts.extend(operand.conjuncts)
-        for jc in query_info.join_conjuncts:
-            if jc.left_alias in aliases and jc.right_alias in aliases:
-                conjuncts.append(jc.expr)
-        for conjunct in query_info.residual_conjuncts:
-            refs = {r.qualifier for r in conjunct.column_refs() if r.qualifier}
-            if refs <= aliases:
-                conjuncts.append(conjunct)
-        select = ast.Select(items, from_items, where=combine_conjuncts(conjuncts))
-        binding = RowBinding(binding_cols)
-        return self._remote_candidate(select, binding, aliases, "remote-subset", width=width)
-
-    def whole_query_candidate(self, query_info):
-        """Ship the entire statement (minus the currency clause)."""
-        select = query_info.select.replace(currency=None)
-        binding = RowBinding([OutputCol(name) for _, name in query_info.items])
-        return self._remote_candidate(
-            select,
-            binding,
-            query_info.aliases(),
-            "remote-query",
-            width=self._items_width(query_info),
-        )
-
-    @staticmethod
-    def _items_width(query_info):
-        """Estimated byte width of the query's output row (what the whole-
-        query remote plan actually ships)."""
-        width = 0.0
-        for expr, _ in query_info.items:
-            if isinstance(expr, ast.ColumnRef):
-                for alias in query_info.aliases():
-                    operand = query_info.operand(alias)
-                    if (expr.qualifier in (None, alias)) and operand.schema.has_column(expr.name):
-                        width += operand.stats.column(expr.name).avg_width
-                        break
-                else:
-                    width += 8.0
-            else:
-                width += 8.0
-        return width
-
-    def _remote_candidate(self, select, binding, aliases, kind, width=None, shards=None):
-        backend = self.mtcache.backend
-        sql = select.to_sql()
-        cost, rows, est_width = backend.estimate(select)
-        if width is None or width <= 0:
-            width = est_width
-        total = cost + self.cost_model.transfer(rows, max(width, 1.0))
-        delivered = ConsistencyProperty.single(BACKEND_REGION, aliases)
-        # A template's remote text has placeholders where its bindable
-        # literals go; the operator renders it per execution.
-        params = ast.params_of(select.where) if "\x00" in sql else None
-
-        def build(sql=sql, binding=binding, shards=shards):
-            if shards is None:
-                return ops.RemoteQuery(
-                    sql, binding, self.mtcache.remote_executor, params=params
-                )
-
-            def pinned_executor(q):
-                return self.mtcache.remote_executor(q, shards=shards)
-
-            return ops.RemoteQuery(
-                sql, binding, pinned_executor, shards=shards, params=params
-            )
-
-        return Candidate(build, total, rows, width, binding, delivered, aliases, kind, detail=sql[:60])
 
 
 class QueryLogEntry:
@@ -402,7 +158,8 @@ class MTCache:
     FALLBACK_POLICIES = tuple(p.value for p in FallbackPolicy)
 
     def __init__(self, backend, *, cost_model=None, fallback_policy=FallbackPolicy.REMOTE,
-                 plan_cache_size=128, metrics=None, batch_size=ops.DEFAULT_BATCH_SIZE,
+                 plan_cache_size=PLAN_CACHE_SIZE, metrics=None,
+                 batch_size=ops.DEFAULT_BATCH_SIZE,
                  engine=None, snapshot_store=None, record_history=False):
         self._fallback_policy = _coerce_policy(fallback_policy).value
         self.batch_size = ops.coerce_batch_size(batch_size)
@@ -414,14 +171,14 @@ class MTCache:
         self._resolve_plan_cache_counters()
         #: Compiled-plan cache (paper §3.2: "This approach requires
         #: re-optimization only if a view's consistency properties
-        #: change").  Keyed by SQL text, LRU-ordered (least recently used
-        #: first); invalidated whenever the catalog changes in a way that
-        #: can affect plan choice or validity.  An entry is a BoundPlan
-        #: (this text's literals + the compiled template its shape shares,
-        #: which the cache also owns: see repro.plan.template) or a
-        #: SnapshotPlan.
-        self._plan_cache = PlanCache()
-        self._plan_cache_size = plan_cache_size
+        #: change"): texts, shape recipes and templates, see
+        #: repro.plan.compiler.  Invalidated whenever the catalog changes
+        #: in a way that can affect plan choice or validity.  A text's
+        #: entry is a BoundPlan or an instantiated SnapshotPlan.
+        self._plans = PlanCompiler(
+            self._optimize_select, self._plan_cache_event,
+            reuse_root=self.engine != "row", capacity=plan_cache_size,
+        )
         #: Ring buffer of recent query executions (monitoring aid).
         self.query_log = QueryLog()
         #: Ring buffer of finished query traces (look up by
@@ -497,15 +254,12 @@ class MTCache:
         """Pre-resolve the plan-cache hit/miss counters: they fire once
         per query, so the hot path must not rebuild label dicts."""
         registry = self.metrics
-        self._c_plan_hits = registry.counter(
-            "plan_cache_events_total", labels={"event": "hits"},
-            help="compiled-plan cache activity")
-        self._c_plan_misses = registry.counter(
-            "plan_cache_events_total", labels={"event": "misses"})
-        self._c_plan_binds = registry.counter(
-            "plan_cache_events_total", labels={"event": "binds"})
-        self._c_plan_evictions = registry.counter(
-            "plan_cache_events_total", labels={"event": "evictions"})
+        self._c_plan = {
+            event: registry.counter(
+                "plan_cache_events_total", labels={"event": event},
+                help="compiled-plan cache activity")
+            for event in ("hits", "misses", "binds", "evictions")
+        }
         # queries_total is labelled by run-time routing outcome, which is
         # only known post-execution — resolve lazily but memoize per label.
         self._c_queries_by_routing = {}
@@ -539,8 +293,12 @@ class MTCache:
         }
 
     def _plan_cache_event(self, event, n=1):
-        self.metrics.counter("plan_cache_events_total", labels={"event": event},
-                             help="compiled-plan cache activity").inc(n)
+        counter = self._c_plan.get(event)
+        if counter is None:
+            counter = self.metrics.counter(
+                "plan_cache_events_total", labels={"event": event},
+                help="compiled-plan cache activity")
+        counter.inc(n)
 
     def invalidate_plans(self, reason="ddl"):
         """Drop all cached plans (view/region/statistics changes).
@@ -550,9 +308,9 @@ class MTCache:
         config fingerprint every published snapshot was keyed under, so
         keeping them would only produce fingerprint misses anyway.
         """
-        if self._plan_cache or self._plan_cache.templates:
+        if self._plans.cache or self._plans.cache.templates:
             self._plan_cache_event("invalidations")
-        self._plan_cache.clear()
+        self._plans.clear()
         if self.snapshot_store is not None and len(self.snapshot_store):
             self.snapshot_store.invalidate(reason)
 
@@ -1173,85 +931,32 @@ class MTCache:
         plan).  None: the text has to be parsed (a first-of-its-key SELECT
         goes on to :meth:`_compile_plan`)."""
         self._check_plan_epoch()
-        plan = self._plan_cache.get(sql)
-        if plan is not None:
-            self._plan_cache.move_to_end(sql)  # LRU: touch on hit
-            if not self._counters_null:
-                self._c_plan_hits.inc()
+        plans = self._plans
+        plan = plans.probe(sql)
+        if plan is not None or not is_select_text(sql):
             return plan
-        if sql.lstrip()[:6].lower() != "select":
-            return None  # DML, DDL, EXPLAIN: nothing to look up
         plan = self._probe_snapshots(sql)
         if plan is not None:
             # Precompiled by a peer (or a past life of this node): no
             # parse, no optimize — but an instantiation, hence a miss.
-            self._c_plan_misses.inc()
-        else:
-            shape, literals = fingerprint(sql)
-            template = self._plan_cache.probe_template(shape, literals)
-            if template is None:
-                return None
-            self._c_plan_hits.inc()
-            self._c_plan_binds.inc()
-            plan = BoundPlan(template, literals)
+            self._plan_cache_event("misses")
+            plans.remember(sql, plan)
+            return plan
+        plan = plans.bind(sql)
+        if plan is not None:
             # The shared store stays text-keyed: a text this node resolved
             # without a snapshot is published, bound or compiled, exactly
             # when it used to be (ROADMAP 3(c) folds the store into the
             # templates and drops this).
             self._publish_snapshot(sql, plan)
-        self._remember_plan(sql, plan)
         return plan
 
     def _compile_plan(self, sql, select):
         """Plan-cache miss: compile ``select`` (the parse of ``sql``) into
-        a template and return it bound to this statement's literals.
-
-        The optimizer runs on a copy whose bindable literals are opaque
-        Params.  Whatever reads one anyway raises ParamRead: that slot is
-        pinned to its value (it joins the template's key) and the
-        statement is optimized again — in the worst case with every
-        literal pinned, which is the old text-keyed behaviour.
-        """
-        shape, literals = fingerprint(sql)
-        known = self._plan_cache.recipes.get(shape)
-        pinned = set(known.pinned) if known is not None else set()
-        if "\x00" in sql:
-            pinned.update(range(len(literals)))  # the placeholder byte is taken
-        while True:
-            params = ast.Params(literals)
-            bindable, slots = parameterize(select, params, pinned)
-            try:
-                plan = self._optimize_select(bindable)
-                # Cached plans keep their built operator tree across
-                # executions; building it here keeps a late value read
-                # inside the try.
-                plan.reuse_root = self.engine != "row"
-                plan.root()
-                break
-            except ast.ParamRead as read:
-                pinned.add(read.slot)
-                self._plan_cache_event("demotions")
-        classes = dict(known.classes) if known is not None else {}
-        classes.update(params.classes)
-        recipe = ShapeRecipe(
-            len(literals),
-            set(range(len(literals))).difference(slots),
-            {slot: fn for slot, fn in classes.items() if slot in slots},
-        )
-        template = PlanTemplate(plan, params, shape, recipe)
-        self._c_plan_misses.inc()
-        evicted = self._plan_cache.add_template(template, self._plan_cache_size)
-        if evicted:
-            self._plan_cache_event("template_evictions", evicted)
-        bound = BoundPlan(template, literals)
-        self._remember_plan(sql, bound)
-        self._publish_snapshot(sql, bound)
-        return bound
-
-    def _remember_plan(self, sql, plan):
-        evicted = self._plan_cache.remember(sql, plan, self._plan_cache_size)
-        if evicted:
-            self._c_plan_evictions.inc(evicted)
+        a template, bound to this statement's literals, and publish it."""
+        plan = self._plans.compile(sql, select)
+        self._publish_snapshot(sql, plan)
+        return plan
 
     def _optimize_select(self, select):
         """Run the optimizer on one parsed Select; returns an OptimizedPlan."""
@@ -1656,7 +1361,7 @@ class MTCache:
             f"summary: {plan.summary()}",
             f"estimated cost: {plan.cost:.1f}",
             f"constraint: {constraint!r}",
-            self._plan_cache.describe(text),
+            self._plans.describe(text),
         ]
         if not analyze:
             lines = header + plan.explain().splitlines()

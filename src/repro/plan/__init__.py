@@ -1,5 +1,8 @@
-"""Precompiled plan snapshots.
+"""Compiled plans: the plan cache both tiers share, and plan snapshots.
 
+:mod:`repro.plan.compiler` is the compiled-plan cache (text LRU,
+per-shape templates of :mod:`repro.plan.template`, the compile loop)
+that the cache and every back-end server own one of.
 :mod:`repro.plan.snapshot` serializes an optimized plan — operator tree,
 compiled predicates (as the restricted IR of :mod:`repro.engine.ir`),
 placement and currency-guard parameters — into a compact, versioned,

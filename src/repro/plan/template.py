@@ -168,7 +168,7 @@ class BoundPlan:
 
 
 class PlanCache(OrderedDict):
-    """A cache node's compiled-plan cache.
+    """The storage of a :class:`~repro.plan.compiler.PlanCompiler`.
 
     The mapping itself is the first probe: ``SQL text -> plan`` (a
     :class:`BoundPlan` or an instantiated snapshot), LRU-ordered.  Behind

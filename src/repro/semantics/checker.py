@@ -211,7 +211,7 @@ class ResultChecker:
             state = history.snapshot(item.name, up_to_txn=source.sync_txn)
             for row in state.values():
                 entry.table.insert(row)
-            entry.refresh_stats()
+            scratch.refresh_statistics(item.alias)
 
         rewritten = ast.Select(
             select.items,

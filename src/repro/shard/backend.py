@@ -57,6 +57,7 @@ from repro.engine.executor import ExecutionContext, PhaseTimings, QueryResult
 from repro.obs.metrics import NULL_REGISTRY
 from repro.optimizer.cost import CostModel
 from repro.optimizer.query_info import _constant_value, _has_subquery, _split_conjuncts
+from repro.plan.compiler import is_select_text
 from repro.replication.checkpoint import CheckpointStore
 from repro.replication.heartbeat import HEARTBEAT_TABLE, heartbeat_schema
 from repro.replication.tailer import transactions_after
@@ -656,11 +657,12 @@ class ShardedBackend(Backend):
     # Execution
     # ------------------------------------------------------------------
     def execute(self, sql_or_stmt, ctx=None):
-        stmt = parse(sql_or_stmt) if isinstance(sql_or_stmt, str) else sql_or_stmt
+        text = sql_or_stmt if isinstance(sql_or_stmt, str) else None
+        stmt = parse(text) if text is not None else sql_or_stmt
         if isinstance(stmt, ast.Explain):
-            return self.explain(stmt.select)
+            return self.explain(stmt.text if stmt.text is not None else stmt.select)
         if isinstance(stmt, ast.Select):
-            return self.execute_select(stmt, ctx=ctx)
+            return self.execute_select(stmt, ctx=ctx, sql=text)
         if isinstance(stmt, ast.Insert):
             return self._execute_insert(stmt)
         if isinstance(stmt, ast.Update):
@@ -678,25 +680,40 @@ class ShardedBackend(Backend):
 
         A pin means the caller proved the statement only touches rows on
         those partitions (a guarded point plan), so the select runs there
-        directly — the single-shard case skips routing analysis entirely.
+        directly — no routing analysis, and a SELECT text is not even
+        parsed here: each pinned partition's plan cache binds it.
         """
-        stmt = parse(sql) if isinstance(sql, str) else sql
-        if shards is not None and isinstance(stmt, ast.Select):
-            pinned = sorted({s % self.partition_count for s in shards})
+        if shards is not None:
+            if isinstance(sql, ast.Select):
+                text, select = None, sql
+            elif isinstance(sql, str) and is_select_text(sql):
+                text, select = sql, None
+            else:
+                return self.execute(sql).rows
             rows = []
-            for shard in pinned:
-                rows.extend(self._run_on(shard, stmt).rows)
+            for shard in sorted({s % self.partition_count for s in shards}):
+                rows.extend(self._run_on(shard, select, sql=text).rows)
             return rows
-        result = self.execute(stmt)
-        return result.rows
+        return self.execute(sql).rows
 
-    def _run_on(self, shard, select, ctx=None):
+    def _run_on(self, shard, select, ctx=None, sql=None):
+        """One leg on one partition: by text through its plan cache when
+        there is a text (``select``, if given, is its parse, for a miss),
+        else the parsed select, uncached."""
         self._check_up(shard)
-        result = self.partitions[shard].execute_select(select, ctx=ctx)
+        partition = self.partitions[shard]
+        if sql is not None:
+            result = partition.execute_text(sql, select, ctx=ctx)
+        else:
+            result = partition.execute_select(select, ctx=ctx)
         self._charge(shard, result.timings.total)
         return result
 
-    def execute_select(self, select, ctx=None):
+    def execute_select(self, select, ctx=None, sql=None):
+        """Route and run a parsed select.  ``sql``, the text it was
+        parsed from, lets single and scatter legs run through their
+        partitions' plan caches; fetch and gather stage rows on the
+        scratch server and run the parsed select there."""
         ctx = ctx or ExecutionContext(clock=self.clock)
         route = self.route_select(select)
         self.metrics.counter(
@@ -705,9 +722,9 @@ class ShardedBackend(Backend):
             help="backend select routings by mode",
         ).inc()
         if route.mode == "single":
-            return self._run_on(route.shards[0], select, ctx)
+            return self._run_on(route.shards[0], select, ctx, sql)
         if route.mode == "scatter":
-            legs = [self._run_on(shard, select, ctx) for shard in route.shards]
+            legs = [self._run_on(shard, select, ctx, sql) for shard in route.shards]
             rows = [row for leg in legs for row in leg.rows]
             timings = PhaseTimings(run=max(leg.timings.total for leg in legs))
             return QueryResult(legs[0].columns, rows, timings, ctx)
@@ -733,7 +750,7 @@ class ShardedBackend(Backend):
         entry.table.truncate()
         for values in rows:
             entry.table.insert(tuple(values))
-        entry.refresh_stats()
+        scratch.refresh_statistics(name)
 
     def _execute_fetch(self, select, route, ctx):
         """Push the WHERE to each shard, stage survivors, run the final."""
@@ -788,10 +805,17 @@ class ShardedBackend(Backend):
         return self.partitions[route.shards[0]].optimize(select)
 
     def explain(self, select):
+        """The route, then the first routed partition's EXPLAIN — of the
+        text, with its ``template:`` line, when the legs would run it by
+        text (single and scatter routes)."""
+        text = None
         if isinstance(select, str):
-            select = parse(select)
+            text, select = select, parse(select)
         route = self.route_select(select)
-        shard_result = self.partitions[route.shards[0]].explain(select)
+        by_text = text is not None and route.mode in ("single", "scatter")
+        shard_result = self.partitions[route.shards[0]].explain(
+            text if by_text else select
+        )
         lines = [(f"shard route: {route.describe()}",)] + list(shard_result.rows)
         ctx = ExecutionContext(clock=self.clock)
         return QueryResult(["plan"], lines, PhaseTimings(), ctx)

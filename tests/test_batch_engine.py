@@ -181,7 +181,7 @@ def _snapshot_replay(cache, sql, reference):
     """Serialize the cached plan, instantiate it back on the same node,
     execute, and require identical rows.  Plans outside the snapshot
     vocabulary (shipped subqueries) are exempt by design."""
-    plan = cache._plan_cache.get(sql)
+    plan = cache._plans.cache.get(sql)
     if plan is None:
         plan = cache.optimize(sql)
     try:

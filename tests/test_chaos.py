@@ -58,7 +58,7 @@ class TestCrash:
         assert view.applied_txn == 0
         for heartbeat in node._local_heartbeats.values():
             assert heartbeat.row_count == 0
-        assert len(node._plan_cache) == 0
+        assert len(node._plans.cache) == 0
         assert node.query_log.recent(5) == []
 
     def test_crash_twice_rejected(self):

@@ -268,7 +268,7 @@ class TestPlans:
             assert sorted({row[0] for row in result.rows}) == [k, k + 10]
         events = cache.metrics.counter("plan_cache_events_total", labels={"event": "misses"})
         assert events.value == 1
-        assert len(cache._plan_cache.templates) == 1
+        assert len(cache._plans.cache.templates) == 1
 
     def test_scan_still_wins_when_the_list_covers_the_table(self):
         backend = make_backend("columnar", 1)

@@ -316,18 +316,18 @@ class TestPlanCacheLRU:
         ]
 
     def test_eviction_is_lru_not_fifo(self, cache):
-        cache._plan_cache_size = 2
+        cache._plans.capacity = 2
         q0, q1, q2 = self.queries(3)
         plan0 = cache.optimize(q0)
         cache.optimize(q1)
         assert cache.optimize(q0) is plan0  # touch q0: now most recent
         cache.optimize(q2)  # evicts q1 (LRU), NOT q0 (FIFO victim)
-        assert list(cache._plan_cache) == [q0, q2]
+        assert list(cache._plans.cache) == [q0, q2]
         assert cache.optimize(q0) is plan0  # still cached
         assert cache.plan_cache_stats["evictions"] == 1
 
     def test_eviction_counter_accumulates(self, cache):
-        cache._plan_cache_size = 1
+        cache._plans.capacity = 1
         for sql in self.queries(4):
             cache.optimize(sql)
         assert cache.plan_cache_stats["evictions"] == 3

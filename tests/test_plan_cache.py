@@ -61,10 +61,10 @@ class TestReuse:
         assert stale.context.branches[0][1] == 1
 
     def test_capacity_evicts(self, cache):
-        cache._plan_cache_size = 2
+        cache._plans.capacity = 2
         for i in range(4):
             cache.optimize(f"SELECT x.id FROM t x WHERE x.id > {i} CURRENCY BOUND 60 SEC ON (x)")
-        assert len(cache._plan_cache) == 2
+        assert len(cache._plans.cache) == 2
 
 
 class TestInvalidation:

@@ -286,9 +286,9 @@ class TestMTCacheIntegration:
         cache = make_cache(store=store)
         fresh = cache.execute(SQL)
         assert store.stats["publishes"] >= 1
-        cache._plan_cache.clear()  # simulate a restart's cold plan cache
+        cache._plans.cache.clear()  # simulate a restart's cold plan cache
         replay = cache.execute(SQL)
-        assert cache._plan_cache[SQL].kind == "snapshot"
+        assert cache._plans.cache[SQL].kind == "snapshot"
         assert Counter(replay.rows) == Counter(fresh.rows)
         assert replay.routing == fresh.routing
 
@@ -296,7 +296,7 @@ class TestMTCacheIntegration:
         store = PlanSnapshotStore()
         cache = make_cache(store=store)
         cache.execute(SQL)
-        assert SQL in cache._plan_cache
+        assert SQL in cache._plans.cache
         epoch_before = cache.backend.ddl_epoch
         cache.backend.create_index("CREATE INDEX ix_t_v ON t (v)")
         assert cache.backend.ddl_epoch == epoch_before + 1
@@ -359,7 +359,7 @@ class TestFleetSharing:
         fresh = node0.execute(SQL)
         assert fleet.snapshot_store.stats["publishes"] >= 1
         replay = node1.execute(SQL)  # cold node: no parse, no optimize
-        assert node1._plan_cache[SQL].kind == "snapshot"
+        assert node1._plans.cache[SQL].kind == "snapshot"
         assert Counter(replay.rows) == Counter(fresh.rows)
         assert fleet.snapshot_store.stats["hits"] >= 1
 
@@ -378,7 +378,7 @@ class TestFleetSharing:
         assert len(fleet.snapshot_store) == 0
         assert fleet.snapshot_store.last_invalidation == "node-crash"
         # A fresh optimization (cold plan cache) republishes...
-        fleet.nodes[0]._plan_cache.clear()
+        fleet.nodes[0]._plans.cache.clear()
         fleet.nodes[0].execute(SQL)
         assert len(fleet.snapshot_store) >= 1
         # ...and the restart wipes again.

@@ -42,8 +42,8 @@ def engine_kwargs(engine):
     return kwargs
 
 
-def make_cache(engine="columnar", partitions=1, **cache_kwargs):
-    kwargs = engine_kwargs(engine)
+def make_backend(engine="columnar", partitions=1, **backend_kwargs):
+    kwargs = dict(engine_kwargs(engine), **backend_kwargs)
     backend = (
         BackendServer(**kwargs) if partitions == 1
         else ShardedBackend(partitions, **kwargs)
@@ -71,7 +71,12 @@ def make_cache(engine="columnar", partitions=1, **cache_kwargs):
     backend.execute(f"INSERT INTO orders VALUES {orders}")
     backend.execute(f"INSERT INTO ledger VALUES {legs}")
     backend.refresh_statistics()
-    cache = MTCache(backend, **kwargs, **cache_kwargs)
+    return backend
+
+
+def make_cache(engine="columnar", partitions=1, **cache_kwargs):
+    backend = make_backend(engine, partitions)
+    cache = MTCache(backend, **engine_kwargs(engine), **cache_kwargs)
     cache.create_region("r1", 10.0, 2.0, heartbeat_interval=1.0)
     cache.create_matview(
         "cust_copy", "customer",
@@ -221,7 +226,7 @@ class TestDifferential:
         # One compile per shard class of the partition key, binds beyond.
         assert events(cache, "misses") == partitions
         assert events(cache, "binds") == 12 - partitions
-        assert len(cache._plan_cache.templates) == partitions
+        assert len(cache._plans.cache.templates) == partitions
 
     def test_snapshot_of_a_bound_plan_is_const_only(self, engine, partitions):
         from repro.plan import instantiate_snapshot, serialize_plan
@@ -438,7 +443,7 @@ class TestParamOpacity:
 def warm(cache):
     cache.execute(POINT.format(1) + BOUND)
     cache.execute(POINT.format(2) + BOUND)
-    store = cache._plan_cache
+    store = cache._plans.cache
     assert len(store) == 2 and store.templates and store.recipes
     return store
 
@@ -487,14 +492,14 @@ class TestLifetime:
         node = fleet.nodes[0]
         for key in (1, 2):
             node.execute(f"SELECT t.v FROM t WHERE t.id = {key} CURRENCY BOUND 60 SEC ON (t)")
-        assert node._plan_cache.templates
+        assert node._plans.cache.templates
         node.crash()
-        assert is_empty(node._plan_cache)
+        assert is_empty(node._plans.cache)
 
     # (e)
     def test_no_part_of_the_store_outgrows_plan_cache_size(self):
         cache = make_cache(plan_cache_size=4)
-        store = cache._plan_cache
+        store = cache._plans.cache
         shapes = [
             POINT + BOUND,
             "SELECT c.c_custkey FROM customer c WHERE c.c_custkey < {}" + BOUND,
@@ -537,7 +542,7 @@ class TestOneParsePerMiss:
 
     def test_execute_and_optimize_share_one_probe(self):
         source = (TESTS.parent / "src/repro/cache/mtcache.py").read_text()
-        assert source.count("_plan_cache.get(") == 1
+        assert source.count(".probe(sql)") == 1
 
 
 def make_ledger_fleet():
@@ -624,7 +629,7 @@ class TestObservability:
             f"CURRENCY BOUND ? SEC ON (l) [?0 class={shard}, ?1 pinned=5]"
         ]
         # EXPLAIN compiled the plan executing the text now hits.
-        assert cache.execute(sql).plan is cache._plan_cache[sql]
+        assert cache.execute(sql).plan is cache._plans.cache[sql]
         assert events(cache, "misses") == 1
         analyzed = [r[0] for r in cache.explain(sql, analyze=True).rows]
         assert [line for line in analyzed if line.startswith("template:")] == template
