@@ -12,7 +12,8 @@ covers both engines).  Each node accumulates an :class:`OpStats`:
   per outer row, exactly like Postgres' ``loops``);
 * ``rows_out`` / ``batches_out`` — actuals produced across all loops;
 * ``seconds`` — *inclusive* wall time spent producing this node's
-  output (open + iterator pulls, children included);
+  output (open + iterator pulls, children included); the rendered
+  ``self`` column subtracts the executed children's inclusive times;
 * ``fused`` — the node ran as part of a fused batch pipeline;
 * SwitchUnion branch taken is read off the operator (``last_chosen``).
 
@@ -220,8 +221,15 @@ def _node_records(op, depth, out):
             None if chosen is None else ("local" if chosen == 0 else "remote")
         )
     out.append(record)
+    # Self time: inclusive minus the executed children's inclusive time
+    # ("where did the time go"); over a tree the self times sum to the
+    # root's inclusive time.
+    child_ms = 0.0
     for child in op.children():
-        _node_records(child, depth + 1, out)
+        child_record = _node_records(child, depth + 1, out)
+        child_ms += child_record["time_ms"]
+    record["self_ms"] = record["time_ms"] - child_ms
+    return record
 
 
 def analysis_rows(root):
@@ -235,12 +243,12 @@ def analysis_rows(root):
 def render_analysis(records):
     """The estimate-vs-actual table as a list of text lines."""
     headers = ("operator", "est.rows", "act.rows", "loops", "batches",
-               "time", "q-err", "notes")
+               "time", "self", "q-err", "notes")
     table = [headers]
     for r in records:
         name = "  " * r["depth"] + r["describe"]
         if not r["executed"]:
-            table.append((name, _fmt_est(r["est_rows"]), "-", "0", "-", "-", "-",
+            table.append((name, _fmt_est(r["est_rows"]), "-", "0", "-", "-", "-", "-",
                           "(never executed)"))
             continue
         notes = []
@@ -260,6 +268,7 @@ def render_analysis(records):
             str(r["loops"]),
             str(n_batches) if n_batches else "-",
             f"{r['time_ms']:.3f}ms",
+            f"{r['self_ms']:.3f}ms",
             f"{r['q_error']:.2f}" if r["q_error"] is not None else "-",
             " ".join(notes),
         ))

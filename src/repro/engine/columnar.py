@@ -2,12 +2,14 @@
 
 The batch engine's third exchange format (after row tuples and row-tuple
 chunks): a :class:`ColumnBatch` holds one Python list — or, for dense
-numeric columns, an ``array.array`` exposed through the same indexing
-protocol — per output column, plus a *selection vector* of live row
+numeric columns, an ``array.array``, and for the columns a hash join
+gathers, a tuple, all exposed through the same indexing protocol — per
+output column, plus a *selection vector* of live row
 indexes.  Filters never copy data: they only shrink the selection
-vector; projections never copy rows: they pick column references.  Rows
-materialize once, at the operator-tree boundary (or when a row-only
-operator sits downstream).
+vector; projections never copy rows: they pick column references; hash
+joins gather columns at their matched positions.  Rows materialize once,
+at the operator-tree boundary (or when a row-only operator sits
+downstream).
 
 ``array``-typed buffers are built opportunistically by
 :func:`column_store` for all-int / all-float columns (nullable or

@@ -9,13 +9,23 @@ each phase with a high-resolution counter.
 
 import time
 
-from repro.engine.operators import DEFAULT_BATCH_SIZE, coerce_engine
+from repro.engine.operators import DEFAULT_BATCH_SIZE, SeqScan, coerce_engine
 from repro.obs.metrics import NULL_REGISTRY, NullRegistry
 
-#: Below this estimated row count the columnar drive falls back to row
-#: chunks: columnarizing a handful of rows costs more than it saves
-#: (guarded point lookups are the case that matters).
+#: Below this many rows, estimated out and scanned in, the columnar drive
+#: falls back to row chunks: columnarizing a handful of rows costs more
+#: than it saves (guarded point lookups are the case that matters).
 COLUMNAR_MIN_EST_ROWS = 33
+
+
+def _scanned_tables(plan):
+    """The tables ``plan``'s full scans read, found once per operator tree
+    (a plan-cached tree runs many times) and kept on its root; their live
+    row counts are read per execution, since a view fills and empties at
+    run time."""
+    plan.scanned_tables = tuple(
+        op.table for op in plan.walk() if isinstance(op, SeqScan))
+    return plan.scanned_tables
 
 
 class PhaseTimings:
@@ -276,8 +286,14 @@ class Executor:
                 # Tiny plans (guarded point lookups — the cache's hottest
                 # request) skip vectorization *and* the generator chain:
                 # one materialized list end to end, row-mode join builds.
-                engine = "batch"
-                tiny = True
+                # "Tiny" counts rows read, not returned: a full scan
+                # counts as its table's live rows.
+                scanned = plan.scanned_tables
+                if scanned is None:
+                    scanned = _scanned_tables(plan)
+                if not scanned or sum(map(len, scanned)) < COLUMNAR_MIN_EST_ROWS:
+                    engine = "batch"
+                    tiny = True
         ctx.engine = engine
         n_batches = 0
 

@@ -310,11 +310,15 @@ def _compile(expr, binding, ctx, row_mode):
 
         def _in_subquery(env):
             v = operand(env)
+            rows = runner(select, binding, env)
             if v is None:
+                # NULL [NOT] IN (<empty>) is FALSE [TRUE]; else unknown.
+                if next(iter(rows), None) is None:
+                    return bool(negated)
                 return None
             found = False
             saw_null = False
-            for row in runner(select, binding, env):
+            for row in rows:
                 if row[0] is None:
                     saw_null = True
                 elif row[0] == v:

@@ -27,7 +27,7 @@ describing their result columns — which parent operators use to compile
 expressions at plan-build time.
 """
 
-from itertools import islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 from repro.common.errors import ExecutionError
@@ -84,6 +84,10 @@ class PhysicalOperator:
     #: comparison; None on trees built outside the optimizer.
     est_rows = None
     est_cost = None
+
+    #: On a root: the tables its SeqScans read, memoized by the executor's
+    #: tiny-plan test (None until the tree first runs).
+    scanned_tables = None
 
     def open(self, ctx, outer_env=None):
         raise NotImplementedError
@@ -702,25 +706,78 @@ class Project(PhysicalOperator):
         return f"Project({self.output.columns})"
 
 
-def _key_of(fns, row_fns, row, outer):
-    """Join/group key for one row: row mode when available, env otherwise."""
-    if row_fns is not None:
-        return tuple(fn(row) for fn in row_fns)
-    env = make_env(row, outer)
-    return tuple(fn(env) for fn in fns)
-
-
 def _key_positions(key_fns):
-    """Column positions when every key is a bare column ref, else None —
-    the precondition for building/probing a hash join on key columns."""
+    """Column positions when every key is a bare column ref (an empty list
+    for the key-less cross join), else None — the precondition for
+    building and probing a hash operator on key columns."""
     positions = [getattr(fn, "column_pos", None) for fn in key_fns]
-    if positions and all(p is not None for p in positions):
-        return positions
-    return None
+    return None if None in positions else positions
+
+
+def _null_free(key):
+    return None if None in key else key
+
+
+def _row_keyer(key_fns, outer):
+    """``row -> join key`` for the row protocol: the bare value of a single
+    key, a tuple of several (``()`` for none); None when any component is
+    NULL, since a NULL key matches nothing.  :func:`_batch_keys` yields the
+    same form, so one build serves both protocols."""
+    row_fns = row_fns_of(key_fns)
+    if row_fns is None:  # keys that need an environment (outer references)
+        row_fns = [lambda row, fn=fn: fn(make_env(row, outer)) for fn in key_fns]
+    if len(row_fns) == 1:
+        return row_fns[0]
+    return lambda row: _null_free(tuple([fn(row) for fn in row_fns]))
+
+
+def _batch_keys(batch, positions):
+    """``(indexes, keys)`` of a columnar batch's live rows, in selection
+    order: the underlying row indexes, and each row's join key in the form
+    :func:`_row_keyer` gives.  Only the key columns are read."""
+    sel = batch.sel
+    indexes = range(batch.length) if sel is None else sel
+    columns = batch.columns
+    cols = [columns[p] if sel is None else map(columns[p].__getitem__, sel)
+            for p in positions]
+    if len(cols) == 1:
+        return indexes, cols[0]
+    if not cols:
+        return indexes, repeat((), len(indexes))
+    return indexes, [_null_free(key) for key in zip(*cols)]
+
+
+def _index_keys(index, keys, start):
+    """File build positions ``start, start+1, …`` under their join keys,
+    in arrival order; NULL keys are left out."""
+    for position, key in enumerate(keys, start):
+        if key is not None:
+            index.setdefault(key, []).append(position)
+
+
+def _gather(columns, indexes):
+    """``columns`` picked at ``indexes`` (non-empty), one tuple per column."""
+    if len(indexes) == 1:
+        i = indexes[0]
+        return [(col[i],) for col in columns]
+    pick = itemgetter(*indexes)
+    return [pick(col) for col in columns]
 
 
 class HashJoin(PhysicalOperator):
-    """Equality hash join; the right child is the build side."""
+    """Equality hash join; the right child is the build side.
+
+    The build is one structure for every protocol: the build side's rows
+    plus a map from join key (:func:`_row_keyer`) to the positions of the
+    build rows carrying it.  Under the columnar engine, with every key a
+    bare column, the rows are kept as one list per column, and
+    :meth:`col_batches` reads only the probe batch's key columns and emits
+    each joined batch by gathering probe and build columns at the matched
+    positions: no row is built inside the join.  The row form of a
+    columnar build (``rows()``/``batches()`` parents) and the column form
+    of a row build are each derived once, on first use.  Output is in
+    probe order, then build order within a key, whichever the protocol.
+    """
 
     def __init__(self, left, right, left_key_fns, right_key_fns, output, residual=None):
         self.left = left
@@ -730,7 +787,9 @@ class HashJoin(PhysicalOperator):
         self.output = output
         self.residual = residual
         self._outer_env = None
-        self._hash_table = None
+        self._index = None
+        self._build_rows = None
+        self._build_cols = None
 
     def children(self):
         return (self.left, self.right)
@@ -739,47 +798,56 @@ class HashJoin(PhysicalOperator):
         self._outer_env = outer_env
         self.left.open(ctx, outer_env)
         self.right.open(ctx, outer_env)
-        self._hash_table = table = {}
-        key_fns = self.right_key_fns
-        positions = _key_positions(key_fns)
+        self._index = index = {}
+        self._build_rows = self._build_cols = None
+        positions = _key_positions(self.right_key_fns)
         if positions is not None and getattr(ctx, "engine", None) == "columnar":
-            # Columnar build: the join keys come straight off the key
-            # columns (one zip over column buffers per batch), rows
-            # materialize once for the output side.
+            columns = [[] for _ in range(len(self.right.output))]
+            n = 0
             for batch in self.right.col_batches():
-                keys = zip(*[batch.column_values(p) for p in positions])
-                for row, key in zip(batch.to_rows(), keys):
-                    if None in key:
-                        continue
-                    table.setdefault(key, []).append(row)
+                sel = batch.sel
+                for dst, col in zip(columns, batch.columns):
+                    dst.extend(col if sel is None else map(col.__getitem__, sel))
+                _index_keys(index, _batch_keys(batch, positions)[1], n)
+                n += batch.n_rows
+            self._build_cols = ColumnBatch(columns, n)
             return
-        row_keys = row_fns_of(key_fns)
+        keyer = _row_keyer(self.right_key_fns, outer_env)
+        self._build_rows = rows = []
         for chunk in self.right.batches():
-            for row in chunk:
-                key = _key_of(key_fns, row_keys, row, outer_env)
-                if any(k is None for k in key):
-                    continue
-                table.setdefault(key, []).append(row)
+            _index_keys(index, map(keyer, chunk), len(rows))
+            rows.extend(chunk)
+
+    def _build_row_list(self):
+        if self._build_rows is None:
+            self._build_rows = self._build_cols.to_rows()
+        return self._build_rows
+
+    def _build_columns(self):
+        if self._build_cols is None:
+            self._build_cols = ColumnBatch.from_rows(self._build_rows, len(self.right.output))
+        return self._build_cols.columns
+
+    def _row_residual(self):
+        """The residual as ``row -> truth value``, or None without one."""
+        residual = self.residual
+        if residual is None:
+            return None
+        outer = self._outer_env
+        return row_fn_of(residual) or (lambda row: residual(make_env(row, outer)))
 
     def _probe(self, left_rows):
-        outer = self._outer_env
-        table = self._hash_table
-        residual = self.residual
-        row_residual = None if residual is None else row_fn_of(residual)
-        key_fns = self.left_key_fns
-        row_keys = row_fns_of(key_fns)
+        get = self._index.get
+        build = self._build_row_list()
+        keyer = _row_keyer(self.left_key_fns, self._outer_env)
+        keep = self._row_residual()
         for left_row in left_rows:
-            key = _key_of(key_fns, row_keys, left_row, outer)
-            if any(k is None for k in key):
+            hits = get(keyer(left_row))
+            if hits is None:
                 continue
-            for right_row in table.get(key, ()):
-                combined = left_row + right_row
-                if residual is None:
-                    yield combined
-                elif row_residual is not None:
-                    if row_residual(combined) is True:
-                        yield combined
-                elif residual(make_env(combined, outer)) is True:
+            for position in hits:
+                combined = left_row + build[position]
+                if keep is None or keep(combined) is True:
                     yield combined
 
     def rows(self):
@@ -791,39 +859,60 @@ class HashJoin(PhysicalOperator):
             if out:
                 yield out
 
+    def _residual_sel(self):
+        """``fn(joined batch) -> live indexes`` for the residual — its IR
+        selection kernel when it has one, else the row residual over the
+        batch's rows — or None without a residual."""
+        kernel = selection_fn(getattr(self.residual, "ir", None))
+        if kernel is not None:
+            params = getattr(self.residual, "params", None)
+            return lambda batch: kernel(batch.columns, None, batch.length, params)
+        keep = self._row_residual()
+        if keep is None:
+            return None
+        return lambda batch: [i for i, row in enumerate(batch.to_rows()) if keep(row) is True]
+
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
-        """Columnar probe: per-batch key tuples zipped off the probe-side
-        key columns, residual applied to the concatenated rows."""
+        """Columnar probe: key columns in, (probe, build) position pairs
+        out, then one gathered batch per probe batch, residual applied as
+        a selection vector."""
         positions = _key_positions(self.left_key_fns)
         if positions is None:
             yield from PhysicalOperator.col_batches(self, size)
             return
-        table = self._hash_table
-        residual = self.residual
-        row_residual = None if residual is None else row_fn_of(residual)
-        outer = self._outer_env
-        width = len(self.output)
-        get = table.get
+        get = self._index.get
+        build = self._build_columns()
+        residual_sel = self._residual_sel()
         for batch in self.left.col_batches(size):
-            keys = zip(*[batch.column_values(p) for p in positions])
-            out = []
-            for left_row, key in zip(batch.to_rows(), keys):
-                if None in key:
+            indexes, keys = _batch_keys(batch, positions)
+            # Every step is one C-level pass: look each key up, keep the
+            # probe indexes that hit, flatten their hit lists.
+            hits = list(map(get, keys))
+            if None in hits:
+                probe_at = list(compress(indexes, hits))
+                hits = list(filter(None, hits))
+            else:
+                probe_at = indexes
+            build_at = list(chain.from_iterable(hits))
+            if not build_at:
+                continue
+            if len(build_at) != len(probe_at):
+                # A duplicated build key: its probe index repeats per hit.
+                probe_at = list(chain.from_iterable(map(repeat, probe_at, map(len, hits))))
+            if probe_at is indexes and batch.sel is None:
+                probe_cols = batch.columns  # every row matched once: as is
+            else:
+                probe_cols = _gather(batch.columns, probe_at)
+            joined = ColumnBatch(probe_cols + _gather(build, build_at), len(build_at))
+            if residual_sel is not None:
+                sel = residual_sel(joined)
+                if not sel:
                     continue
-                for right_row in get(key, ()):
-                    combined = left_row + right_row
-                    if residual is None:
-                        out.append(combined)
-                    elif row_residual is not None:
-                        if row_residual(combined) is True:
-                            out.append(combined)
-                    elif residual(make_env(combined, outer)) is True:
-                        out.append(combined)
-            if out:
-                yield ColumnBatch.from_rows(out, width)
+                joined.sel = sel
+            yield joined
 
     def close(self):
-        self._hash_table = None
+        self._index = self._build_rows = self._build_cols = None
         self.left.close()
         self.right.close()
 
@@ -895,7 +984,85 @@ class MergeJoin(PhysicalOperator):
         return "MergeJoin"
 
 
-class HashSemiJoin(PhysicalOperator):
+class _HashKeyFilter(PhysicalOperator):
+    """Shared body of the semi and anti joins: a set of the build (right)
+    side's join keys filters the left rows, which pass through unchanged.
+    The set holds keys in :func:`_row_keyer` form and is built from the
+    key columns alone under the columnar engine; ``col_batches`` only
+    shrinks each left batch's selection vector."""
+
+    def __init__(self, left, right, left_key_fns, right_key_fns, output=None):
+        self.left = left
+        self.right = right
+        self.left_key_fns = list(left_key_fns)
+        self.right_key_fns = list(right_key_fns)
+        self.output = output or left.output
+        self._outer_env = None
+        self._keys = None
+        self._right_had_null = False
+
+    def children(self):
+        return (self.left, self.right)
+
+    def open(self, ctx, outer_env=None):
+        self._outer_env = outer_env
+        self.left.open(ctx, outer_env)
+        self.right.open(ctx, outer_env)
+        self._keys = keys = set()
+        positions = _key_positions(self.right_key_fns)
+        if positions is not None and getattr(ctx, "engine", None) == "columnar":
+            for batch in self.right.col_batches():
+                keys.update(_batch_keys(batch, positions)[1])
+        else:
+            keyer = _row_keyer(self.right_key_fns, outer_env)
+            for chunk in self.right.batches():
+                keys.update(map(keyer, chunk))
+        self._right_had_null = None in keys
+        keys.discard(None)
+
+    def _key_test(self):
+        """``key -> bool``: whether a left row with this key passes; None
+        when no row can."""
+        raise NotImplementedError
+
+    def rows(self):
+        test = self._key_test()
+        if test is None:
+            return iter(())
+        keyer = _row_keyer(self.left_key_fns, self._outer_env)
+        return (row for row in self.left.rows() if test(keyer(row)))
+
+    def batches(self, size=DEFAULT_BATCH_SIZE):
+        test = self._key_test()
+        if test is None:
+            return
+        keyer = _row_keyer(self.left_key_fns, self._outer_env)
+        for chunk in self.left.batches(size):
+            out = [row for row in chunk if test(keyer(row))]
+            if out:
+                yield out
+
+    def col_batches(self, size=DEFAULT_BATCH_SIZE):
+        positions = _key_positions(self.left_key_fns)
+        if positions is None:
+            yield from PhysicalOperator.col_batches(self, size)
+            return
+        test = self._key_test()
+        if test is None:
+            return
+        for batch in self.left.col_batches(size):
+            indexes, keys = _batch_keys(batch, positions)
+            sel = list(compress(indexes, map(test, keys)))
+            if sel:
+                yield ColumnBatch(batch.columns, batch.length, sel)
+
+    def close(self):
+        self._keys = None
+        self.left.close()
+        self.right.close()
+
+
+class HashSemiJoin(_HashKeyFilter):
     """Semi join: emit each left row with at least one key match on the
     right (SQL ``x IN (SELECT …)`` semantics for non-null keys).
 
@@ -903,145 +1070,28 @@ class HashSemiJoin(PhysicalOperator):
     filters.  Null keys never match, per SQL's three-valued IN.
     """
 
-    def __init__(self, left, right, left_key_fns, right_key_fns, output=None):
-        self.left = left
-        self.right = right
-        self.left_key_fns = list(left_key_fns)
-        self.right_key_fns = list(right_key_fns)
-        self.output = output or left.output
-        self._outer_env = None
-        self._keys = None
-
-    def children(self):
-        return (self.left, self.right)
-
-    def open(self, ctx, outer_env=None):
-        self._outer_env = outer_env
-        self.left.open(ctx, outer_env)
-        self.right.open(ctx, outer_env)
-        self._keys = keys = set()
-        key_fns = self.right_key_fns
-        positions = _key_positions(key_fns)
-        if positions is not None and getattr(ctx, "engine", None) == "columnar":
-            # Columnar build: only the key columns are ever touched — the
-            # build side's rows are never materialized.
-            for batch in self.right.col_batches():
-                for key in zip(*[batch.column_values(p) for p in positions]):
-                    if None not in key:
-                        keys.add(key)
-            return
-        row_keys = row_fns_of(key_fns)
-        for chunk in self.right.batches():
-            for row in chunk:
-                key = _key_of(key_fns, row_keys, row, outer_env)
-                if any(k is None for k in key):
-                    continue
-                keys.add(key)
-
-    def _filter(self, left_rows):
-        keys = self._keys
-        outer = self._outer_env
-        key_fns = self.left_key_fns
-        row_keys = row_fns_of(key_fns)
-        for row in left_rows:
-            key = _key_of(key_fns, row_keys, row, outer)
-            if any(k is None for k in key):
-                continue
-            if key in keys:
-                yield row
-
-    def rows(self):
-        return self._filter(self.left.rows())
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        for chunk in self.left.batches(size):
-            out = list(self._filter(chunk))
-            if out:
-                yield out
-
-    def close(self):
-        self._keys = None
-        self.left.close()
-        self.right.close()
+    def _key_test(self):
+        return self._keys.__contains__
 
     def describe(self):
         return "HashSemiJoin"
 
 
-class HashAntiJoin(PhysicalOperator):
+class HashAntiJoin(_HashKeyFilter):
     """Anti join: emit each left row with *no* key match on the right —
     SQL ``x NOT IN (SELECT …)`` semantics, including the NULL trap: if the
     right side produced any NULL key, no row qualifies (the comparison is
-    unknown for every row), and left rows with NULL keys never qualify.
+    unknown for every row), and left rows with NULL keys qualify only when
+    the right side is empty (``NULL NOT IN (<empty>)`` is TRUE).
     """
 
-    def __init__(self, left, right, left_key_fns, right_key_fns, output=None):
-        self.left = left
-        self.right = right
-        self.left_key_fns = list(left_key_fns)
-        self.right_key_fns = list(right_key_fns)
-        self.output = output or left.output
-        self._outer_env = None
-        self._keys = None
-        self._right_had_null = False
-
-    def children(self):
-        return (self.left, self.right)
-
-    def open(self, ctx, outer_env=None):
-        self._outer_env = outer_env
-        self.left.open(ctx, outer_env)
-        self.right.open(ctx, outer_env)
-        self._keys = keys = set()
-        self._right_had_null = False
-        key_fns = self.right_key_fns
-        positions = _key_positions(key_fns)
-        if positions is not None and getattr(ctx, "engine", None) == "columnar":
-            for batch in self.right.col_batches():
-                for key in zip(*[batch.column_values(p) for p in positions]):
-                    if None in key:
-                        self._right_had_null = True
-                    else:
-                        keys.add(key)
-            return
-        row_keys = row_fns_of(key_fns)
-        for chunk in self.right.batches():
-            for row in chunk:
-                key = _key_of(key_fns, row_keys, row, outer_env)
-                if any(k is None for k in key):
-                    self._right_had_null = True
-                else:
-                    keys.add(key)
-
-    def _filter(self, left_rows):
+    def _key_test(self):
+        if self._right_had_null:
+            return None
         keys = self._keys
-        outer = self._outer_env
-        key_fns = self.left_key_fns
-        row_keys = row_fns_of(key_fns)
-        for row in left_rows:
-            key = _key_of(key_fns, row_keys, row, outer)
-            if any(k is None for k in key):
-                continue
-            if key not in keys:
-                yield row
-
-    def rows(self):
-        if self._right_had_null:
-            return iter(())
-        return self._filter(self.left.rows())
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        if self._right_had_null:
-            return
-        for chunk in self.left.batches(size):
-            out = list(self._filter(chunk))
-            if out:
-                yield out
-
-    def close(self):
-        self._keys = None
-        self.left.close()
-        self.right.close()
+        if not keys:
+            return lambda key: True
+        return lambda key: key is not None and key not in keys
 
     def describe(self):
         return "HashAntiJoin"

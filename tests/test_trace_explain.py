@@ -337,6 +337,24 @@ class TestExplainAnalyze:
         remote = next(r for r in records if r["op"] == "RemoteQuery")
         assert not remote["executed"] and remote["q_error"] is None
 
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("sql", [
+        GUARDED,
+        "SELECT a.id, b.v FROM t a, t b WHERE a.id = b.v CURRENCY BOUND 600 SEC ON (a, b)",
+    ])
+    def test_self_times_sum_to_root_time(self, batch_size, sql):
+        # self = inclusive - executed children's inclusive: over the tree
+        # the self column accounts for exactly the root's time.
+        result = make_cache(batch_size=batch_size).explain(sql, analyze=True)
+        records = result.analysis
+        assert sum(r["self_ms"] for r in records) == pytest.approx(records[0]["time_ms"])
+        assert all(r["self_ms"] == 0 for r in records if not r["executed"])
+        assert len([r for r in records if r["executed"]]) >= 3
+        lines = [line for (line,) in result.rows]
+        header = next(line for line in lines if line.startswith("operator"))
+        assert header.split()[:8] == [
+            "operator", "est.rows", "act.rows", "loops", "batches", "time", "self", "q-err"]
+
     def test_row_engine_estimates_vs_actuals(self):
         cache = make_cache(batch_size=1)
         result = cache.explain(GUARDED, analyze=True)
