@@ -5,8 +5,7 @@ benchmark summaries: tests that opt in via a ``bench_recorder(n)`` (or
 legacy ``bench<n>_recorder``) fixture deposit their headline numbers
 (qps, p50/p95 latency, speedups) into a shared dict, and at session end
 each non-empty dict is merge-written to its ``benchmarks/BENCH_<n>.json``
-so the perf trajectory is recorded per PR (BENCH_2: batch engine;
-BENCH_3: cache fleet; BENCH_4: tracing overhead; BENCH_5: chaos
+so the perf trajectory is recorded per PR (BENCH_3: cache fleet; BENCH_4: tracing overhead; BENCH_5: chaos
 recovery; BENCH_6: sharded back-end scaling; BENCH_7: columnar engine +
 plan snapshots, keyed per engine mode; BENCH_8: session write path +
 ledger workload; BENCH_9: history-recording overhead; BENCH_10: shard
@@ -21,7 +20,7 @@ import pytest
 from repro.workloads.experiment import build_paper_setup
 
 #: Accumulates {workload/section -> metrics} per summary file.
-_BENCH = {f"BENCH_{n}.json": {} for n in range(2, 11)}
+_BENCH = {f"BENCH_{n}.json": {} for n in range(3, 11)}
 
 
 def _recorder(n):
@@ -45,12 +44,6 @@ def bench_recorder():
     """``bench_recorder(n)`` -> the mutable dict whose contents land in
     ``benchmarks/BENCH_<n>.json`` (merge-written at session end)."""
     return _recorder
-
-
-@pytest.fixture(scope="session")
-def bench2_recorder():
-    """Mutable dict whose contents land in benchmarks/BENCH_2.json."""
-    return _recorder(2)
 
 
 @pytest.fixture(scope="session")

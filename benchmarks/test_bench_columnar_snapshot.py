@@ -3,7 +3,7 @@
 Three measurements on the 2000-row replicated profile table:
 
 * **scan, per engine** — the fused scan+filter+project returning 1600 of
-  2000 rows, run under each of the three engines.  The acceptance bar is
+  2000 rows, run under each engine in ``ENGINES``.  The acceptance bar is
   >= 10x the pre-PR-2 row engine (207.8 qps) on the columnar engine.
 * **point_lookup latency, quiet** — 32 cached guarded point lookups,
   cycled, with a :class:`~repro.obs.metrics.NullRegistry` and the GC
@@ -32,8 +32,8 @@ from repro.engine.operators import ENGINES
 from repro.obs.metrics import NullRegistry
 from repro.plan import instantiate_snapshot, serialize_plan
 
-#: Pre-PR-2 throughput of the row-at-a-time engine on this scan workload
-#: (see benchmarks/test_bench_batch_engine.py); PR 7's bar is >= 10x it.
+#: Throughput of the original row-at-a-time engine on this scan workload,
+#: measured before the columnar engine existed; PR 7's bar is >= 10x it.
 PRE_PR2_SCAN_QPS = 207.8
 SCAN_SPEEDUP_FLOOR = 10.0
 

@@ -35,17 +35,12 @@ _chosen = {}
 
 
 @pytest.mark.parametrize("name", list(EXPECTED))
-def test_plan_choice(paper_setup, benchmark, bench2_recorder, name):
+def test_plan_choice(paper_setup, benchmark, name):
     cache = paper_setup.cache
     sql = plan_choice_query(name)
 
     plan = benchmark(lambda: cache.optimize(sql))
 
-    stats = benchmark.stats.stats
-    bench2_recorder.setdefault("plan_choice_optimize", {})[name] = {
-        "mean_us": stats.mean * 1e6,
-        "ops_per_s": (1.0 / stats.mean) if stats.mean else None,
-    }
     summary = plan.summary()
     _chosen[name] = summary
     assert summary == EXPECTED[name], f"{name}: expected {EXPECTED[name]}, got {summary}"

@@ -51,22 +51,18 @@ class BackendServer(Backend):
     the single-node topology defaults (one partition, one replication
     source).
 
-    ``batch_size`` (keyword-only) sets the chunk size of the batch
-    execution engine; ``engine`` selects the evaluation mode ("row" /
-    "batch" / "columnar", default columnar).  ``batch_size=1`` forces
-    the legacy row-at-a-time path (and the matching row-engine cost
-    model) for debugging.
+    ``engine`` (keyword-only) selects the evaluation mode: ``"columnar"``
+    (the default) or ``"row"``, the reference path.
     """
 
     def __init__(self, clock=None, scheduler=None, cost_model=None, metrics=None,
-                 *, batch_size=ops.DEFAULT_BATCH_SIZE, engine=None):
+                 *, engine=None):
         self.clock = clock or SimulatedClock()
         self.scheduler = scheduler or EventScheduler(self.clock)
         self.catalog = Catalog()
         self.txn_manager = TransactionManager(self.clock)
-        self.batch_size = ops.coerce_batch_size(batch_size)
-        self.engine = ops.coerce_engine(engine, self.batch_size)
-        self.cost_model = (cost_model or CostModel()).engine_variant(self.engine)
+        self.engine = ops.coerce_engine(engine)
+        self.cost_model = cost_model or CostModel()
         #: Monotonic schema/statistics version.  Every DDL or stats
         #: refresh bumps it; plan caches and snapshot stores compare it
         #: against the epoch they compiled under and re-optimize on
@@ -90,11 +86,9 @@ class BackendServer(Backend):
                              help="compiled-plan cache activity").inc(n)
 
         self.plans = PlanCompiler(
-            lambda select: self.optimizer.optimize(select, self.catalog),
-            report, reuse_root=self.engine != "row",
+            lambda select: self.optimizer.optimize(select, self.catalog), report,
         )
-        self.executor = Executor(clock=self.clock, registry=self.metrics,
-                                 batch_size=self.batch_size, engine=self.engine)
+        self.executor = Executor(clock=self.clock, registry=self.metrics, engine=self.engine)
         self.heartbeats = HeartbeatService(
             self.txn_manager, self.clock, self.scheduler, registry=self.metrics
         )

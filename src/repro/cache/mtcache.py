@@ -143,12 +143,8 @@ class MTCache:
       its statement texts, and of the plan templates they share);
     * ``metrics`` — a :class:`~repro.obs.MetricsRegistry` (default) or
       :class:`~repro.obs.NullRegistry` to turn instrumentation off;
-    * ``batch_size`` — chunk size of the batch execution engine
-      (default 256).  ``batch_size=1`` forces the legacy row-at-a-time
-      path (and the matching row-engine cost model) for debugging and
-      equivalence testing;
-    * ``engine`` — evaluation mode: ``"columnar"`` (default), ``"batch"``
-      (row-tuple chunks) or ``"row"``;
+    * ``engine`` — evaluation mode: ``"columnar"`` (default) or ``"row"``,
+      the reference path for debugging and equivalence testing;
     * ``snapshot_store`` — an optional shared
       :class:`~repro.plan.store.PlanSnapshotStore`: on a local plan-cache
       miss the cache tries to instantiate a published snapshot before
@@ -159,11 +155,9 @@ class MTCache:
 
     def __init__(self, backend, *, cost_model=None, fallback_policy=FallbackPolicy.REMOTE,
                  plan_cache_size=PLAN_CACHE_SIZE, metrics=None,
-                 batch_size=ops.DEFAULT_BATCH_SIZE,
                  engine=None, snapshot_store=None, record_history=False):
         self._fallback_policy = _coerce_policy(fallback_policy).value
-        self.batch_size = ops.coerce_batch_size(batch_size)
-        self.engine = ops.coerce_engine(engine, self.batch_size)
+        self.engine = ops.coerce_engine(engine)
         #: Observability registry: every hot-path component below reports
         #: into it (see repro.obs).  Real by default — instrumentation is
         #: always-on; pass NullRegistry() for zero-overhead micro-runs.
@@ -176,8 +170,7 @@ class MTCache:
         #: in a way that can affect plan choice or validity.  A text's
         #: entry is a BoundPlan or an instantiated SnapshotPlan.
         self._plans = PlanCompiler(
-            self._optimize_select, self._plan_cache_event,
-            reuse_root=self.engine != "row", capacity=plan_cache_size,
+            self._optimize_select, self._plan_cache_event, capacity=plan_cache_size,
         )
         #: Ring buffer of recent query executions (monitoring aid).
         self.query_log = QueryLog()
@@ -188,12 +181,12 @@ class MTCache:
         self.clock = self.backend.clock
         self.scheduler = self.backend.scheduler
         self.catalog = Catalog()
-        # Cost the plans the way the selected engine actually runs them.
-        self.cost_model = (cost_model or backend.cost_model).engine_variant(self.engine)
+        # One cost model on both tiers: the local branch is priced the
+        # way the back-end prices the same pipeline.
+        self.cost_model = cost_model or backend.cost_model
         self.placement = CachePlacement(self, self.cost_model)
         self.optimizer = Optimizer(self.placement, registry=self.metrics)
-        self.executor = Executor(clock=self.clock, registry=self.metrics,
-                                 batch_size=self.batch_size, engine=self.engine)
+        self.executor = Executor(clock=self.clock, registry=self.metrics, engine=self.engine)
         #: Optional fleet-shared snapshot store (see repro.plan.store).
         self.snapshot_store = snapshot_store
         #: Back-end schema/statistics version the cached plans were
@@ -384,9 +377,7 @@ class MTCache:
         if snapshot is None:
             return None
         try:
-            return instantiate_snapshot(
-                snapshot, self, reuse_root=self.engine != "row"
-            )
+            return instantiate_snapshot(snapshot, self)
         except SnapshotUnsupported:
             return None
 

@@ -1,6 +1,6 @@
-"""Physical execution engine: batch-at-a-time operators (with a
-row-at-a-time compatibility path) over explicit setup / run / shutdown
-phases, plus dual-mode expression compilation."""
+"""Physical execution engine: columnar operators (with the row-at-a-time
+reference path) over explicit setup / run / shutdown phases, plus
+dual-mode expression compilation."""
 
 from repro.engine.expressions import ExpressionContext, OutputCol, RowBinding, compile_expr
 from repro.engine.executor import ExecutionContext, Executor, PhaseTimings, QueryResult

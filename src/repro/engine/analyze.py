@@ -1,20 +1,20 @@
 """EXPLAIN ANALYZE: per-operator run-time statistics.
 
-:func:`instrument` shadows ``open`` / ``rows`` / ``batches`` /
-``col_batches`` / ``_record_fused`` on every node of a physical operator
-tree with
-counting-and-timing wrappers (instance attributes shadow the class
-methods, so the operators themselves stay untouched — and because both
-the row and the batch protocol are wrapped, the same instrumentation
-covers both engines).  Each node accumulates an :class:`OpStats`:
+:func:`instrument` shadows ``open`` / ``rows`` / ``col_batches`` /
+``all_rows`` / ``_record_fused`` on every node of a physical operator
+tree with counting-and-timing wrappers (instance attributes shadow the
+class methods, so the operators themselves stay untouched — and because
+both the row and the columnar protocol are wrapped, the same
+instrumentation covers both engines; ``all_rows`` is counted through the
+wrapped ``rows()``).  Each node accumulates an :class:`OpStats`:
 
 * ``loops`` — times the node was opened (IndexNLJoin re-opens its inner
   per outer row, exactly like Postgres' ``loops``);
-* ``rows_out`` / ``batches_out`` — actuals produced across all loops;
+* ``rows_out`` / ``col_batches_out`` — actuals produced across all loops;
 * ``seconds`` — *inclusive* wall time spent producing this node's
   output (open + iterator pulls, children included); the rendered
   ``self`` column subtracts the executed children's inclusive times;
-* ``fused`` — the node ran as part of a fused batch pipeline;
+* ``fused`` — the node ran as part of a fused pipeline;
 * SwitchUnion branch taken is read off the operator (``last_chosen``).
 
 :func:`analysis_rows` then pairs those actuals with the plan-time
@@ -38,13 +38,12 @@ __all__ = ["OpStats", "instrument", "analysis_rows", "render_analysis"]
 class OpStats:
     """Run-time actuals accumulated by one instrumented operator."""
 
-    __slots__ = ("loops", "rows_out", "batches_out", "seconds", "fused",
+    __slots__ = ("loops", "rows_out", "seconds", "fused",
                  "col_batches_out", "col_rows_capacity", "_depth")
 
     def __init__(self):
         self.loops = 0
         self.rows_out = 0
-        self.batches_out = 0
         self.seconds = 0.0
         self.fused = False
         #: Columnar batches emitted and their total *underlying* row
@@ -52,23 +51,22 @@ class OpStats:
         #: ``rows_out / col_rows_capacity`` is the selection density.
         self.col_batches_out = 0
         self.col_rows_capacity = 0
-        # Reentrancy depth: the compatibility batches() fallback pulls from
-        # self.rows() — the *wrapped* rows once instrumented — so only the
-        # outermost wrapper of an operator may count, or rows and time
+        # Reentrancy depth: the compatibility col_batches() fallback pulls
+        # from self.rows() — the *wrapped* rows once instrumented — so only
+        # the outermost wrapper of an operator may count, or rows and time
         # would be double-counted.
         self._depth = 0
 
     def __repr__(self):
         return (
             f"OpStats(loops={self.loops}, rows={self.rows_out}, "
-            f"batches={self.batches_out}, {self.seconds * 1e3:.3f}ms)"
+            f"batches={self.col_batches_out}, {self.seconds * 1e3:.3f}ms)"
         )
 
 
 def _wrap(op, stats, timer=time.perf_counter):
     orig_open = op.open
     orig_rows = op.rows
-    orig_batches = op.batches
     orig_record_fused = op._record_fused
 
     def open(ctx, outer_env=None):
@@ -99,27 +97,6 @@ def _wrap(op, stats, timer=time.perf_counter):
                 stats.rows_out += 1
             yield row
 
-    def batches(size=DEFAULT_BATCH_SIZE):
-        it = iter(orig_batches(size))
-        while True:
-            outer = stats._depth == 0
-            if outer:
-                t0 = timer()
-            stats._depth += 1
-            try:
-                chunk = next(it)
-            except StopIteration:
-                stats._depth -= 1
-                if outer:
-                    stats.seconds += timer() - t0
-                return
-            stats._depth -= 1
-            if outer:
-                stats.seconds += timer() - t0
-                stats.batches_out += 1
-                stats.rows_out += len(chunk)
-            yield chunk
-
     orig_col_batches = op.col_batches
 
     def col_batches(size=DEFAULT_BATCH_SIZE):
@@ -144,14 +121,11 @@ def _wrap(op, stats, timer=time.perf_counter):
                 stats.rows_out += batch.n_rows
             yield batch
 
-    def all_rows(size=DEFAULT_BATCH_SIZE):
-        # Route the materializing fast path through the wrapped batches()
-        # so the whole subtree is counted — the operators' own all_rows
+    def all_rows():
+        # Route the materializing fast path through the wrapped rows() so
+        # the whole subtree is counted — the operators' own all_rows
         # overrides would bypass the children's instrumentation.
-        out = []
-        for chunk in batches(size):
-            out.extend(chunk)
-        return out
+        return list(rows())
 
     def record_fused(ctx):
         stats.fused = True
@@ -159,7 +133,6 @@ def _wrap(op, stats, timer=time.perf_counter):
 
     op.open = open
     op.rows = rows
-    op.batches = batches
     op.col_batches = col_batches
     op.all_rows = all_rows
     op._record_fused = record_fused
@@ -183,8 +156,6 @@ def _node_records(op, depth, out):
     est = op.est_rows
     if stats.col_batches_out:
         mode = "columnar"
-    elif stats.batches_out:
-        mode = "batch"
     elif executed:
         mode = "row"
     else:
@@ -197,8 +168,7 @@ def _node_records(op, depth, out):
         "est_cost": op.est_cost,
         "actual_rows": stats.rows_out,
         "loops": stats.loops,
-        "batches": stats.batches_out,
-        "col_batches": stats.col_batches_out,
+        "batches": stats.col_batches_out,
         # Evaluation mode this node actually produced output in, and the
         # selection-vector density of its columnar output (live rows over
         # underlying batch capacity; 1.0 = dense, no filtering upstream).
@@ -260,7 +230,7 @@ def render_analysis(records):
             notes.append("fused")
         if r["branch"] is not None:
             notes.append(f"branch={r['branch']}")
-        n_batches = r["batches"] or r["col_batches"]
+        n_batches = r["batches"]
         table.append((
             name,
             _fmt_est(r["est_rows"]),

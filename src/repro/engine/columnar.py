@@ -1,7 +1,7 @@
 """Columnar batches: per-column buffers plus a selection vector.
 
-The batch engine's third exchange format (after row tuples and row-tuple
-chunks): a :class:`ColumnBatch` holds one Python list — or, for dense
+The columnar engine's exchange format (the row engine's is the row
+tuple): a :class:`ColumnBatch` holds one Python list — or, for dense
 numeric columns, an ``array.array``, and for the columns a hash join
 gathers, a tuple, all exposed through the same indexing protocol — per
 output column, plus a *selection vector* of live row

@@ -9,12 +9,13 @@ each phase with a high-resolution counter.
 
 import time
 
-from repro.engine.operators import DEFAULT_BATCH_SIZE, SeqScan, coerce_engine
+from repro.engine.operators import SeqScan, coerce_engine
 from repro.obs.metrics import NULL_REGISTRY, NullRegistry
 
 #: Below this many rows, estimated out and scanned in, the columnar drive
-#: falls back to row chunks: columnarizing a handful of rows costs more
-#: than it saves (guarded point lookups are the case that matters).
+#: falls back to one materialized row list: columnarizing a handful of
+#: rows costs more than it saves (guarded point lookups are the case that
+#: matters).
 COLUMNAR_MIN_EST_ROWS = 33
 
 
@@ -69,9 +70,10 @@ class ExecutionContext:
         #: The caller's read-your-writes Session (None: no session
         #: guarantees requested); strict-table guards consult its floors.
         self.session = session
-        #: Execution engine driving this run ("row"/"batch"/"columnar");
-        #: operators consult it at open() (join build-side strategy).
-        self.engine = "batch"
+        #: Execution engine driving this run ("row"/"columnar"); operators
+        #: consult it at open() (join build-side strategy, how row-only
+        #: operators read their input).
+        self.engine = "row"
         self.branches = []  # (label, chosen index)
         self.remote_queries = []  # (sql, row count)
         #: Snapshot times of the local views actually read, for timeline
@@ -79,7 +81,8 @@ class ExecutionContext:
         self.snapshots_used = []
         #: Constraint-violation warnings (serve-stale fallback policy).
         self.warnings = []
-        #: Labels of fused scan pipelines that ran (batch engine only).
+        #: Labels of fused scan pipelines that ran (columnar and tiny-plan
+        #: paths; the row engine fuses nothing).
         self.fused_pipelines = []
         #: Session-floor guard decisions: (view, "local"/"remote",
         #: lagging source or None) — EXPLAIN ANALYZE renders these.
@@ -212,12 +215,13 @@ class QueryResult:
 class Executor:
     """Runs a physical operator tree through its three phases.
 
-    The run phase drives the batch protocol: the plan's ``batches()``
-    stream is drained chunk-at-a-time (``batch_size`` rows per chunk).
-    ``batch_size=1`` selects the legacy row-at-a-time path — the plan's
-    ``rows()`` generator — for debugging and equivalence testing.  The
-    Table 4.5 setup/run/shutdown split is unchanged: ``open`` is setup,
-    draining is run, ``close`` is shutdown, whichever protocol runs.
+    Under the columnar engine (the default) the run phase drains the
+    plan's ``col_batches()`` stream, except for tiny plans, which
+    materialize through ``all_rows()`` with ``ctx.engine = "row"``.  The
+    row engine — the reference the differential suites compare against —
+    drains the plan's ``rows()`` generator.  The Table 4.5
+    setup/run/shutdown split is the same whichever protocol runs:
+    ``open`` is setup, draining is run, ``close`` is shutdown.
 
     Each execution feeds the attached metrics registry: one histogram
     per phase (the paper's Table 4.5 breakdown), rows/batches/fused-
@@ -227,20 +231,11 @@ class Executor:
     :class:`~repro.obs.metrics.NullRegistry`.
     """
 
-    def __init__(
-        self,
-        clock=None,
-        timer=time.perf_counter,
-        registry=None,
-        batch_size=DEFAULT_BATCH_SIZE,
-        engine=None,
-    ):
+    def __init__(self, clock=None, timer=time.perf_counter, registry=None, engine=None):
         self.clock = clock
         self.timer = timer
-        self.batch_size = batch_size
-        #: "row" | "batch" | "columnar" (None resolves per coerce_engine:
-        #: columnar unless batch_size forces the row path).
-        self.engine = coerce_engine(engine, batch_size)
+        #: "row" | "columnar" (None resolves to columnar).
+        self.engine = coerce_engine(engine)
         self.set_registry(registry if registry is not None else NULL_REGISTRY)
 
     def set_registry(self, registry):
@@ -265,7 +260,7 @@ class Executor:
         self._c_branch_remote = registry.counter(
             "switchunion_branch_total", labels={"branch": "remote"})
         self._c_batches = registry.counter(
-            "engine_batches_total", help="chunks exchanged by the batch engine")
+            "engine_batches_total", help="batches drained by the columnar engine")
         self._c_fused = registry.counter(
             "engine_fused_pipelines_total",
             help="fused scan pipelines (scan+filter/project in one loop)")
@@ -277,10 +272,9 @@ class Executor:
         trace = ctx.trace
         branches_before = len(ctx.branches)
         fused_before = len(ctx.fused_pipelines)
-        batch_size = self.batch_size
         engine = self.engine
         tiny = False
-        if engine != "row" and batch_size > 1:
+        if engine == "columnar":
             est = plan.est_rows
             if est is not None and est < COLUMNAR_MIN_EST_ROWS:
                 # Tiny plans (guarded point lookups — the cache's hottest
@@ -292,7 +286,7 @@ class Executor:
                 if scanned is None:
                     scanned = _scanned_tables(plan)
                 if not scanned or sum(map(len, scanned)) < COLUMNAR_MIN_EST_ROWS:
-                    engine = "batch"
+                    engine = "row"
                     tiny = True
         ctx.engine = engine
         n_batches = 0
@@ -305,24 +299,14 @@ class Executor:
             trace.close(span)
         t1 = timer()
         span = trace.open("exec.run") if traced else None
-        if engine == "row" or batch_size <= 1:
-            # Legacy row-at-a-time path (debugging / equivalence baseline).
-            rows = list(plan.rows())
-        elif tiny:
-            rows = plan.all_rows(batch_size)
-            n_batches = 1 if rows else 0
-        elif engine == "columnar":
+        if engine == "columnar":
             rows = []
             extend = rows.extend
-            for batch in plan.col_batches(batch_size):
+            for batch in plan.col_batches():
                 extend(batch.to_rows())
                 n_batches += 1
         else:
-            rows = []
-            extend = rows.extend
-            for chunk in plan.batches(batch_size):
-                extend(chunk)
-                n_batches += 1
+            rows = plan.all_rows() if tiny else list(plan.rows())
         if traced:
             trace.close(span)
         t2 = timer()

@@ -146,7 +146,7 @@ def compile_expr(expr, binding, ctx=None):
     wraps the closure to accept a bare row tuple.  When the expression is
     non-correlated and subquery-free, the returned callable carries a
     ``row_fn`` attribute — the row-mode variant ``fn(row) -> value`` the
-    batch engine evaluates without building environments.
+    engine evaluates without building environments.
     """
     ctx = ctx or ExpressionContext()
     row_fn = _compile(expr, binding, ctx, row_mode=True)

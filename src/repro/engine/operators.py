@@ -6,21 +6,26 @@ phases so the executor can time them (the paper's Table 4.5 profiles
 
 * ``open(ctx, outer_env=None)`` — bind resources, evaluate SwitchUnion
   selectors, issue remote queries;
-* ``rows()`` — a generator producing result tuples (row-at-a-time);
-* ``batches(size)`` — a generator producing *chunks* (lists of tuples,
-  target size ~256), the batch-at-a-time protocol the executor drives;
+* ``col_batches(size)`` — a generator of
+  :class:`~repro.engine.columnar.ColumnBatch` objects, the streaming
+  protocol of the columnar engine (the default);
+* ``rows()`` — a generator of result tuples: the row engine (the
+  reference the differential suites compare against) and correlated
+  evaluation (IndexNLJoin inners, subquery runners) speak it;
+* ``all_rows()`` — the whole result as one list, the executor's path for
+  tiny plans (guarded point lookups): one list in, one list out;
 * ``close()`` — release state.
 
-Batch execution is the primary path: operators that can, exchange chunks
-and evaluate expressions in *row mode* (position-resolved closures over
-bare tuples, no per-row environment allocation — see
-:mod:`repro.engine.expressions`).  The scan operators fuse scan + filter
-into a single loop when the predicate is non-correlated, and
-:class:`Project` collapses to tuple re-ordering when every output is a
-plain column.  ``rows()`` remains fully supported on every operator — the
-correlated paths (IndexNLJoin inners, subquery runners) and the
-``batch_size=1`` debugging mode still speak it; the base class bridges
-each protocol to the other so the two engines always agree.
+Scans, filters, positional projections, hash joins and limits are
+columnar-native: filters shrink a selection vector, projections pick
+columns, hash joins gather columns at matched positions.  Every other
+operator gets ``col_batches`` from the base class, which columnarizes its
+``rows()``.  The row-only operators (Sort, HashAggregate, Distinct and the
+row build of the hash operators) read their input through
+:func:`_input_rows`, so a columnar child stays columnar beneath them.
+Row-at-a-time expressions run in *row mode* (position-resolved closures
+over bare tuples, no per-row environment — see
+:mod:`repro.engine.expressions`).
 
 Operators expose ``output`` — a :class:`~repro.engine.expressions.RowBinding`
 describing their result columns — which parent operators use to compile
@@ -36,41 +41,29 @@ from repro.engine.expressions import make_env, row_fn_of, row_fns_of
 from repro.engine.ir import selection_fn
 from repro.sql.ast import render_params
 
-#: Target chunk size of the batch protocol.  Large enough to amortize
-#: per-batch dispatch, small enough to stay cache-resident.
+#: Rows per batch where an operator columnarizes a row stream (a scan's
+#: batch is its whole column store instead).
 DEFAULT_BATCH_SIZE = 256
 
-#: The three execution engines, by exchange format: row tuples, row-tuple
-#: chunks, and :class:`~repro.engine.columnar.ColumnBatch`.
-ENGINES = ("row", "batch", "columnar")
+#: The execution engines, by exchange format: row tuples and
+#: :class:`~repro.engine.columnar.ColumnBatch`.
+ENGINES = ("row", "columnar")
 
 #: Shared rowless environment for evaluating uncorrelated key expressions
 #: (expressions only ever read an env, so one instance serves all opens).
 _EMPTY_ENV = make_env(())
 
 
-def coerce_batch_size(value):
-    """Validate a batch-size knob: an integer >= 1 (1 = legacy row path)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(
-            f"invalid batch_size: {value!r} (expected an integer >= 1; "
-            f"1 selects the legacy row-at-a-time engine)"
-        )
-    return value
-
-
-def coerce_engine(engine, batch_size=DEFAULT_BATCH_SIZE):
-    """Resolve the engine knob: None picks columnar (or row when
-    ``batch_size=1``); an explicit name is validated, with ``batch_size=1``
-    always forcing the row engine (a 1-row batch is just a slower row)."""
+def coerce_engine(engine):
+    """Resolve the engine knob: None picks columnar; a name is validated."""
     if engine is None:
-        return "row" if batch_size == 1 else "columnar"
+        return "columnar"
     name = str(engine).lower()
     if name not in ENGINES:
         raise ValueError(
             f"invalid engine: {engine!r} (expected one of: {', '.join(ENGINES)})"
         )
-    return "row" if batch_size == 1 else name
+    return name
 
 
 class PhysicalOperator:
@@ -95,49 +88,28 @@ class PhysicalOperator:
     def rows(self):
         raise NotImplementedError
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        """Produce result rows in chunks (lists) of up to ``size`` rows.
-
-        Compatibility default: chunk the ``rows()`` stream.  Batch-native
-        operators override this with chunk-at-a-time pipelines.
-        """
-        it = iter(self.rows())
-        while True:
-            chunk = list(islice(it, size))
-            if not chunk:
-                return
-            yield chunk
-
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
-        """Produce result rows as :class:`ColumnBatch`es.
+        """Produce result rows as :class:`ColumnBatch` objects.
 
-        Compatibility default: columnarize the ``batches()`` chunks (each
-        batch remembers its source rows, so a downstream ``to_rows()`` is
-        free).  Columnar-native operators — scans, filters, positional
-        projections — override this with per-column pipelines.
+        Default: columnarize the ``rows()`` stream, ``size`` rows a batch.
+        Columnar-native operators override this with per-column pipelines.
         """
-        width = len(self.output) if self.output is not None else 0
-        for chunk in self.batches(size):
-            yield ColumnBatch.from_rows(chunk, width)
+        yield from _columnarize(self.rows(), self.output, size)
 
-    def all_rows(self, size=DEFAULT_BATCH_SIZE):
+    def all_rows(self):
         """Materialize the whole result as one list of row tuples.
 
-        The executor drives this instead of ``batches()`` when the plan's
-        estimated cardinality is tiny (guarded point lookups — the cache's
-        hottest request): one list in, one list out, zero generator frames
-        on the hot path.  The default drains ``batches()``; operators on
-        the point-lookup spine override it with direct list builds.
+        The executor drives this instead of ``rows()`` when the plan reads
+        few rows (guarded point lookups — the cache's hottest request).
+        Operators on the point-lookup spine override it with direct list
+        builds: zero generator frames on the hot path.
         """
-        out = []
-        for chunk in self.batches(size):
-            out.extend(chunk)
-        return out
+        return list(self.rows())
 
     def close(self):
         pass
 
-    # -- helpers for batch-native subclasses ---------------------------
+    # -- helpers for fused pipelines -----------------------------------
     #: Cached describe() string used as the fused-pipeline label; built on
     #: first use so reused operator trees pay the formatting only once.
     _fused_label = None
@@ -170,22 +142,34 @@ class PhysicalOperator:
             yield from child.walk()
 
 
-def _chunked(iterable, size):
-    """Yield lists of up to ``size`` items."""
-    it = iter(iterable)
+def _columnarize(rows, output, size):
+    """Yield ``rows`` as :class:`ColumnBatch` objects of up to ``size``
+    rows each.  Every batch keeps its source rows, so a downstream
+    ``to_rows()`` is free."""
+    width = len(output) if output is not None else 0
+    it = iter(rows)
     while True:
         chunk = list(islice(it, size))
         if not chunk:
             return
-        yield chunk
+        yield ColumnBatch.from_rows(chunk, width)
+
+
+def _input_rows(child, ctx):
+    """Every row of ``child``, for an operator that consumes rows: read
+    through ``col_batches()`` under the columnar engine, so a columnar
+    child (a hash join, a filtered scan) stays columnar beneath a
+    row-only parent, and through ``rows()`` otherwise."""
+    if getattr(ctx, "engine", None) == "columnar":
+        return chain.from_iterable(batch.to_rows() for batch in child.col_batches())
+    return child.rows()
 
 
 class SeqScan(PhysicalOperator):
     """Full scan of a heap table (base table or local materialized view).
 
-    In batch mode the scan and its predicate fuse into one loop: when the
-    predicate is non-correlated it runs in row mode over the stored tuples
-    directly, so a filtered scan allocates nothing per row.
+    The columnar scan is one zero-copy batch over the table's column
+    store, its predicate collapsed into a selection vector.
     """
 
     def __init__(self, table, output, predicate=None):
@@ -216,38 +200,11 @@ class SeqScan(PhysicalOperator):
                 if predicate(make_env(values, outer)) is True:
                     yield values
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        predicate = self.predicate
-        scan = self.table.scan()
-        if predicate is None:
-            self._record_fused(self._ctx)
-            for chunk in _chunked(scan, size):
-                yield [values for _, values in chunk]
-            return
-        row_pred = row_fn_of(predicate)
-        if row_pred is not None:
-            # Fused scan+filter: one comprehension per chunk, no envs.
-            self._record_fused(self._ctx)
-            for chunk in _chunked(scan, size):
-                out = [values for _, values in chunk if row_pred(values) is True]
-                if out:
-                    yield out
-            return
-        outer = self._outer_env
-        for chunk in _chunked(scan, size):
-            out = [
-                values
-                for _, values in chunk
-                if predicate(make_env(values, outer)) is True
-            ]
-            if out:
-                yield out
-
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         """Zero-copy columnar scan: one batch referencing the table's
         column store, with the (IR-compiled) predicate collapsed into a
-        selection vector.  Predicates without a columnar kernel fall back
-        to the row pipeline."""
+        selection vector.  Predicates without a columnar kernel
+        columnarize the row scan."""
         predicate = self.predicate
         store = column_store(self.table)
         if predicate is None:
@@ -377,30 +334,12 @@ class IndexSeek(PhysicalOperator):
                 if predicate(make_env(values, outer)) is True:
                     yield values
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        # Equality-seek result sets are small (bounded by one key's
-        # duplicates), so materialize the whole fused lookup at once —
-        # the hottest batch pipeline there is (guarded point lookups).
-        predicate = self.predicate
-        table_row = self.table.row
-        if predicate is None:
-            self._record_fused(self._ctx)
-            out = [table_row(rid) for rid in self._rid_iter()]
-        else:
-            row_pred = row_fn_of(predicate)
-            if row_pred is None:
-                yield from _chunked(self.rows(), size)
-                return
-            self._record_fused(self._ctx)
-            out = [
-                values
-                for values in map(table_row, self._rid_iter())
-                if row_pred(values) is True
-            ]
-        for start in range(0, len(out), size):
-            yield out[start:start + size]
+    def col_batches(self, size=DEFAULT_BATCH_SIZE):
+        # Seek results are small (one key's duplicates, or an IN list's),
+        # so the fused lookup materializes whole and is cut into batches.
+        yield from _columnarize(self.all_rows(), self.output, size)
 
-    def all_rows(self, size=DEFAULT_BATCH_SIZE):
+    def all_rows(self):
         predicate = self.predicate
         table_row = self.table.row
         if predicate is None:
@@ -479,27 +418,20 @@ class IndexRangeScan(PhysicalOperator):
                 if predicate(make_env(values, outer)) is True:
                     yield values
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
+    def col_batches(self, size=DEFAULT_BATCH_SIZE):
+        """Fused range scan + filter, columnarized ``size`` rows a batch;
+        a predicate without a row form columnarizes ``rows()``."""
         predicate = self.predicate
+        row_pred = None if predicate is None else row_fn_of(predicate)
+        if predicate is not None and row_pred is None:
+            yield from PhysicalOperator.col_batches(self, size)
+            return
+        self._record_fused(self._ctx)
         table_row = self.table.row
-        if predicate is None:
-            self._record_fused(self._ctx)
-            for chunk in _chunked(self._range(), size):
-                yield [table_row(rid) for _, rid in chunk]
-            return
-        row_pred = row_fn_of(predicate)
+        rows = (table_row(rid) for _, rid in self._range())
         if row_pred is not None:
-            self._record_fused(self._ctx)
-            for chunk in _chunked(self._range(), size):
-                out = [
-                    values
-                    for values in (table_row(rid) for _, rid in chunk)
-                    if row_pred(values) is True
-                ]
-                if out:
-                    yield out
-            return
-        yield from _chunked(self.rows(), size)
+            rows = (values for values in rows if row_pred(values) is True)
+        yield from _columnarize(rows, self.output, size)
 
     def describe(self):
         return (
@@ -537,34 +469,16 @@ class Filter(PhysicalOperator):
             if predicate(make_env(row, outer)) is True:
                 yield row
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
+    def all_rows(self):
         predicate = self.predicate
         row_pred = row_fn_of(predicate)
         if row_pred is not None:
             self._record_fused(self._ctx)
-            for chunk in self.child.batches(size):
-                out = [row for row in chunk if row_pred(row) is True]
-                if out:
-                    yield out
-            return
-        outer = self._outer_env
-        for chunk in self.child.batches(size):
-            out = [row for row in chunk if predicate(make_env(row, outer)) is True]
-            if out:
-                yield out
-
-    def all_rows(self, size=DEFAULT_BATCH_SIZE):
-        predicate = self.predicate
-        row_pred = row_fn_of(predicate)
-        if row_pred is not None:
-            self._record_fused(self._ctx)
-            return [
-                row for row in self.child.all_rows(size) if row_pred(row) is True
-            ]
+            return [row for row in self.child.all_rows() if row_pred(row) is True]
         outer = self._outer_env
         return [
             row
-            for row in self.child.all_rows(size)
+            for row in self.child.all_rows()
             if predicate(make_env(row, outer)) is True
         ]
 
@@ -601,10 +515,10 @@ class Filter(PhysicalOperator):
 class Project(PhysicalOperator):
     """Projection.
 
-    Batch fast paths, in decreasing order of specialization: when every
-    output expression is a plain local column the projection is pure tuple
-    re-ordering; when all expressions are row-mode it evaluates them over
-    the bare tuples; otherwise it falls back to per-row environments.
+    Fast paths, in decreasing order of specialization: when every output
+    expression is a plain local column the projection picks columns (or
+    re-orders tuples); when all expressions are row-mode it evaluates them
+    over the bare tuples; otherwise it falls back to per-row environments.
     """
 
     def __init__(self, child, exprs, output):
@@ -647,28 +561,6 @@ class Project(PhysicalOperator):
             env = make_env(row, outer)
             yield tuple(fn(env) for fn in exprs)
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        positions = self._positions
-        if positions is not None:
-            self._record_fused(self._ctx)
-            for chunk in self.child.batches(size):
-                yield [tuple(row[p] for p in positions) for row in chunk]
-            return
-        row_exprs = self._row_exprs
-        if row_exprs is not None:
-            self._record_fused(self._ctx)
-            for chunk in self.child.batches(size):
-                yield [tuple(fn(row) for fn in row_exprs) for row in chunk]
-            return
-        exprs = self.exprs
-        outer = self._outer_env
-        for chunk in self.child.batches(size):
-            out = []
-            for row in chunk:
-                env = make_env(row, outer)
-                out.append(tuple(fn(env) for fn in exprs))
-            yield out
-
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         """Columnar projection: pure column picking when every output is
         a plain column reference — no per-row work at all."""
@@ -680,23 +572,23 @@ class Project(PhysicalOperator):
         for batch in self.child.col_batches(size):
             yield batch.take(positions)
 
-    def all_rows(self, size=DEFAULT_BATCH_SIZE):
+    def all_rows(self):
         picker = self._picker
         if picker is not None:
             self._record_fused(self._ctx)
-            return list(map(picker, self.child.all_rows(size)))
+            return list(map(picker, self.child.all_rows()))
         row_exprs = self._row_exprs
         if row_exprs is not None:
             self._record_fused(self._ctx)
             return [
                 tuple(fn(row) for fn in row_exprs)
-                for row in self.child.all_rows(size)
+                for row in self.child.all_rows()
             ]
         exprs = self.exprs
         outer = self._outer_env
         return [
             tuple(fn(make_env(row, outer)) for fn in exprs)
-            for row in self.child.all_rows(size)
+            for row in self.child.all_rows()
         ]
 
     def close(self):
@@ -767,16 +659,16 @@ def _gather(columns, indexes):
 class HashJoin(PhysicalOperator):
     """Equality hash join; the right child is the build side.
 
-    The build is one structure for every protocol: the build side's rows
+    The build is one structure for both protocols: the build side's rows
     plus a map from join key (:func:`_row_keyer`) to the positions of the
     build rows carrying it.  Under the columnar engine, with every key a
     bare column, the rows are kept as one list per column, and
     :meth:`col_batches` reads only the probe batch's key columns and emits
     each joined batch by gathering probe and build columns at the matched
     positions: no row is built inside the join.  The row form of a
-    columnar build (``rows()``/``batches()`` parents) and the column form
-    of a row build are each derived once, on first use.  Output is in
-    probe order, then build order within a key, whichever the protocol.
+    columnar build (a ``rows()`` parent) and the column form of a row
+    build are each derived once, on first use.  Output is in probe order,
+    then build order within a key, whichever the protocol.
     """
 
     def __init__(self, left, right, left_key_fns, right_key_fns, output, residual=None):
@@ -812,11 +704,8 @@ class HashJoin(PhysicalOperator):
                 n += batch.n_rows
             self._build_cols = ColumnBatch(columns, n)
             return
-        keyer = _row_keyer(self.right_key_fns, outer_env)
-        self._build_rows = rows = []
-        for chunk in self.right.batches():
-            _index_keys(index, map(keyer, chunk), len(rows))
-            rows.extend(chunk)
+        self._build_rows = rows = list(_input_rows(self.right, ctx))
+        _index_keys(index, map(_row_keyer(self.right_key_fns, outer_env), rows), 0)
 
     def _build_row_list(self):
         if self._build_rows is None:
@@ -852,12 +741,6 @@ class HashJoin(PhysicalOperator):
 
     def rows(self):
         return self._probe(self.left.rows())
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        for chunk in self.left.batches(size):
-            out = list(self._probe(chunk))
-            if out:
-                yield out
 
     def _residual_sel(self):
         """``fn(joined batch) -> live indexes`` for the residual — its IR
@@ -924,7 +807,7 @@ class MergeJoin(PhysicalOperator):
     """Equality merge join; both children must deliver key-sorted rows.
 
     Stays row-at-a-time internally (the pairwise advance has no batch
-    advantage); the base class chunks its stream for batch parents.
+    advantage); the base class columnarizes its stream.
     """
 
     def __init__(self, left, right, left_key_fns, right_key_fns, output, residual=None):
@@ -1014,9 +897,8 @@ class _HashKeyFilter(PhysicalOperator):
             for batch in self.right.col_batches():
                 keys.update(_batch_keys(batch, positions)[1])
         else:
-            keyer = _row_keyer(self.right_key_fns, outer_env)
-            for chunk in self.right.batches():
-                keys.update(map(keyer, chunk))
+            keys.update(map(_row_keyer(self.right_key_fns, outer_env),
+                            _input_rows(self.right, ctx)))
         self._right_had_null = None in keys
         keys.discard(None)
 
@@ -1031,16 +913,6 @@ class _HashKeyFilter(PhysicalOperator):
             return iter(())
         keyer = _row_keyer(self.left_key_fns, self._outer_env)
         return (row for row in self.left.rows() if test(keyer(row)))
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        test = self._key_test()
-        if test is None:
-            return
-        keyer = _row_keyer(self.left_key_fns, self._outer_env)
-        for chunk in self.left.batches(size):
-            out = [row for row in chunk if test(keyer(row))]
-            if out:
-                yield out
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         positions = _key_positions(self.left_key_fns)
@@ -1102,8 +974,8 @@ class IndexNLJoin(PhysicalOperator):
 
     The inner side is an operator subtree (usually an IndexSeek) whose key
     functions reference the outer row through the correlated environment —
-    the canonical consumer of the ``rows()`` compatibility shim; batching
-    the correlated inner would only re-buffer one seek's handful of rows.
+    the canonical consumer of ``rows()``; batching the correlated inner
+    would only re-buffer one seek's handful of rows.
     """
 
     def __init__(self, outer, inner, output, residual=None):
@@ -1152,11 +1024,13 @@ class Sort(PhysicalOperator):
         self.descending = list(descending)
         self.output = output or child.output
         self._outer_env = None
+        self._ctx = None
 
     def children(self):
         return (self.child,)
 
     def open(self, ctx, outer_env=None):
+        self._ctx = ctx
         self._outer_env = outer_env
         self.child.open(ctx, outer_env)
 
@@ -1182,13 +1056,7 @@ class Sort(PhysicalOperator):
         return buffered
 
     def rows(self):
-        return iter(self._sorted(list(self.child.rows())))
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        buffered = []
-        for chunk in self.child.batches(size):
-            buffered.extend(chunk)
-        yield from _chunked(self._sorted(buffered), size)
+        yield from self._sorted(list(_input_rows(self.child, self._ctx)))
 
     def close(self):
         self.child.close()
@@ -1266,11 +1134,13 @@ class HashAggregate(PhysicalOperator):
         self.output = output
         self.having = having
         self._outer_env = None
+        self._ctx = None
 
     def children(self):
         return (self.child,)
 
     def open(self, ctx, outer_env=None):
+        self._ctx = ctx
         self._outer_env = outer_env
         self.child.open(ctx, outer_env)
 
@@ -1288,17 +1158,16 @@ class HashAggregate(PhysicalOperator):
             # (COUNT(*) slots keep None -> sentinel value 1).
             it = iter(row_args)
             per_spec = [None if fn is None else next(it) for fn in arg_fns]
-            for chunk in self.child.batches():
-                for row in chunk:
-                    key = tuple(fn(row) for fn in row_groups)
-                    accs = groups.get(key)
-                    if accs is None:
-                        accs = [_Accumulator(s.func) for s in agg_specs]
-                        groups[key] = accs
-                    for arg_fn, acc in zip(per_spec, accs):
-                        acc.add(1 if arg_fn is None else arg_fn(row))
+            for row in _input_rows(self.child, self._ctx):
+                key = tuple(fn(row) for fn in row_groups)
+                accs = groups.get(key)
+                if accs is None:
+                    accs = [_Accumulator(s.func) for s in agg_specs]
+                    groups[key] = accs
+                for arg_fn, acc in zip(per_spec, accs):
+                    acc.add(1 if arg_fn is None else arg_fn(row))
         else:
-            for row in self.child.rows():
+            for row in _input_rows(self.child, self._ctx):
                 env = make_env(row, outer)
                 key = tuple(fn(env) for fn in group_fns)
                 accs = groups.get(key)
@@ -1327,10 +1196,7 @@ class HashAggregate(PhysicalOperator):
                 yield out
 
     def rows(self):
-        return self._emit(self._accumulate())
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        yield from _chunked(self._emit(self._accumulate()), size)
+        yield from self._emit(self._accumulate())
 
     def close(self):
         self.child.close()
@@ -1344,31 +1210,22 @@ class Distinct(PhysicalOperator):
     def __init__(self, child):
         self.child = child
         self.output = child.output
+        self._ctx = None
 
     def children(self):
         return (self.child,)
 
     def open(self, ctx, outer_env=None):
+        self._ctx = ctx
         self.child.open(ctx, outer_env)
 
     def rows(self):
         seen = set()
-        for row in self.child.rows():
-            if row not in seen:
-                seen.add(row)
-                yield row
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        seen = set()
         add = seen.add
-        for chunk in self.child.batches(size):
-            out = []
-            for row in chunk:
-                if row not in seen:
-                    add(row)
-                    out.append(row)
-            if out:
-                yield out
+        for row in _input_rows(self.child, self._ctx):
+            if row not in seen:
+                add(row)
+                yield row
 
     def close(self):
         self.child.close()
@@ -1398,17 +1255,6 @@ class Limit(PhysicalOperator):
             remaining -= 1
             if remaining == 0:
                 return
-
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        remaining = self.limit
-        if remaining <= 0:
-            return
-        for chunk in self.child.batches(size):
-            if len(chunk) >= remaining:
-                yield chunk[:remaining]
-                return
-            remaining -= len(chunk)
-            yield chunk
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         remaining = self.limit
@@ -1442,12 +1288,10 @@ class Materialized(PhysicalOperator):
     def rows(self):
         return iter(self._rows)
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        rows = self._rows
-        for start in range(0, len(rows), size):
-            yield rows[start:start + size]
+    def col_batches(self, size=DEFAULT_BATCH_SIZE):
+        return _columnarize(self._rows, self.output, size)
 
-    def all_rows(self, size=DEFAULT_BATCH_SIZE):
+    def all_rows(self):
         return list(self._rows)
 
     def describe(self):
@@ -1460,8 +1304,8 @@ class SwitchUnion(PhysicalOperator):
     At open time the selector picks exactly one input; the others are never
     touched.  MTCache uses two-input SwitchUnions whose selector is a
     *currency guard* over the local heartbeat table: input 0 is the local
-    (view) branch, input 1 the remote fallback.  Both protocols simply
-    delegate to the chosen branch.
+    (view) branch, input 1 the remote fallback.  Every protocol simply
+    delegates to the chosen branch.
     """
 
     def __init__(self, inputs, selector, output, label=""):
@@ -1491,14 +1335,11 @@ class SwitchUnion(PhysicalOperator):
     def rows(self):
         return self.inputs[self.chosen].rows()
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        return self.inputs[self.chosen].batches(size)
-
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         return self.inputs[self.chosen].col_batches(size)
 
-    def all_rows(self, size=DEFAULT_BATCH_SIZE):
-        return self.inputs[self.chosen].all_rows(size)
+    def all_rows(self):
+        return self.inputs[self.chosen].all_rows()
 
     def close(self):
         if self.chosen is not None:
@@ -1547,12 +1388,10 @@ class RemoteQuery(PhysicalOperator):
     def rows(self):
         return iter(self._buffered)
 
-    def batches(self, size=DEFAULT_BATCH_SIZE):
-        rows = self._buffered
-        for start in range(0, len(rows), size):
-            yield rows[start:start + size]
+    def col_batches(self, size=DEFAULT_BATCH_SIZE):
+        return _columnarize(self._buffered, self.output, size)
 
-    def all_rows(self, size=DEFAULT_BATCH_SIZE):
+    def all_rows(self):
         return list(self._buffered)
 
     def close(self):

@@ -326,8 +326,8 @@ class CacheFleet:
       state); each node still owns its per-node registry;
     * breaker tuning (``failure_threshold``, ``reset_timeout``,
       ``max_remote_wait``) is applied to every node;
-    * remaining keyword arguments (``fallback_policy``, ``batch_size``,
-      ...) are forwarded to each :class:`FleetNode`/MTCache.
+    * remaining keyword arguments (``fallback_policy``, ``engine``, ...)
+      are forwarded to each :class:`FleetNode`/MTCache.
 
     Instead of a backend + knobs, the first argument may be a
     :class:`~repro.fleet.config.FleetConfig` — the fleet then builds its

@@ -60,9 +60,6 @@ class CostModel:
         net_byte=1.0,
         guard_cost=25.0,
         output_row=0.05,
-        batch_size=256,
-        batch_dispatch=0.5,
-        fused_row_factor=0.55,
     ):
         self.seq_row = seq_row
         self.index_descent = index_descent
@@ -81,72 +78,31 @@ class CostModel:
         #: Cost of evaluating one currency guard (heartbeat row + filter).
         self.guard_cost = guard_cost
         self.output_row = output_row
-        #: Chunk size of the batch engine; per-operator dispatch is paid
-        #: once per batch, not once per row.
-        self.batch_size = batch_size
-        #: Fixed cost of handing one chunk between operators.
-        self.batch_dispatch = batch_dispatch
-        #: CPU discount of a fused scan pipeline relative to the row
-        #: engine: position-resolved closures over bare tuples in one
-        #: loop, versus a per-row environment in every operator.
-        self.fused_row_factor = fused_row_factor
 
     # ------------------------------------------------------------------
-    # Batch engine
+    # Fused pipelines
     # ------------------------------------------------------------------
-    def batches_of(self, rows):
-        """How many chunks the batch engine moves for ``rows`` rows."""
-        if self.batch_size <= 1:
-            return max(0.0, rows)
-        return math.ceil(max(0.0, rows) / self.batch_size)
+    #: CPU discount of a fused local pipeline (scan + filter + positional
+    #: project) relative to the per-row costs: filters run as generated
+    #: kernels over column buffers, projections pick columns, rows
+    #: materialize once at the boundary.  Kept mild — the guarded
+    #: local-vs-remote tradeoff (switch_union) must not flip on it.
+    fused_row_factor = 0.55 * 0.75
+    #: Fixed cost of handing one batch of up to 256 rows between
+    #: operators.
+    batch_dispatch = 0.5 * 0.5
 
     def fused_pipeline(self, per_row_cost, rows):
         """Cost of a fused local pipeline over ``rows`` input rows.
 
-        ``per_row_cost`` is the row-engine per-row cost of the fused
-        stages combined (e.g. ``seq_row + filter_row``); the batch
-        engine pays the fused discount per row plus dispatch per chunk.
+        ``per_row_cost`` is the per-row cost of the fused stages combined
+        (e.g. ``seq_row + filter_row``); the pipeline pays it discounted
+        per row plus dispatch per 256-row batch.
         """
         return (
             max(1.0, rows) * per_row_cost * self.fused_row_factor
-            + self.batches_of(rows) * self.batch_dispatch
+            + math.ceil(max(0.0, rows) / 256) * self.batch_dispatch
         )
-
-    def row_engine_variant(self):
-        """A copy of this model describing the legacy row engine
-        (``batch_size=1``): no fused discount, no batch dispatch."""
-        clone = CostModel.__new__(CostModel)
-        clone.__dict__.update(self.__dict__)
-        clone.batch_size = 1
-        clone.batch_dispatch = 0.0
-        clone.fused_row_factor = 1.0
-        return clone
-
-    #: Additional per-row discount of a columnar fused pipeline over the
-    #: batch engine's: filters run as one generated comprehension per
-    #: predicate over column buffers, projections pick columns, rows
-    #: materialize once at the boundary.  Kept mild — the guarded
-    #: local-vs-remote tradeoff (switch_union) must not flip on engine
-    #: choice alone.
-    columnar_row_factor = 0.75
-
-    def engine_variant(self, engine):
-        """The model matching an execution engine: "row" maps to
-        :meth:`row_engine_variant`, "batch" to this model unchanged,
-        "columnar" to a clone with the columnar discount folded into the
-        fused-pipeline factor and halved batch dispatch (a columnar scan
-        moves one batch per table, not one per 256 rows)."""
-        if engine == "row":
-            return self.row_engine_variant()
-        if engine == "batch" or engine is None:
-            return self
-        if engine != "columnar":
-            raise ValueError(f"unknown engine for cost model: {engine!r}")
-        clone = CostModel.__new__(CostModel)
-        clone.__dict__.update(self.__dict__)
-        clone.fused_row_factor = self.fused_row_factor * self.columnar_row_factor
-        clone.batch_dispatch = self.batch_dispatch * 0.5
-        return clone
 
     # ------------------------------------------------------------------
     # Scans

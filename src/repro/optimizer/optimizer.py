@@ -34,13 +34,6 @@ class OptimizedPlan:
         self.candidate = candidate
         self.column_names = column_names
         self.query_info = query_info
-        #: When True, :meth:`root` memoizes the built operator tree so
-        #: repeated (sequential) executions of a cached plan skip the
-        #: expression-compilation work.  Operators fully reset state in
-        #: ``open``/``close``, so sequential reuse is safe; MTCache turns
-        #: this on for plan-cache entries when running the batch engine.
-        self.reuse_root = False
-        self._root = None
         self._summary = None
 
     @property
@@ -60,17 +53,14 @@ class OptimizedPlan:
         return self.candidate.kind
 
     def root(self):
-        """Build and return the physical operator tree.
+        """Build (once) and return the physical operator tree.
 
-        With ``reuse_root`` set, the tree is built once and returned on
-        every call; otherwise each call builds a fresh tree.
+        Every execution of this plan runs the same tree: operators fully
+        reset their state in ``open``/``close``, so sequential reuse is
+        safe, in either engine.  A freshly optimized plan has a fresh
+        tree (EXPLAIN ANALYZE instruments one that way).
         """
-        if self._root is not None:
-            return self._root
-        root = self.candidate.operator()
-        if self.reuse_root:
-            self._root = root
-        return root
+        return self.candidate.operator()
 
     def explain(self):
         return self.root().explain()
@@ -621,8 +611,8 @@ class Optimizer:
                 exprs = [compile_expr(expr, binding, expr_ctx) for expr, _ in items]
                 return stamp_estimates(ops.Project(child, exprs, out_binding), est_rows)
 
-            # Plain projection runs fused in the batch engine (tuple
-            # re-ordering over chunks), so it takes the fused discount.
+            # Plain projection runs fused (column picking, or tuple
+            # re-ordering on the tiny-plan path): the fused discount.
             cost += cm.fused_pipeline(cm.project_row, rows)
             if sort_placement == "pre":
                 cost += cm.sort(rows)

@@ -50,15 +50,13 @@ class PlanCompiler:
     :class:`~repro.optimizer.optimizer.OptimizedPlan` or raises (an
     :class:`~repro.common.errors.OptimizerError` propagates: that
     statement is the owner's to run uncached).  ``report(event, n)``
-    receives every event.  ``reuse_root`` keeps each template's built
-    operator tree across executions (off for the row engine, which
-    rebuilds per execution).
+    receives every event.  Each template keeps its built operator tree
+    across executions.
     """
 
-    def __init__(self, optimize, report, reuse_root, capacity=PLAN_CACHE_SIZE):
+    def __init__(self, optimize, report, capacity=PLAN_CACHE_SIZE):
         self.optimize = optimize
         self.report = report
-        self.reuse_root = reuse_root
         self.capacity = capacity
         self.cache = PlanCache()
 
@@ -113,7 +111,6 @@ class PlanCompiler:
                 # Cached plans keep their built operator tree across
                 # executions; building it here keeps a late value read
                 # inside the try.
-                plan.reuse_root = self.reuse_root
                 plan.root()
                 break
             except ast.ParamRead as read:

@@ -482,10 +482,9 @@ class SnapshotPlan:
     kind = "snapshot"
     query_info = None
 
-    def __init__(self, snapshot, host, reuse_root=True):
+    def __init__(self, snapshot, host):
         self.snapshot = snapshot
         self.column_names = list(snapshot["column_names"])
-        self.reuse_root = reuse_root
         self._host = host
         self._root = None
         self._summary = None
@@ -499,12 +498,9 @@ class SnapshotPlan:
         return self.snapshot["est_rows"]
 
     def root(self):
-        if self._root is not None:
-            return self._root
-        root = _Instantiator(self._host).build(self.snapshot["root"])
-        if self.reuse_root:
-            self._root = root
-        return root
+        if self._root is None:
+            self._root = _Instantiator(self._host).build(self.snapshot["root"])
+        return self._root
 
     def explain(self):
         return self.root().explain()
@@ -520,7 +516,7 @@ class SnapshotPlan:
         return f"SnapshotPlan(cost={self.cost}, columns={self.column_names})"
 
 
-def instantiate_snapshot(snapshot, host, reuse_root=True):
+def instantiate_snapshot(snapshot, host):
     """Turn a snapshot dict into an executable :class:`SnapshotPlan` on
     ``host``, building (and thereby validating) the operator tree once.
     Raises :class:`SnapshotUnsupported` on version mismatch or when any
@@ -530,6 +526,6 @@ def instantiate_snapshot(snapshot, host, reuse_root=True):
         raise SnapshotUnsupported(
             f"snapshot format v{version!r} (this node speaks v{SNAPSHOT_VERSION})"
         )
-    plan = SnapshotPlan(snapshot, host, reuse_root=reuse_root)
+    plan = SnapshotPlan(snapshot, host)
     plan.root()  # build eagerly: fail here, not at execute time
     return plan

@@ -161,7 +161,7 @@ class ShardedBackend(Backend):
     """
 
     def __init__(self, n_partitions=2, clock=None, scheduler=None, cost_model=None,
-                 metrics=None, *, batch_size=None, engine=None, replicas=0,
+                 metrics=None, *, engine=None, replicas=0,
                  replica_interval=0.2, failure_timeout=1.5,
                  detector_interval=0.25, durable_log=True):
         if n_partitions < 1:
@@ -172,9 +172,7 @@ class ShardedBackend(Backend):
         self.scheduler = scheduler or EventScheduler(self.clock)
         self.cost_model = cost_model or CostModel()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        kwargs = {} if batch_size is None else {"batch_size": batch_size}
-        if engine is not None:
-            kwargs["engine"] = engine
+        kwargs = {} if engine is None else {"engine": engine}
         self._server_kwargs = kwargs
         self.partitions = [
             BackendServer(self.clock, self.scheduler, self.cost_model, **kwargs)

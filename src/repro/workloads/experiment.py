@@ -59,7 +59,6 @@ def build_paper_setup(
     heartbeat_interval=2.0,
     paper_scale_stats=True,
     settle=True,
-    batch_size=None,
     engine=None,
 ):
     """Assemble the paper's experimental environment.
@@ -67,17 +66,12 @@ def build_paper_setup(
     ``paper_scale_stats=True`` installs SF 1.0 statistics so the optimizer
     reproduces the paper's plan choices even though less data is loaded.
     ``settle=True`` advances simulated time far enough for heartbeats to
-    propagate, so currency guards can pass immediately.  ``batch_size``
-    overrides the execution engine's chunk size on both servers
-    (``1`` = legacy row engine); ``engine`` picks the execution engine
-    explicitly (``"row"`` / ``"batch"`` / ``"columnar"``).
+    propagate, so currency guards can pass immediately.  ``engine`` picks
+    the execution engine of both servers (``"row"`` / ``"columnar"``).
     """
-    engine_kwargs = {} if batch_size is None else {"batch_size": batch_size}
-    if engine is not None:
-        engine_kwargs["engine"] = engine
-    backend = BackendServer(**engine_kwargs)
+    backend = BackendServer(engine=engine)
     load_tpcd(backend, scale_factor=scale_factor, seed=seed)
-    cache = MTCache(backend, **engine_kwargs)
+    cache = MTCache(backend, engine=engine)
 
     for cid, interval, delay, _view in REGION_SETTINGS:
         cache.create_region(cid, interval, delay, heartbeat_interval=heartbeat_interval)

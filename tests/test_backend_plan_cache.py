@@ -19,7 +19,6 @@ from repro.cache import backend as backend_module
 from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache
 from repro.common.errors import OptimizerError
-from repro.engine.operators import ENGINES
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.plan.compiler import PLAN_CACHE_SIZE
 from repro.shard import backend as shard_module
@@ -27,6 +26,7 @@ from repro.shard.backend import ShardedBackend
 from repro.sql.parser import parse
 from tests import test_in_list_seek as in_list_seek
 from tests import test_plan_template as plan_template
+from tests.conftest import EXECUTION_PATHS
 from tests.test_plan_template import POINT, make_backend
 
 
@@ -112,7 +112,7 @@ def assert_remote_matches_reference(backend, sql):
 
 
 @pytest.mark.parametrize("partitions", [1, 2])
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
 class TestDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=list(HealthCheck))
@@ -207,7 +207,7 @@ class TestInvalidation:
         assert plans and all("IndexSeek(orders.ix_ocust)" in p.explain() for p in plans)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
 def test_a_promoted_replica_compiles_afresh(engine):
     backend = make_backend(engine, 2, replicas=1)
     backend.run_for(1.0)  # the standbys catch up with the preload

@@ -1,11 +1,13 @@
 """Engine equivalence: row == batch == columnar execution, everywhere.
 
-The three execution engines — legacy row-at-a-time (``engine="row"`` /
-``batch_size=1``), row-tuple batches (``"batch"``) and columnar
-:class:`~repro.engine.columnar.ColumnBatch` (``"columnar"``, the
-default) — must be observationally identical: same rows, same warnings,
-same routing, for every query shape the other suites exercise.  This
-module drives all three engines over
+The two execution engines — row-at-a-time (``engine="row"``, the
+reference) and columnar :class:`~repro.engine.columnar.ColumnBatch`
+(``"columnar"``, the default) — must be observationally identical: same
+rows, same warnings, same routing, for every query shape the other
+suites exercise.  On the back-end half the columnar engine also runs as
+the ``"batch"`` path of :data:`tests.conftest.EXECUTION_PATHS`: its
+tiny-plan shortcut off, so even the selective queries that would run
+``all_rows()`` stream column batches.  This module drives them over
 
 * the deterministic enumeration of every query shape from
   ``test_optimizer_equivalence.py`` (scans, aggregates, 2/3-way joins,
@@ -18,8 +20,9 @@ module drives all three engines over
 asserting zero diffs.  The paper-environment half additionally replays
 every query through a *snapshot-instantiated* plan (serialize the
 optimized plan with :mod:`repro.plan`, instantiate it back, execute) and
-requires identical results there too.  It also pins down the
-``batch_size`` / ``engine`` knobs' contracts on both servers.
+requires identical results there too.  It also pins down the ``engine``
+knob's contract on both servers, and that both tiers price plans with
+one cost model.
 """
 
 from collections import Counter
@@ -33,6 +36,7 @@ from repro.plan import SnapshotUnsupported, instantiate_snapshot, serialize_plan
 from repro.workloads.bookstore import load_bookstore
 from repro.workloads.experiment import build_paper_setup
 from repro.workloads.queries import guard_query, plan_choice_query
+from tests.conftest import stream_every_plan
 
 # The query-shape vocabulary of test_optimizer_equivalence.py, enumerated
 # exhaustively instead of sampled.
@@ -46,8 +50,7 @@ ITEMS = ["r.a", "r.a, r.c", "r.b, r.a", "r.a, r.b, r.c"]
 
 
 def _make_server(engine):
-    batch_size = 1 if engine == "row" else 256
-    backend = BackendServer(batch_size=batch_size, engine=engine)
+    backend = BackendServer(engine=engine)
     backend.create_table(
         "CREATE TABLE r (a INT NOT NULL, b INT NOT NULL, c FLOAT NOT NULL, "
         "PRIMARY KEY (a))"
@@ -75,16 +78,23 @@ def engines():
     return {engine: _make_server(engine) for engine in ENGINES}
 
 
+def _streamed_rows(server, sql):
+    """``sql``'s rows on the "batch" path: every plan streams batches."""
+    with pytest.MonkeyPatch.context() as mp:
+        stream_every_plan(mp)
+        return server.execute(sql).rows
+
+
 def _assert_same_bag(engines, sql):
     reference = Counter(engines["row"].execute(sql).rows)
-    for engine in ("batch", "columnar"):
-        assert Counter(engines[engine].execute(sql).rows) == reference, (engine, sql)
+    assert Counter(engines["columnar"].execute(sql).rows) == reference, sql
+    assert Counter(_streamed_rows(engines["columnar"], sql)) == reference, sql
 
 
 def _assert_same_list(engines, sql):
     reference = engines["row"].execute(sql).rows
-    for engine in ("batch", "columnar"):
-        assert engines[engine].execute(sql).rows == reference, (engine, sql)
+    assert engines["columnar"].execute(sql).rows == reference, sql
+    assert _streamed_rows(engines["columnar"], sql) == reference, sql
 
 
 class TestBackendEquivalence:
@@ -169,10 +179,7 @@ class TestBackendEquivalence:
 def paper_envs():
     """One paper environment per engine, same seed, same settle."""
     return {
-        engine: build_paper_setup(
-            scale_factor=0.002, paper_scale_stats=True,
-            batch_size=1 if engine == "row" else None, engine=engine,
-        )
+        engine: build_paper_setup(scale_factor=0.002, paper_scale_stats=True, engine=engine)
         for engine in ENGINES
     }
 
@@ -200,35 +207,31 @@ class TestPaperSetupEquivalence:
         sql = plan_choice_query(name)  # SF-1.0 selectivities, like the bench
         row = paper_envs["row"].cache.execute(sql)
         reference = Counter(row.rows)
-        for engine in ("batch", "columnar"):
-            cache = paper_envs[engine].cache
-            result = cache.execute(sql)
-            assert Counter(result.rows) == reference, (engine, name)
-            assert result.routing == row.routing, (engine, name)
-            assert result.warnings == row.warnings, (engine, name)
-            assert result.plan.summary() == row.plan.summary(), (engine, name)
-            _snapshot_replay(cache, sql, reference)
+        cache = paper_envs["columnar"].cache
+        result = cache.execute(sql)
+        assert Counter(result.rows) == reference, name
+        assert result.routing == row.routing, name
+        assert result.warnings == row.warnings, name
+        assert result.plan.summary() == row.plan.summary(), name
+        _snapshot_replay(cache, sql, reference)
 
     @pytest.mark.parametrize("name", ["gq1", "gq2", "gq3"])
     def test_guard_queries(self, paper_envs, name):
         sql = guard_query(name, scale_factor=0.002)
         row = paper_envs["row"].cache.execute(sql)
         reference = Counter(row.rows)
-        for engine in ("batch", "columnar"):
-            cache = paper_envs[engine].cache
-            result = cache.execute(sql)
-            assert Counter(result.rows) == reference, (engine, name)
-            assert result.routing == row.routing, (engine, name)
-            assert result.warnings == row.warnings, (engine, name)
-            _snapshot_replay(cache, sql, reference)
+        cache = paper_envs["columnar"].cache
+        result = cache.execute(sql)
+        assert Counter(result.rows) == reference, name
+        assert result.routing == row.routing, name
+        assert result.warnings == row.warnings, name
+        _snapshot_replay(cache, sql, reference)
 
 
 def _make_bookstore(engine):
-    batch_size = 1 if engine == "row" else 256
-    backend = BackendServer(batch_size=batch_size, engine=engine)
+    backend = BackendServer(engine=engine)
     load_bookstore(backend, n_books=30)
-    cache = MTCache(backend, batch_size=batch_size, engine=engine,
-                    fallback_policy="serve_stale")
+    cache = MTCache(backend, engine=engine, fallback_policy="serve_stale")
     cache.create_region("books_r", 3600.0, 1.0, heartbeat_interval=1.0)
     cache.create_matview("books_copy", "books", ["isbn", "title", "price"],
                          region="books_r")
@@ -257,11 +260,10 @@ class TestWalkthroughEquivalence:
             caches[engine] = _make_bookstore(engine)
             caches[engine].run_for(1800)
         row = caches["row"].execute(sql)
-        for engine in ("batch", "columnar"):
-            result = caches[engine].execute(sql)
-            assert Counter(result.rows) == Counter(row.rows), (engine, currency)
-            assert result.routing == row.routing, (engine, currency)
-            assert result.warnings == row.warnings, (engine, currency)
+        result = caches["columnar"].execute(sql)
+        assert Counter(result.rows) == Counter(row.rows), currency
+        assert result.routing == row.routing, currency
+        assert result.warnings == row.warnings, currency
 
     def test_serve_stale_warnings_fire_identically(self):
         sql = BOOK_JOIN + " CURRENCY BOUND 30 MIN ON (b), 30 MIN ON (r)"
@@ -273,25 +275,33 @@ class TestWalkthroughEquivalence:
         # Guard equivalence must not be vacuous: this shape fails its
         # guards mid-cycle under every engine.
         assert len(results["row"].warnings) == 2
-        assert results["batch"].warnings == results["row"].warnings
         assert results["columnar"].warnings == results["row"].warnings
 
 
 class TestEngineKnobs:
+    # The batch_size knob is gone: every value, good or bad, is an
+    # unexpected keyword, and "batch" is no engine.
     def test_mtcache_rejects_bad_batch_sizes(self):
         backend = BackendServer()
-        for bad in (0, -1, 2.5, "256", True, None):
-            with pytest.raises(ValueError, match="batch_size"):
-                MTCache(backend, batch_size=bad)
+        for size in (0, -1, 2.5, "256", True, None, 1, 256):
+            with pytest.raises(TypeError, match="batch_size"):
+                MTCache(backend, batch_size=size)
 
     def test_backend_rejects_bad_batch_sizes(self):
-        for bad in (0, -3, 1.0, "row", False):
-            with pytest.raises(ValueError, match="batch_size"):
-                BackendServer(batch_size=bad)
+        from repro.shard.backend import ShardedBackend
+
+        assert ENGINES == ("row", "columnar")
+        for size in (0, -3, 1.0, "row", False, 1, 256):
+            with pytest.raises(TypeError, match="batch_size"):
+                BackendServer(batch_size=size)
+            with pytest.raises(TypeError, match="batch_size"):
+                ShardedBackend(2, batch_size=size)
+            with pytest.raises(TypeError, match="batch_size"):
+                build_paper_setup(batch_size=size)
 
     def test_bad_engine_names_rejected(self):
         backend = BackendServer()
-        for bad in ("vectorized", "columns", 7):
+        for bad in ("vectorized", "columns", "batch", 7):
             with pytest.raises(ValueError, match="engine"):
                 BackendServer(engine=bad)
             with pytest.raises(ValueError, match="engine"):
@@ -302,22 +312,14 @@ class TestEngineKnobs:
         assert backend.engine == "columnar"
         assert MTCache(backend).engine == "columnar"
 
-    def test_batch_size_one_forces_row_engine(self):
-        backend = BackendServer(batch_size=1)
-        assert backend.engine == "row"
-        # Even an explicit columnar request: a 1-row batch is just a row.
-        assert BackendServer(batch_size=1, engine="columnar").engine == "row"
-        assert MTCache(backend, batch_size=1, engine="columnar").engine == "row"
-
     def test_knob_is_keyword_only(self):
         backend = BackendServer()
         with pytest.raises(TypeError):
             MTCache(backend, None, "remote", 128, None, 64)  # noqa: PLE (positional)
 
-    def test_batch_size_one_forces_row_path(self, engines):
+    def test_row_engine_moves_no_batches(self, engines):
         row = engines["row"]
-        assert row.executor.batch_size == 1
-        # The row engine never moves chunks, so the batch counter stays 0.
+        assert row.executor.engine == "row"
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -329,14 +331,89 @@ class TestEngineKnobs:
             row.executor.set_registry(row.metrics)
 
     def test_batch_engine_counts_batches_and_fused_pipelines(self, engines):
-        batch = engines["batch"]
+        # The columnar engine is the one that streams batches.
+        columnar = engines["columnar"]
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        batch.executor.set_registry(registry)
+        columnar.executor.set_registry(registry)
         try:
-            batch.execute("SELECT r.a FROM r WHERE r.a < 20")
+            result = columnar.execute("SELECT r.a FROM r WHERE r.c >= 1.0")
+            assert result.context.engine == "columnar"
             assert registry.counter("engine_batches_total").value >= 1
             assert registry.counter("engine_fused_pipelines_total").value >= 1
         finally:
-            batch.executor.set_registry(batch.metrics)
+            columnar.executor.set_registry(columnar.metrics)
+
+
+class TestOneCostModel:
+    """The cache prices its local branch with its back-end's model: the
+    paper's c = p*c_local + (1-p)*c_remote + c_guard compares one costing
+    of each branch, on either back-end topology."""
+
+    def test_cache_over_a_server_prices_like_the_server(self):
+        backend = BackendServer()
+        cache = MTCache(backend)
+        assert (cache.cost_model.fused_pipeline(1.2, 1000)
+                == backend.cost_model.fused_pipeline(1.2, 1000))
+
+    def test_cache_over_shards_prices_like_the_shards(self):
+        from repro.shard.backend import ShardedBackend
+
+        backend = ShardedBackend(2)
+        cache = MTCache(backend)
+        expected = backend.cost_model.fused_pipeline(1.2, 1000)
+        assert cache.cost_model.fused_pipeline(1.2, 1000) == expected
+        for partition in backend.partitions:
+            assert partition.cost_model.fused_pipeline(1.2, 1000) == expected
+
+    def test_engines_price_alike(self):
+        assert (MTCache(BackendServer(engine="row"), engine="row").cost_model
+                .fused_pipeline(1.2, 1000)
+                == MTCache(BackendServer()).cost_model.fused_pipeline(1.2, 1000))
+
+
+def _roots_run(cache, sql, n=2):
+    """Execute ``sql`` ``n`` times; the operator roots the executor ran,
+    and the results."""
+    roots = []
+    execute = cache.executor.execute
+
+    def spy(plan, *args, **kwargs):
+        roots.append(plan)
+        return execute(plan, *args, **kwargs)
+
+    cache.executor.execute = spy
+    try:
+        return roots, [cache.execute(sql) for _ in range(n)]
+    finally:
+        del cache.executor.execute
+
+
+class TestRowEngineReusesItsTree:
+    """A cached plan runs the same operator tree on every execution, in the
+    row engine as in the columnar one."""
+
+    def test_compiled_plan(self):
+        cache = _make_bookstore("row")
+        roots, (cold, warm) = _roots_run(cache, BOOK_JOIN + " CURRENCY BOUND 2 HOUR ON (b, r)")
+        assert roots[0] is roots[1]
+        assert warm.rows == cold.rows and cold.rows
+
+    def test_snapshot_instantiated_plan(self):
+        from repro.fleet import CacheFleet
+
+        backend = BackendServer(engine="row")
+        load_bookstore(backend, n_books=30)
+        fleet = CacheFleet(backend, n_nodes=2, engine="row")
+        fleet.create_region("books_r", 3600.0, 1.0, heartbeat_interval=1.0)
+        fleet.create_matview("books_copy", "books", ["isbn", "title", "price"],
+                             region="books_r")
+        fleet.run_for(3601)
+        sql = "SELECT b.isbn, b.price FROM books b WHERE b.price > 20.0"
+        publisher, peer = fleet.nodes
+        publisher.execute(sql)
+        roots, (cold, warm) = _roots_run(peer, sql)
+        assert peer._plans.cache[sql].kind == "snapshot"
+        assert roots[0] is roots[1]
+        assert warm.rows == cold.rows and cold.rows

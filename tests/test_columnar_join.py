@@ -1,11 +1,12 @@
-"""Columnar hash joins: every engine agrees with the row engine and sqlite3.
+"""Columnar hash joins: the columnar engine agrees with the row engine and
+sqlite3.
 
 Under the columnar engine the three hash operators build and probe on
 key columns: :class:`~repro.engine.operators.HashJoin` emits each joined
 batch by gathering probe and build columns at the matched positions, and
 the semi/anti joins only shrink the probe batch's selection vector.  The
 differential below drives hand-built operator trees over generated
-tables through every engine and requires
+tables through both engines and requires
 
 * the same rows *in the same order* as the row engine (probe order, then
   build order within a key), on a first and a second execution of the
@@ -14,7 +15,8 @@ tables through every engine and requires
 
 The generated tables mix typed (``array``) and list column buffers, NULL
 and duplicate keys and int-vs-float keys; probe sides come filtered (a
-non-None selection vector) or not, in one batch or many.
+non-None selection vector) or not, in one batch or many (the opened
+tree's ``col_batches(3)``).
 """
 
 import sqlite3
@@ -94,15 +96,31 @@ def _source(table, rows, binding, predicate, as_rows):
     return ops.SeqScan(table, binding, predicate=pred)
 
 
-def _run_engines(build_tree, batch_size):
-    """Rows per engine; each tree runs twice and must repeat itself."""
+def _col_batch_rows(tree, size):
+    """Open ``tree`` under the columnar engine and drain its
+    ``col_batches(size)`` (many batches for a small ``size``)."""
+    ctx = ExecutionContext()
+    ctx.engine = "columnar"
+    tree.open(ctx)
+    try:
+        return [row for batch in tree.col_batches(size) for row in batch.to_rows()]
+    finally:
+        tree.close()
+
+
+def _run_engines(build_tree, size=None):
+    """Rows per engine; each tree runs twice and must repeat itself.  With
+    a ``size`` the columnar run drains ``col_batches(size)`` itself."""
     out = {}
     for engine in ops.ENGINES:
-        executor = Executor(clock=SimulatedClock(), engine=engine,
-                            batch_size=1 if engine == "row" else batch_size)
         tree = build_tree()
-        first = executor.execute(tree).rows
-        assert executor.execute(tree).rows == first, engine
+        if engine == "columnar" and size is not None:
+            run = lambda: _col_batch_rows(tree, size)  # noqa: E731
+        else:
+            executor = Executor(clock=SimulatedClock(), engine=engine)
+            run = lambda: executor.execute(tree).rows  # noqa: E731
+        first = run()
+        assert run() == first, engine
         out[engine] = first
     return out
 
@@ -118,8 +136,7 @@ def _sqlite_rows(l_rows, r_rows, sql):
 
 def _assert_agree(rows, l_rows, r_rows, sql):
     reference = rows["row"]
-    for engine in ("batch", "columnar"):
-        assert rows[engine] == reference, (engine, sql)
+    assert rows["columnar"] == reference, sql
     assert Counter(reference) == Counter(_sqlite_rows(l_rows, r_rows, sql)), sql
 
 
@@ -158,11 +175,10 @@ class TestHashJoinDifferential:
         build_filter=st.booleans(),
         probe_rows=st.booleans(),
         build_rows=st.booleans(),
-        batch_size=st.sampled_from([3, 256]),
+        size=st.sampled_from([3, None]),
     )
     def test_join_matches_row_engine_and_sqlite(self, data, keys, residual, probe_filter,
-                                                build_filter, probe_rows, build_rows,
-                                                batch_size):
+                                                build_filter, probe_rows, build_rows, size):
         l_rows, r_rows = data
         l_keys, r_keys = KEYS[keys]
         l_table = _table("l", L_COLUMNS, l_rows)
@@ -188,7 +204,7 @@ class TestHashJoinDifferential:
             where.append(residual.removeprefix("env:"))
         sql = (f"SELECT * FROM l JOIN r ON {_on_clause(l_keys, r_keys)}"
                + (f" WHERE {' AND '.join(where)}" if where else ""))
-        _assert_agree(_run_engines(build_tree, batch_size), l_rows, r_rows, sql)
+        _assert_agree(_run_engines(build_tree, size), l_rows, r_rows, sql)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -197,11 +213,10 @@ class TestHashJoinDifferential:
         anti=st.booleans(),
         probe_filter=st.booleans(),
         probe_rows=st.booleans(),
-        batch_size=st.sampled_from([3, 256]),
+        size=st.sampled_from([3, None]),
     )
     def test_semi_and_anti_match_row_engine_and_sqlite(self, data, keys, anti,
-                                                       probe_filter, probe_rows,
-                                                       batch_size):
+                                                       probe_filter, probe_rows, size):
         # NOT IN's NULL trap is generated, not hand-picked: any NULL key
         # on the build side empties the anti join; a NULL probe key
         # qualifies only against an empty build side.
@@ -222,14 +237,14 @@ class TestHashJoinDifferential:
         sql = (f"SELECT * FROM l WHERE {l_key} {'NOT IN' if anti else 'IN'} "
                f"(SELECT {r_key} FROM r)"
                + (f" AND {PROBE_FILTER}" if probe_filter else ""))
-        _assert_agree(_run_engines(build_tree, batch_size), l_rows, r_rows, sql)
+        _assert_agree(_run_engines(build_tree, size), l_rows, r_rows, sql)
 
     @settings(max_examples=60, deadline=None)
     @given(data=tables(), keys=st.sampled_from(["single", "composite"]),
            aggregate=st.booleans(), probe_filter=st.booleans())
     def test_join_under_row_only_parent(self, data, keys, aggregate, probe_filter):
-        # Sort and HashAggregate drive rows()/batches(): after a columnar
-        # open the join serves them from the same build, rebuilt as rows.
+        # Sort and HashAggregate read the join through col_batches() under
+        # the columnar engine and through rows() under the row engine.
         l_rows, r_rows = data
         l_keys, r_keys = KEYS[keys]
         l_table = _table("l", L_COLUMNS, l_rows)
@@ -254,7 +269,7 @@ class TestHashJoinDifferential:
         body = f"FROM l JOIN r ON {_on_clause(l_keys, r_keys)}{where}"
         sql = (f"SELECT l.s, COUNT(*), SUM(r.w) {body} GROUP BY l.s" if aggregate
                else f"SELECT * {body} ORDER BY r.w DESC, l.id")
-        rows = _run_engines(build_tree, 256)
+        rows = _run_engines(build_tree)
         _assert_agree(rows, l_rows, r_rows, sql)
         if not aggregate:
             assert rows["columnar"] == _sqlite_rows(l_rows, r_rows, sql)
@@ -274,7 +289,7 @@ class TestHashJoinEdges:
                 [_fn(LB, "l.k")], [_fn(RB, "r.k")], JB,
             )
 
-        rows = _run_engines(build_tree, 256)
+        rows = _run_engines(build_tree)
         assert rows["columnar"] == rows["row"] == [
             left + right for left in l_rows for right in r_rows if right[0] == left[1]]
 
@@ -286,7 +301,7 @@ class TestHashJoinEdges:
             r_table = _table("r", R_COLUMNS, build)
             rows = _run_engines(lambda: ops.HashJoin(
                 ops.SeqScan(l_table, LB), ops.SeqScan(r_table, RB),
-                [_fn(LB, "l.k")], [_fn(RB, "r.k")], JB), 256)
+                [_fn(LB, "l.k")], [_fn(RB, "r.k")], JB))
             assert rows == {engine: [] for engine in ops.ENGINES}
 
     def test_columnar_join_emits_gathered_batches(self):
@@ -312,7 +327,7 @@ class TestHashJoinEdges:
 
 #: A back-end whose tables are large enough for the columnar engine.
 def _server(engine):
-    server = BackendServer(engine=engine, batch_size=1 if engine == "row" else 256)
+    server = BackendServer(engine=engine)
     server.create_table("CREATE TABLE a (id INT NOT NULL, k INT, PRIMARY KEY (id))")
     server.create_table("CREATE TABLE b (id INT NOT NULL, k INT, PRIMARY KEY (id))")
     a_rows = ", ".join(f"({i}, {'NULL' if i % 9 == 0 else i % 5})" for i in range(60))
@@ -340,7 +355,7 @@ class TestThroughTheServer:
         sql = ("SELECT x.id, b.id FROM (SELECT a.id FROM a WHERE a.k = 1) x, b "
                "WHERE b.k = 2")
         rows = {engine: _server(engine).execute(sql).rows for engine in ops.ENGINES}
-        assert rows["columnar"] == rows["batch"] == rows["row"]
+        assert rows["columnar"] == rows["row"]
         assert Counter(rows["row"]) == Counter(_sqlite_server_rows(sql))
 
     def test_not_in_empty_subquery_keeps_null_keys(self):
@@ -369,11 +384,11 @@ class TestTinyPlanRule:
 
     def test_point_lookup_and_small_scan_stay_row_mode(self):
         server = _server("columnar")
-        assert server.execute("SELECT a.k FROM a WHERE a.id = 3").context.engine == "batch"
+        assert server.execute("SELECT a.k FROM a WHERE a.id = 3").context.engine == "row"
         server.create_table("CREATE TABLE c (id INT NOT NULL, PRIMARY KEY (id))")
         server.execute("INSERT INTO c VALUES (1), (2), (3)")
         server.refresh_statistics()
-        assert server.execute("SELECT c.id FROM c").context.engine == "batch"
+        assert server.execute("SELECT c.id FROM c").context.engine == "row"
 
     def test_scanned_tables_found_once_per_tree(self):
         # The cached tree keeps its scan list; later runs read live counts.
@@ -385,4 +400,4 @@ class TestTinyPlanRule:
         again = server.execute(sql)
         assert again.plan is root and root.scanned_tables is scanned
         server.execute("DELETE FROM a WHERE a.id > 9")
-        assert server.execute(sql).context.engine == "batch"
+        assert server.execute(sql).context.engine == "row"

@@ -22,9 +22,9 @@ from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache
 from repro.engine import operators as ops
 from repro.engine.expressions import OutputCol, RowBinding
-from repro.engine.operators import ENGINES
 from repro.shard.backend import ShardedBackend
 from repro.sql.parser import parse
+from tests.conftest import EXECUTION_PATHS
 
 LEDGER_DDL = (
     "CREATE TABLE ledger (tid INT NOT NULL, leg INT NOT NULL, "
@@ -47,15 +47,10 @@ def ledger_rows():
 LEDGER_ROWS = ledger_rows()
 
 
-def engine_kwargs(engine):
-    return {"engine": engine, "batch_size": 1} if engine == "row" else {"engine": engine}
-
-
 def make_backend(engine, partitions):
-    kwargs = engine_kwargs(engine)
     backend = (
-        BackendServer(**kwargs) if partitions == 1
-        else ShardedBackend(partitions, **kwargs)
+        BackendServer(engine=engine) if partitions == 1
+        else ShardedBackend(partitions, engine=engine)
     )
     backend.create_table(LEDGER_DDL)
     values = ", ".join(f"({t}, {l}, {a}, {d})" for t, l, a, d in LEDGER_ROWS)
@@ -68,7 +63,7 @@ def make_cache(engine, partitions, stale=False):
     """A cache with a full ledger copy.  ``stale`` moves the clock far past
     the bound without running replication, so every guard fails and the
     guarded plan takes its remote branch."""
-    cache = MTCache(make_backend(engine, partitions), **engine_kwargs(engine))
+    cache = MTCache(make_backend(engine, partitions), engine=engine)
     cache.create_region("r1", 10.0, 2.0, heartbeat_interval=1.0)
     cache.create_matview(
         "ledger_copy", "ledger", ["tid", "leg", "account", "delta"], region="r1"
@@ -192,7 +187,7 @@ def assert_warm_equals_cold(cache, sql):
 
 
 @pytest.mark.parametrize("partitions", [1, 2])
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
 class TestDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=list(HealthCheck))
@@ -314,10 +309,10 @@ class TestOperator:
         expected = [(7, 0), (7, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
         assert self.keys(seek.all_rows()) == expected
         assert self.keys(seek.rows()) == expected
-        assert self.keys(row for chunk in seek.batches(4) for row in chunk) == expected
-        assert self.keys(
-            row for batch in seek.col_batches() for row in batch.to_rows()
-        ) == expected
+        for size in (4, 256):
+            assert self.keys(
+                row for batch in seek.col_batches(size) for row in batch.to_rows()
+            ) == expected
         assert seek.describe() == "IndexSeek(ledger.pk_ledger IN 8)"
 
     def test_in_on_the_second_key_column(self):

@@ -144,10 +144,11 @@ class TestSnapshotRoundTrip:
 
     #: The IndexSeek record of an equality seek, captured before IN seeks
     #: existed: an operator that is not an IN seek serializes as before.
+    #: (``est_cost`` is the cost model's price, the same on both tiers.)
     EQ_SEEK_RECORD = (
         '{"op": "IndexSeek", "table": "t_copy", "index": "pk_t_copy", '
         '"keys": [["const", 7]], "binding": [["t", "id"], ["t", "v"], ["t", "w"]], '
-        '"predicate": null, "est_rows": 1.0, "est_cost": 8.49625}'
+        '"predicate": null, "est_rows": 1.0, "est_cost": 8.745}'
     )
 
     @staticmethod
@@ -330,7 +331,7 @@ class TestMTCacheIntegration:
     def test_fingerprint_tracks_engine_and_policy(self):
         cache = make_cache()
         fp = cache.config_fingerprint()
-        row = make_cache(batch_size=1)
+        row = make_cache(engine="row")
         assert row.config_fingerprint() != fp
         cache.fallback_policy = "serve_stale"
         assert cache.config_fingerprint() != fp

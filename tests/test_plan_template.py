@@ -19,7 +19,6 @@ from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache
 from repro.common.errors import ParseError
 from repro.engine import ir
-from repro.engine.operators import ENGINES
 from repro.fleet import CacheFleet
 from repro.optimizer import placement
 from repro.plan.template import BoundPlan
@@ -27,6 +26,7 @@ from repro.shard.backend import ShardedBackend
 from repro.sql import ast
 from repro.sql.lexer import Lexer, TokenType, fingerprint
 from repro.sql.parser import parse
+from tests.conftest import EXECUTION_PATHS
 
 TESTS = Path(__file__).parent
 
@@ -35,15 +35,8 @@ TESTS = Path(__file__).parent
 # Environment: a paper-like customer/orders pair plus the ledger, over 1
 # or 2 partitions, with a full copy, a predicate view and a view index.
 # ----------------------------------------------------------------------
-def engine_kwargs(engine):
-    kwargs = {"engine": engine}
-    if engine == "row":
-        kwargs["batch_size"] = 1
-    return kwargs
-
-
 def make_backend(engine="columnar", partitions=1, **backend_kwargs):
-    kwargs = dict(engine_kwargs(engine), **backend_kwargs)
+    kwargs = dict(engine=engine, **backend_kwargs)
     backend = (
         BackendServer(**kwargs) if partitions == 1
         else ShardedBackend(partitions, **kwargs)
@@ -76,7 +69,7 @@ def make_backend(engine="columnar", partitions=1, **backend_kwargs):
 
 def make_cache(engine="columnar", partitions=1, **cache_kwargs):
     backend = make_backend(engine, partitions)
-    cache = MTCache(backend, **engine_kwargs(engine), **cache_kwargs)
+    cache = MTCache(backend, engine=engine, **cache_kwargs)
     cache.create_region("r1", 10.0, 2.0, heartbeat_interval=1.0)
     cache.create_matview(
         "cust_copy", "customer",
@@ -208,7 +201,7 @@ def assert_warm_equals_cold(cache, sql):
 
 
 @pytest.mark.parametrize("partitions", [1, 2])
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
 class TestDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=list(HealthCheck))

@@ -11,6 +11,7 @@ from repro.engine.expressions import OutputCol, RowBinding, evaluator
 from repro.engine.operators import ENGINES
 from repro.sql import ast
 from repro.sql.parser import parse_expression
+from tests.conftest import EXECUTION_PATHS
 
 TRUTH = st.sampled_from([True, False, None])
 
@@ -128,8 +129,9 @@ IN_LIST_PREDICATES = [
     "t.k IN (3, NULL) OR NOT (t.v IN (4, NULL))",
 ]
 
-#: Small stays under the executor's COLUMNAR_MIN_EST_ROWS (every engine
-#: runs the row closures); large crosses it (columnar runs its kernel).
+#: Small stays under the executor's COLUMNAR_MIN_EST_ROWS (the row and
+#: columnar engines run the row closures, the "batch" path its kernel);
+#: large crosses it (columnar runs its kernel).
 IN_LIST_TABLE_SIZES = {"small": 20, "large": 200}
 
 
@@ -143,9 +145,8 @@ def in_list_backends():
 
     out = {}
     for engine in ENGINES:
-        kwargs = {"engine": engine, "batch_size": 1} if engine == "row" else {"engine": engine}
         for size, n in IN_LIST_TABLE_SIZES.items():
-            backend = BackendServer(**kwargs)
+            backend = BackendServer(engine=engine)
             backend.create_table("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
             values = ", ".join(
                 f"({k}, {'NULL' if v is None else v})" for k, v in _in_list_rows(n)
@@ -167,7 +168,7 @@ def _sqlite_rows(n, sql):
 
 class TestInListWithNullItems:
     @pytest.mark.parametrize("size", sorted(IN_LIST_TABLE_SIZES))
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
     @pytest.mark.parametrize("predicate", IN_LIST_PREDICATES)
     def test_matches_sqlite(self, in_list_backends, engine, size, predicate):
         sql = f"SELECT t.k FROM t WHERE {predicate}"

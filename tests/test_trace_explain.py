@@ -16,6 +16,7 @@ from repro.obs.trace import NULL_TRACE, TraceContext, TraceExporter, TraceLog
 from repro.optimizer.cost import q_error
 from repro.sql.parser import parse
 from repro.workloads.driver import WorkloadDriver, point_lookup_factory
+from tests.conftest import stream_every_plan
 
 GUARDED = "SELECT t.id, t.v FROM t WHERE t.v > 20 CURRENCY BOUND 600 SEC ON (t)"
 REMOTE_ONLY = "SELECT t.id, t.v FROM t CURRENCY BOUND 0 SEC ON (t)"
@@ -32,8 +33,8 @@ def make_backend(rows=20):
     return backend
 
 
-def make_cache(settle=True, **kwargs):
-    backend = make_backend()
+def make_cache(settle=True, rows=20, **kwargs):
+    backend = make_backend(rows)
     cache = MTCache(backend, **kwargs)
     cache.create_region("r", 4.0, 1.0, heartbeat_interval=0.5)
     cache.create_matview("t_copy", "t", ["id", "v"], region="r")
@@ -323,29 +324,34 @@ class TestExplainAnalyze:
     def executed(self, records):
         return [r for r in records if r["executed"]]
 
-    def test_batch_engine_estimates_vs_actuals(self):
+    def test_batch_engine_estimates_vs_actuals(self, monkeypatch):
+        # The "batch" path: the default engine with its tiny-plan shortcut
+        # off, so this small guarded plan streams column batches.
+        stream_every_plan(monkeypatch)
         cache = make_cache()
         result = cache.explain(GUARDED, analyze=True)
+        assert result.context.engine == "columnar"
         records = result.analysis
         assert len(records) >= 3
         for record in self.executed(records):
             assert record["est_rows"] is not None
             assert record["loops"] >= 1
             assert record["q_error"] is not None and record["q_error"] >= 1.0
+            assert record["mode"] == "columnar"
         switch = next(r for r in records if r["op"] == "SwitchUnion")
         assert switch["branch"] == "local"
         remote = next(r for r in records if r["op"] == "RemoteQuery")
         assert not remote["executed"] and remote["q_error"] is None
 
-    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
     @pytest.mark.parametrize("sql", [
         GUARDED,
         "SELECT a.id, b.v FROM t a, t b WHERE a.id = b.v CURRENCY BOUND 600 SEC ON (a, b)",
     ])
-    def test_self_times_sum_to_root_time(self, batch_size, sql):
+    def test_self_times_sum_to_root_time(self, engine, sql):
         # self = inclusive - executed children's inclusive: over the tree
         # the self column accounts for exactly the root's time.
-        result = make_cache(batch_size=batch_size).explain(sql, analyze=True)
+        result = make_cache(engine=engine).explain(sql, analyze=True)
         records = result.analysis
         assert sum(r["self_ms"] for r in records) == pytest.approx(records[0]["time_ms"])
         assert all(r["self_ms"] == 0 for r in records if not r["executed"])
@@ -356,24 +362,40 @@ class TestExplainAnalyze:
             "operator", "est.rows", "act.rows", "loops", "batches", "time", "self", "q-err"]
 
     def test_row_engine_estimates_vs_actuals(self):
-        cache = make_cache(batch_size=1)
+        cache = make_cache(engine="row")
         result = cache.explain(GUARDED, analyze=True)
         executed = self.executed(result.analysis)
         assert executed
         for record in executed:
             assert record["q_error"] is not None
-            assert record["batches"] == 0  # row engine exchanges no chunks
+            assert record["batches"] == 0  # row engine exchanges no batches
+            assert record["mode"] == "row"
         rows_out = [r["actual_rows"] for r in executed]
         assert max(rows_out) > 0
 
     def test_engines_agree_on_actual_rows(self):
-        batch = make_cache().explain(GUARDED, analyze=True).analysis
-        row = make_cache(batch_size=1).explain(GUARDED, analyze=True).analysis
+        columnar = make_cache().explain(GUARDED, analyze=True).analysis
+        row = make_cache(engine="row").explain(GUARDED, analyze=True).analysis
         key = lambda r: (r["op"], r["depth"])  # noqa: E731
         assert (
-            [(key(r), r["actual_rows"]) for r in batch if r["executed"]]
+            [(key(r), r["actual_rows"]) for r in columnar if r["executed"]]
             == [(key(r), r["actual_rows"]) for r in row if r["executed"]]
         )
+
+    @pytest.mark.parametrize("tail", ["ORDER BY a.id", "GROUP BY a.v"])
+    def test_row_only_parent_keeps_its_join_columnar(self, tail):
+        # Sort and HashAggregate read their input through col_batches()
+        # under the columnar engine, so the join beneath them stays
+        # columnar instead of falling back to rows.
+        items = "a.id, b.id" if tail.startswith("ORDER") else "a.v, COUNT(*)"
+        sql = (f"SELECT {items} FROM t a, t b WHERE a.v = b.v {tail} "
+               "CURRENCY BOUND 600 SEC ON (a, b)")
+        result = make_cache(rows=60).explain(sql, analyze=True)
+        assert result.context.engine == "columnar"
+        (join,) = [r for r in result.analysis if r["op"] == "HashJoin"]
+        assert join["executed"] and join["mode"] == "columnar" and join["batches"] >= 1
+        text = "\n".join(line for (line,) in result.rows)
+        assert "mode=columnar" in next(l for l in text.splitlines() if "HashJoin" in l)
 
     def test_q_error_histogram_populated(self):
         cache = make_cache()
@@ -434,7 +456,9 @@ class TestExplainAnalyze:
         assert not parse("EXPLAIN SELECT t.id FROM t").analyze
 
     def test_fused_pipeline_membership_reported(self):
-        cache = make_cache()
+        # Large enough to run columnar: a tiny plan runs the row engine,
+        # which fuses nothing.
+        cache = make_cache(rows=60)
         records = cache.explain(GUARDED, analyze=True).analysis
         assert any(r["fused"] for r in records if r["executed"])
 
