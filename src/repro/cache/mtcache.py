@@ -19,6 +19,7 @@ import enum
 import functools
 import hashlib
 
+from repro.cache.guard import decide
 from repro.cache.placement import CachePlacement
 from repro.catalog.catalog import Catalog
 from repro.cc.constraint import constraint_from_select
@@ -119,6 +120,51 @@ def _coerce_policy(value):
         raise ValueError(
             f"unknown fallback policy: {value!r} (expected one of: {allowed})"
         ) from None
+
+
+#: The floors of a read no session floor binds (never mutated).
+_NO_FLOORS = {}
+
+
+class _GuardMetrics:
+    """The metric handles one currency guard feeds, resolved once per
+    registry (guards sit on the hottest path there is)."""
+
+    __slots__ = ("passed", "failed", "staleness", "slack", "local", "remote",
+                 "stale", "session_local", "session_remote")
+
+    def __init__(self, registry, view):
+        self.passed, self.failed = (registry.counter(
+            "currency_guard_total", labels={"view": view.name, "outcome": outcome},
+            help="currency-guard probes by outcome") for outcome in ("pass", "fail"))
+        self.staleness = registry.gauge(
+            "replication_staleness_seconds", labels={"region": view.region},
+            help="guaranteed staleness bound from the local heartbeat")
+        # Headroom the bound had at probe time: the per-region SLO signal.
+        self.slack = registry.histogram(
+            "currency_slack_seconds", labels={"region": view.region},
+            help="B - d at guard evaluation (negative: bound missed)")
+        self.local, self.remote, self.stale = (registry.counter(
+            "currency_guard_region_total",
+            labels={"region": view.region, "outcome": outcome},
+            help="guard routing outcomes per currency region",
+        ) for outcome in ("local", "remote", "stale"))
+        self.session_local, self.session_remote = (registry.counter(
+            "session_guard_total", labels={"view": view.name, "outcome": outcome},
+            help="session floor checks on strict-table reads",
+        ) for outcome in ("local", "remote"))
+
+
+def _miss_message(view_name, bound, decision, heartbeat_ts, now):
+    """The event/warning text for a local copy a guard did not vouch for."""
+    if decision.reason == "session_floor":
+        return (f"session floor not yet applied by {view_name}: source "
+                f"{decision.lagging_source} lags the session's own commit")
+    if decision.reason == "timeline":
+        return f"timeline constraint not met by {view_name}"
+    staleness = float("inf") if heartbeat_ts is None else now - heartbeat_ts
+    return (f"currency constraint not met by {view_name}: staleness bound "
+            f"{staleness:.3f}s exceeds {bound:g}s")
 
 
 class MTCache:
@@ -633,39 +679,12 @@ class MTCache:
                 return pinned
         return [self._local_heartbeats[k] for _, k in keys]
 
-    def _session_floor_check(self, region_cid, shard, session):
-        """Compare a session's commit floors against a region's agents.
-
-        Returns ``(checked, lagging_source)``: ``checked`` is True when
-        the session holds a positive floor for at least one contributing
-        replication source; ``lagging_source`` names the first source
-        whose agent has not yet applied the floor transaction (None when
-        every floor is satisfied — the local replica already contains the
-        session's own writes).  A pinned plan only answers for its own
-        partition, so only that source's floor is consulted.
-        """
-        pairs = self._region_agent_keys.get(region_cid) or [(None, region_cid)]
-        checked = False
-        for shard_id, key in pairs:
-            if shard is not None and shard_id is not None and shard_id != shard:
-                continue
-            source = "backend" if shard_id is None else f"p{shard_id}"
-            floor = session.floor_for(source)
-            if floor <= 0:
-                continue
-            checked = True
-            agent = self.agents.get(key)
-            applied = agent.applied_txn if agent is not None else 0
-            if not session.covers(source, applied):
-                return True, source
-        return checked, None
-
     def _read_sources(self, region_cid, shard):
-        """Per-source agent progress for one local read: ``{source:
-        applied_txn}`` over the replication sources a (possibly pinned)
-        read of the region actually contributes — the sync points the
-        certifier's session and Δ-consistency checks audit.  History
-        capture only (guards gate the call on ``ctx.capture_reads``)."""
+        """Per-source agent progress, ``{source: applied_txn}``, over the
+        replication sources a (possibly pinned) read of the region
+        contributes: the session floors a strict read is checked against,
+        and the sync points the certifier's session and Δ-consistency
+        checks audit."""
         pairs = self._region_agent_keys.get(region_cid) or [(None, region_cid)]
         out = {}
         for shard_id, key in pairs:
@@ -676,104 +695,51 @@ class MTCache:
             out[source] = agent.applied_txn if agent is not None else 0
         return out
 
+    def remote_state(self, shards=None):
+        """The remote branch's availability as a guard sees it: ``"up"``,
+        ``"unreachable"`` or ``"failover"``.  A lone cache always
+        reaches its back-end; :class:`~repro.fleet.node.FleetNode`
+        overrides this."""
+        return "up"
+
+    def _count_guard_fallback(self, view, decision):
+        """Hook for a guard that found the remote branch unavailable
+        (only a fleet node's can): it bumps the fleet's counters."""
+
     def make_currency_guard(self, view, bound, shard=None):
         """The selector of a SwitchUnion: 0 = local branch, 1 = remote.
 
-        Equivalent to the paper's predicate
-        ``EXISTS (SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B)``
-        plus, inside a TIMEORDERED bracket, the timeline watermark test.
-        On a sharded back-end the probe takes the *minimum* heartbeat over
-        the contributing partitions (all of them, or just the pinned one).
-
-        When the executing context carries a read-your-writes session and
-        the view's base table is declared *strict*, the selector first
-        compares the session's commit floors against the region's agent
-        progress: a lagging source forces the remote branch outright (a
-        session demand, not a currency violation — the fallback policy
-        does not apply), a satisfied floor proceeds to the normal
-        currency test.
+        :func:`repro.cache.guard.decide` decides; the selector gathers its
+        inputs — the *minimum* heartbeat over the contributing partitions
+        (all of them, or just the pinned one), the view snapshot, the
+        session's floors and the agents' progress — then applies the
+        decision: metrics, one event, a warning, the read's provenance.
         """
         heartbeats = self._guard_heartbeats(view.region, shard)
         clock = self.clock
         policy = self.fallback_policy
         strict = self.table_consistency(view.base_table) == "strict"
+        remote_state = functools.partial(
+            self.remote_state, None if shard is None else (shard,)
+        )
         mtcache = self  # guards read the *current* registry on each probe
-        # Single-slot memo of resolved metric handles per registry, so the
-        # per-probe cost is two list reads (an identity check) — guards sit
-        # on the hottest path there is.
+        # Single-slot memo of resolved metric handles per registry (None
+        # for a null registry: guards sit on the hottest path there is).
         memo = [None, None]
 
         def selector(ctx):
             registry = mtcache.metrics
             if memo[0] is not registry:
                 memo[0] = registry
-                # Null registries skip the metric feeding entirely — the
-                # probe itself is ~10 no-op calls otherwise, and guards sit
-                # on the hottest path there is.
-                memo[1] = None if isinstance(registry, NullRegistry) else (
-                    registry.counter(
-                        "currency_guard_total",
-                        labels={"view": view.name, "outcome": "pass"},
-                        help="currency-guard probes by outcome",
-                    ),
-                    registry.counter(
-                        "currency_guard_total",
-                        labels={"view": view.name, "outcome": "fail"},
-                    ),
-                    registry.gauge(
-                        "replication_staleness_seconds", labels={"region": view.region},
-                        help="guaranteed staleness bound from the local heartbeat",
-                    ),
-                    registry.histogram(
-                        "currency_slack_seconds", labels={"region": view.region},
-                        help="B - d at guard evaluation (negative: bound missed)",
-                    ),
-                    registry.counter(
-                        "currency_guard_region_total",
-                        labels={"region": view.region, "outcome": "local"},
-                        help="guard routing outcomes per currency region",
-                    ),
-                    registry.counter(
-                        "currency_guard_region_total",
-                        labels={"region": view.region, "outcome": "remote"},
-                    ),
-                    registry.counter(
-                        "currency_guard_region_total",
-                        labels={"region": view.region, "outcome": "stale"},
-                    ),
-                    registry.counter(
-                        "session_guard_total",
-                        labels={"view": view.name, "outcome": "local"},
-                        help="session floor checks on strict-table reads",
-                    ),
-                    registry.counter(
-                        "session_guard_total",
-                        labels={"view": view.name, "outcome": "remote"},
-                    ),
-                )
+                memo[1] = (None if isinstance(registry, NullRegistry)
+                           else _GuardMetrics(registry, view))
             handles = memo[1]
             session = ctx.session
+            floors = applied = _NO_FLOORS
             if strict and session is not None and session.floors:
-                checked, lagging = mtcache._session_floor_check(
-                    view.region, shard, session
-                )
-                if lagging is not None:
-                    ctx.record_session_decision(view.name, "remote", lagging)
-                    if handles is not None:
-                        handles[8].inc()
-                    registry.event(
-                        "guard",
-                        f"session floor not yet applied by {view.name}: "
-                        f"source {lagging} lags the session's own commit; "
-                        "using remote branch",
-                        time=clock.now(), view=view.name, region=view.region,
-                        outcome="session-remote",
-                    )
-                    return 1
-                if checked:
-                    ctx.record_session_decision(view.name, "local", None)
-                    if handles is not None:
-                        handles[7].inc()
+                applied = mtcache._read_sources(view.region, shard)
+                floors = {source: session.floor_for(source) for source in applied
+                          if session.floor_for(source) > 0}
             ts = None
             for heartbeat in heartbeats:
                 values = heartbeat.first_values()
@@ -784,59 +750,73 @@ class MTCache:
                 ts = shard_ts if ts is None else min(ts, shard_ts)
             now = clock.now()
             snapshot_time = mtcache._view_snapshot(view, shard)
-            fresh = ts is not None and ts > now - bound
-            timely = ctx.timeline is None or ctx.timeline.admits(snapshot_time)
-            if handles is not None:
-                (pass_counter, fail_counter, staleness_gauge,
-                 slack_hist, region_local, region_remote, region_stale) = handles[:7]
-                (pass_counter if fresh and timely else fail_counter).inc()
-                if ts is not None:
-                    staleness_gauge.set(now - ts)
-                    # Currency slack: how much headroom the bound had at
-                    # probe time.  Negative observations are served-stale/
-                    # remote fallbacks; the distribution is the per-region
-                    # SLO signal.
-                    slack_hist.observe(bound - (now - ts))
-            if fresh and timely:
+            decision = decide(bound, ts, now, snapshot_time, ctx.timeline, floors,
+                              applied, policy, remote_state, strict)
+            branch, _, lagging, availability = decision
+            if lagging is not None:
+                ctx.record_session_decision(view.name, "remote", lagging)
                 if handles is not None:
-                    region_local.inc()
-                ctx.record_snapshot(snapshot_time)
-                if ctx.capture_reads:
-                    ctx.record_read(
-                        view.name, view.base_table, view.region, shard,
-                        snapshot_time, strict,
-                        mtcache._read_sources(view.region, shard),
+                    handles.session_remote.inc()
+            else:
+                if floors:
+                    ctx.record_session_decision(view.name, "local", None)
+                    if handles is not None:
+                        handles.session_local.inc()
+                if handles is not None:
+                    (handles.passed if branch == "local" else handles.failed).inc()
+                    if ts is not None:
+                        handles.staleness.set(now - ts)
+                        handles.slack.observe(bound - (now - ts))
+            if availability not in (None, "up"):
+                mtcache._count_guard_fallback(view, decision)
+            if branch == "local":
+                if handles is not None:
+                    handles.local.inc()
+            elif branch == "degraded":
+                node = getattr(mtcache, "name", "cache")
+                served = (
+                    ("shard failover in progress" if availability == "failover"
+                     else "back-end unreachable")
+                    + f" from {node}; serving {view.name} beyond its {bound:g}s bound"
+                )
+                ctx.record_warning(f"degraded: {served}")
+                registry.counter(
+                    "currency_guard_region_total",
+                    labels={"region": view.region, "outcome": "degraded"},
+                ).inc()
+                registry.counter(
+                    "currency_guard_degraded_total", labels={"view": view.name},
+                    help="guard fallbacks forced by back-end unavailability",
+                ).inc()
+                registry.event(
+                    "degraded", served, severity="warning", time=now,
+                    node=node, view=view.name,
+                )
+            else:
+                message = _miss_message(view.name, bound, decision, ts, now)
+                if branch == "remote":
+                    if lagging is None and handles is not None:
+                        handles.remote.inc()
+                    registry.event(
+                        "guard", f"{message}; using remote branch", time=now,
+                        view=view.name, region=view.region,
+                        outcome="remote" if lagging is None else "session-remote",
                     )
-                return 0
-            staleness = float("inf") if ts is None else now - ts
-            message = (
-                f"currency constraint not met by {view.name}: staleness bound "
-                f"{staleness:.3f}s exceeds {bound:g}s"
-                if not fresh
-                else f"timeline constraint not met by {view.name}"
-            )
-            if policy == "remote":
+                    return 1
+                if branch == "error":
+                    registry.event(
+                        "guard", message, severity="error", time=now,
+                        view=view.name, region=view.region, outcome="error",
+                    )
+                    raise CurrencyError(message)
+                # stale: serve the local copy but flag the violation.
                 if handles is not None:
-                    region_remote.inc()
+                    handles.stale.inc()
                 registry.event(
-                    "guard", f"{message}; using remote branch", time=now,
-                    view=view.name, region=view.region, outcome="remote",
+                    "guard", f"{message}; serving stale", severity="warning", time=now,
+                    view=view.name, region=view.region, outcome="stale",
                 )
-                return 1
-            if policy == "error":
-                registry.event(
-                    "guard", message, severity="error", time=now,
-                    view=view.name, region=view.region, outcome="error",
-                )
-                raise CurrencyError(message)
-            # serve_stale: return the data but flag the violation.
-            if handles is not None:
-                region_stale.inc()
-            registry.event(
-                "guard", f"{message}; serving stale", severity="warning", time=now,
-                view=view.name, region=view.region, outcome="stale",
-            )
-            ctx.record_warning(message)
+                ctx.record_warning(message)
             ctx.record_snapshot(snapshot_time)
             if ctx.capture_reads:
                 ctx.record_read(

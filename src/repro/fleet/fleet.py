@@ -621,12 +621,12 @@ class CacheFleet:
           ``bound_missed`` flag when the worst observed slack was
           negative.  Stalled agents show up as this distribution sliding
           toward (and past) zero.
-        * ``guard_outcomes`` — per node: local / remote / stale serve
-          counts from ``currency_guard_region_total``.
-        * ``session_guards`` — per node: session-floor guard outcomes
-          (``local`` / ``remote`` / ``degraded``) from
-          ``session_guard_total`` — how often read-your-writes tokens
-          forced a routing decision.
+        * ``guard_outcomes`` — per node: local / remote / stale (and,
+          once one happened, degraded) serve counts from
+          ``currency_guard_region_total``.
+        * ``session_guards`` — per node: session-floor check outcomes
+          (``local`` / ``remote``) from ``session_guard_total`` — how
+          often read-your-writes tokens forced a routing decision.
         * ``degraded`` — stale serves forced by back-end unavailability.
         * ``deferred_restarts`` — per node: restarts that had to wait out
           an unreachable back-end (each with its scheduled retry time).

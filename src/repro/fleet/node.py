@@ -6,13 +6,12 @@ three things a fleet member needs:
 * every back-end call goes through the shared
   :class:`~repro.fleet.network.SimulatedNetwork` with retry + exponential
   backoff, feeding a per-node :class:`~repro.fleet.breaker.CircuitBreaker`;
-* currency guards become *availability-aware*: when the guard wants the
-  remote branch but the back-end is unreachable (outage window or open
-  breaker), the node degrades instead of erroring — it serves the local
-  (stale) rows with a constraint-violation warning, exactly the
-  ``serve_stale`` behavior of its
-  :class:`~repro.cache.mtcache.FallbackPolicy`; nodes configured with the
-  ``error`` policy already abort at the guard and never reach this path;
+* currency guards become *availability-aware*: :meth:`remote_state`
+  tells :func:`~repro.cache.guard.decide` when the remote branch it
+  wants is unreachable (outage window or open breaker), and the node
+  degrades instead of erroring — it serves the local (stale) rows with a
+  ``degraded:`` warning; nodes configured with the ``error`` policy
+  already abort at the guard and never reach this path;
 * its distribution agents honor injected stall windows, so experiments
   can let one node's regions fall behind the rest of the fleet.
 
@@ -308,14 +307,6 @@ class FleetNode(MTCache):
     # ------------------------------------------------------------------
     # Back-end access
     # ------------------------------------------------------------------
-    def remote_available(self, shards=None):
-        """Would a remote call have a chance right now?  Used by guards
-        to decide between the remote branch and graceful degradation.
-        ``shards`` narrows the check to the partitions the call would
-        touch (a shard-scoped outage doesn't block other shards)."""
-        return (self.network.backend_available(node=self.name, shards=shards)
-                and self.breaker.available())
-
     def _backend_call(self, fn, *args, shards=None):
         """Back-end call with retry/backoff over the simulated network.
 
@@ -395,95 +386,46 @@ class FleetNode(MTCache):
         return self._backend_call(self.backend.execute_dml, stmt, shards=pin)
 
     # ------------------------------------------------------------------
-    # Availability-aware currency guards
+    # Availability, as currency guards see it (repro.cache.guard.decide)
     # ------------------------------------------------------------------
-    def make_currency_guard(self, view, bound, shard=None):
-        """Wrap the base guard with the degraded mode.
+    def remote_state(self, shards=None):
+        """Would a remote call to ``shards`` (None: all) have a chance
+        right now?  ``"up"``; ``"failover"`` when one has its primary
+        fenced awaiting promotion; else ``"unreachable"`` (an outage
+        window or an open breaker)."""
+        if (self.network.backend_available(node=self.name, shards=shards)
+                and self.breaker.available()):
+            return "up"
+        return "unreachable" if self.backend.shards_available(shards) else "failover"
 
-        When the guard picks the remote branch but the back-end is
-        unreachable, serve the stale local rows with a warning instead of
-        letting the remote branch fail — availability over currency, the
-        coordination-avoidance trade the fleet exists to demonstrate.
-        """
-        base = super().make_currency_guard(view, bound, shard=shard)
-        node = self
-        pin = None if shard is None else (shard,)
-
-        def selector(ctx):
-            choice = base(ctx)
-            if choice == 1 and not node.remote_available(shards=pin):
-                failover = not node.backend.shards_available(pin)
-                if failover:
-                    decisions = ctx.session_decisions
-                    floor_forced = bool(
-                        decisions
-                        and decisions[-1][0] == view.name
-                        and decisions[-1][1] == "remote"
-                    )
-                    strict = node.table_consistency(view.base_table) == "strict"
-                    if floor_forced or strict:
-                        # Strict tables and session-floor reads must not
-                        # fall back to rows below the floor: take the
-                        # remote branch anyway and let the retry loop ride
-                        # out the promotion (the new primary covers the
-                        # floor — with a durable log it replays the whole
-                        # tail before serving).
-                        node.fleet_metrics.counter(
-                            "fleet_failover_blocked_total",
-                            labels={
-                                "node": node.name,
-                                "reason": "session_floor" if floor_forced else "strict",
-                            },
-                            help="reads that rode out a shard failover "
-                                 "instead of degrading",
-                        ).inc()
-                        return 1
-                    what = "shard failover in progress"
-                else:
-                    what = "back-end unreachable"
-                ctx.record_warning(
-                    f"degraded: {what} from {node.name}; serving "
-                    f"{view.name} beyond its {bound:g}s bound"
-                )
-                snapshot = node._view_snapshot(view, shard)
-                ctx.record_snapshot(snapshot)
-                if ctx.capture_reads:
-                    ctx.record_read(
-                        view.name, view.base_table, view.region, shard,
-                        snapshot,
-                        node.table_consistency(view.base_table) == "strict",
-                        node._read_sources(view.region, shard),
-                    )
-                node.metrics.counter(
-                    "currency_guard_degraded_total", labels={"view": view.name},
-                    help="guard fallbacks forced by back-end unavailability",
-                ).inc()
-                node.fleet_metrics.counter(
-                    "fleet_degraded_total",
-                    labels={"node": node.name, "policy": node.fallback_policy},
-                    help="queries served stale because the back-end was down",
-                ).inc()
-                if failover:
-                    node.fleet_metrics.counter(
-                        "fleet_failover_degraded_total",
-                        labels={"node": node.name, "view": view.name},
-                        help="relaxed reads served within-bound from the "
-                             "local copy during a shard failover",
-                    ).inc()
-                node.metrics.event(
-                    "degraded",
-                    f"{what} from {node.name}; serving "
-                    f"{view.name} beyond its {bound:g}s bound",
-                    severity="warning", time=node.clock.now(),
-                    node=node.name, view=view.name,
-                )
-                return 0
-            return choice
-
-        # Keep the snapshot recipe of the base guard: snapshot-plan
-        # instantiation on any node rebuilds the full wrapped guard.
-        selector.guard_params = base.guard_params
-        return selector
+    def _count_guard_fallback(self, view, decision):
+        """Fleet counters for a guard whose remote branch was down: a
+        strict read riding out a failover (the retry loop waits for the
+        promotion, whose new primary covers the floor), or a degraded
+        serve of the local copy."""
+        if decision.branch == "remote":
+            self.fleet_metrics.counter(
+                "fleet_failover_blocked_total",
+                labels={
+                    "node": self.name,
+                    "reason": "strict" if decision.lagging_source is None
+                    else "session_floor",
+                },
+                help="reads that rode out a shard failover instead of degrading",
+            ).inc()
+            return
+        self.fleet_metrics.counter(
+            "fleet_degraded_total",
+            labels={"node": self.name, "policy": self.fallback_policy},
+            help="queries served stale because the back-end was down",
+        ).inc()
+        if decision.remote_state == "failover":
+            self.fleet_metrics.counter(
+                "fleet_failover_degraded_total",
+                labels={"node": self.name, "view": view.name},
+                help="relaxed reads served within-bound from the "
+                     "local copy during a shard failover",
+            ).inc()
 
     # ------------------------------------------------------------------
     # Replication under the network

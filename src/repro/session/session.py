@@ -117,17 +117,6 @@ class Session:
         there — any replica state satisfies the session)."""
         return self.floors.get(source, 0)
 
-    def covers(self, source, applied):
-        """Does ``applied`` transactions of progress on ``source``
-        satisfy this session's floor there?
-
-        This is the one comparison read-your-writes reduces to — for a
-        cache agent's ``applied_txn``, and equally for a just-promoted
-        shard primary's applied progress: a floor read during a failover
-        window must block until the promotion covers it.
-        """
-        return (applied or 0) >= self.floor_for(source)
-
     @property
     def token(self):
         """A portable snapshot of the current floors."""

@@ -10,9 +10,12 @@ skipped session floor — each producing exactly its expected Anomaly
 kind and nothing else.
 """
 
+import inspect
 import io
 
 from repro import BackendServer, FleetConfig, MTCache, Session
+from repro.cache import guard
+from repro.cache import mtcache as mtcache_module
 from repro.chaos import ChaosScheduler, build_demo_fleet, build_ledger_fleet
 from repro.cli import run_script
 from repro.common.errors import InvariantViolation
@@ -307,32 +310,27 @@ class TestCleanCertification:
 # ----------------------------------------------------------------------
 # Planted anomalies: each must fire exactly its own check
 # ----------------------------------------------------------------------
+def plant(monkeypatch, **overrides):
+    """Plant a broken guard: the ``decide`` the selector calls sees each
+    named input replaced by ``override(inputs)``."""
+    signature = inspect.signature(guard.decide)
+
+    def broken_decide(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        inputs = dict(bound.arguments)
+        for name, override in overrides.items():
+            bound.arguments[name] = override(inputs)
+        return guard.decide(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(mtcache_module, "decide", broken_decide)
+
+
 class TestPlantedAnomalies:
     def test_broken_guard_is_caught_by_currency_bound(self, monkeypatch):
         cache = make_recording_cache()
-
-        def broken_guard(self, view, bound, shard=None):
-            # A guard that never probes the heartbeat: it vouches for
-            # the local snapshot no matter how stale it is.
-            strict = self.table_consistency(view.base_table) == "strict"
-
-            def selector(ctx):
-                snapshot = self._view_snapshot(view, shard)
-                ctx.record_snapshot(snapshot)
-                if ctx.capture_reads:
-                    ctx.record_read(
-                        view.name, view.base_table, view.region, shard,
-                        snapshot, strict,
-                        self._read_sources(view.region, shard),
-                    )
-                return 0
-
-            selector.guard_params = {
-                "view": view.name, "bound": bound, "shard": shard,
-            }
-            return selector
-
-        monkeypatch.setattr(MTCache, "make_currency_guard", broken_guard)
+        # A guard that never probes the heartbeat: it vouches for the
+        # local snapshot no matter how stale it is.
+        plant(monkeypatch, heartbeat_ts=lambda inputs: inputs["now"])
         cache.clock.advance(1000.0)  # replica is now ~1000s stale
         result = cache.execute(READ_TID1)  # bound: 600s
         assert result.routing == "local"
@@ -365,10 +363,7 @@ class TestPlantedAnomalies:
         # The floor check claims every floor is satisfied, so the guard
         # serves the strict read locally before the agent has applied
         # the session's own write.
-        monkeypatch.setattr(
-            MTCache, "_session_floor_check",
-            lambda self, region, shard, session: (True, None),
-        )
+        plant(monkeypatch, session_floors=lambda inputs: {})
         session = Session("writer")
         cache.execute(TRANSFER_TID2, session=session)
         result = cache.execute(READ_TID2, session=session)

@@ -533,12 +533,27 @@ class TestSLOReport:
         fleet.network.stall_agents(1000.0)
         fleet.run_for(700.0)  # staleness > 600s bound
         fleet.network.inject_outage(50.0)
-        fleet.execute(GUARDED)  # wants remote, back-end down -> degraded
+        result = fleet.execute(GUARDED)  # wants remote, back-end down -> degraded
+        assert result.routing == "local"
+        assert result.warnings[0].startswith("degraded:")
         report = fleet.slo_report()
         assert report["degraded"] >= 1
         assert report["events"].get("outage", 0) >= 1
         assert report["events"].get("degraded", 0) >= 1
         assert report["routing"]["node0"] >= 2
+        # A degraded serve is its own outcome, never a remote one, and
+        # leaves one event: no "using remote branch" guard event.
+        assert report["guard_outcomes"]["node0"] == {
+            "local": 1, "remote": 0, "stale": 0, "degraded": 1,
+        }
+        assert report["events"].get("guard", 0) == 0
+        guard_events = [e.kind for e in fleet.nodes[0].metrics.events
+                        if e.kind in ("guard", "degraded")]
+        assert guard_events == ["degraded"]
+        # The guard still failed its currency test, with negative slack.
+        snap = fleet.nodes[0].metrics.snapshot()
+        assert snap['currency_guard_total{outcome="fail",view="t_copy"}'] == 1
+        assert report["slack"]["node0"]["r@node0"]["min"] < 0
 
     def test_event_timeline_orders_mixed_sources(self):
         fleet = make_fleet(n_nodes=2)
