@@ -31,8 +31,8 @@ class CCTuple:
 
     ``by_columns`` carries the grouping columns (``BY R.isbn``) through
     normalization.  The prototype — like the paper's — enforces table-level
-    consistency, so grouping columns do not relax anything at run time; they
-    are preserved for the semantics checker.
+    consistency, so grouping columns do not relax anything at run time, and
+    no checker reads them; they survive normalization and ``repr`` only.
     """
 
     __slots__ = ("bound", "operands", "by_columns")

@@ -30,7 +30,6 @@ execution of it.
 import time
 
 from repro.engine.operators import DEFAULT_BATCH_SIZE, SwitchUnion
-from repro.optimizer.cost import q_error
 
 __all__ = ["OpStats", "instrument", "analysis_rows", "render_analysis"]
 
@@ -148,6 +147,16 @@ def instrument(root):
         _wrap(op, stats)
         nodes.append(op)
     return nodes
+
+
+def q_error(estimate, actual, eps=1.0):
+    """Cardinality Q-error: ``max(est/act, act/est)`` with both sides
+    clamped to ``eps`` so zero-row results stay finite.  1.0 is a perfect
+    estimate; EXPLAIN ANALYZE feeds these into the ``cost_model_q_error``
+    histogram to monitor cost-model drift."""
+    est = max(float(estimate), eps)
+    act = max(float(actual), eps)
+    return max(est / act, act / est)
 
 
 def _node_records(op, depth, out):

@@ -64,7 +64,7 @@ class EventLog(Ring):
         if min_severity is not None:
             floor = SEVERITIES[min_severity]
             entries = [e for e in entries if SEVERITIES[e.severity] >= floor]
-        return entries[-n:]
+        return self._last(entries, n)
 
     def counts_by_kind(self):
         out = {}

@@ -27,7 +27,13 @@ class Ring:
         self._entries.append(entry)
 
     def recent(self, n=20):
-        return list(self._entries)[-n:]
+        return self._last(list(self._entries), n)
+
+    @staticmethod
+    def _last(entries, n):
+        """The last ``n`` of ``entries``: none for ``n <= 0`` (``[-0:]``
+        would be all of them)."""
+        return entries[-n:] if n > 0 else []
 
     def latest(self):
         return self._entries[-1] if self._entries else None

@@ -160,12 +160,3 @@ class CostModel:
         """Paper §3.2.4 expected cost of a guarded access."""
         return p * local_cost + (1.0 - p) * remote_cost + self.guard_cost
 
-
-def q_error(estimate, actual, eps=1.0):
-    """Cardinality Q-error: ``max(est/act, act/est)`` with both sides
-    clamped to ``eps`` so zero-row results stay finite.  1.0 is a perfect
-    estimate; EXPLAIN ANALYZE feeds these into the ``cost_model_q_error``
-    histogram to monitor cost-model drift."""
-    est = max(float(estimate), eps)
-    act = max(float(actual), eps)
-    return max(est / act, act / est)

@@ -13,7 +13,6 @@ from repro.replication.heartbeat import (
     heartbeat_schema,
     local_heartbeat_name,
 )
-from repro.replication.row_refresh import RowRefreshAgent, RowSync
 
 __all__ = [
     "AgentSupervisor",
@@ -22,8 +21,6 @@ __all__ = [
     "DistributionAgent",
     "HEARTBEAT_TABLE",
     "HeartbeatService",
-    "RowRefreshAgent",
-    "RowSync",
     "heartbeat_schema",
     "local_heartbeat_name",
 ]

@@ -10,22 +10,12 @@ from repro.semantics.model import (
     xtime,
 )
 from repro.semantics.checker import CheckReport, ResultChecker, Violation
-from repro.semantics.groups import (
-    GroupConsistencyChecker,
-    GroupReport,
-    group_delta,
-    validity_interval,
-)
 
 __all__ = [
     "CheckReport",
-    "GroupConsistencyChecker",
-    "GroupReport",
     "HistoryView",
     "ResultChecker",
     "Violation",
-    "group_delta",
-    "validity_interval",
     "currency",
     "delta_consistency_bound",
     "distance",

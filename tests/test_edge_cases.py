@@ -139,16 +139,3 @@ class TestSchemaEdges:
         table = cache.backend.catalog.table("t").table
         with pytest.raises(StorageError):
             table.insert((1,))
-
-
-class TestResultCacheWithAst:
-    def test_parsed_statement_accepted(self, cache):
-        from repro.resultcache import ResultCache
-        from repro.sql.parser import parse
-
-        rc = ResultCache(cache)
-        stmt = parse("SELECT x.id FROM t x CURRENCY BOUND 60 SEC ON (x)")
-        first = rc.execute(stmt)
-        second = rc.execute(stmt)
-        assert first.rows == second.rows
-        assert rc.stats["hits"] == 1

@@ -31,8 +31,6 @@ def test_expected_examples_present():
         "bookstore.py",
         "tpcd_cache.py",
         "timeline_session.py",
-        "result_cache.py",
-        "row_groups.py",
     }
     assert required <= set(EXAMPLES)
 
@@ -65,8 +63,3 @@ class TestExampleOutputs:
         out = self.run("tpcd_cache.py")
         assert "q2: hashjoin(remote, remote)" in out
         assert "q7: guarded(cust_prj)" in out
-
-    def test_row_groups_progression(self):
-        out = self.run("row_groups.py")
-        assert "per-row: consistent" in out
-        assert "broken" in out

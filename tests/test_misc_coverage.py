@@ -128,43 +128,6 @@ class TestConstraintHelpers:
         assert constraint.operands == {"a", "b", "c"}
 
 
-class TestStackedComponents:
-    def test_result_cache_over_mtcache_with_staleness(self):
-        from repro.resultcache import ResultCache
-
-        cache = make_cache()
-        rc = ResultCache(cache)
-        sql = "SELECT x.id, x.v FROM t x CURRENCY BOUND 30 SEC ON (x)"
-        rc.execute(sql)
-        cache.backend.execute("UPDATE t SET v = 99 WHERE id = 1")
-        # Within the result cache's bound: reuse.
-        assert rc.execute(sql).rows == rc.execute(sql).rows
-        assert rc.stats["hits"] == 2
-        # Age the entry beyond the bound: recompute through MTCache, which
-        # itself applies its currency machinery.
-        cache.run_for(31.0)
-        fresh = rc.execute(sql)
-        assert rc.stats["recomputes"] == 1
-        assert (1, 99) in fresh.rows
-
-    def test_conformance_harness_over_ddl_built_cache(self):
-        from repro.semantics.conformance import ConformanceHarness
-
-        backend = BackendServer()
-        backend.create_table(
-            "CREATE TABLE kv (id INT NOT NULL, v INT NOT NULL, PRIMARY KEY (id))"
-        )
-        rows = ", ".join(f"({i}, {i})" for i in range(1, 16))
-        backend.execute(f"INSERT INTO kv VALUES {rows}")
-        backend.refresh_statistics()
-        cache = MTCache(backend)
-        cache.execute("CREATE CURRENCY REGION r INTERVAL 6 SEC DELAY 1 SEC HEARTBEAT 1 SEC")
-        cache.execute("CREATE MATERIALIZED VIEW kv_c IN REGION r AS SELECT * FROM kv")
-        cache.run_for(7)
-        outcome = ConformanceHarness(cache, tables=["kv"], seed=55).run(steps=80)
-        assert outcome.ok, outcome.failures
-
-
 class TestWorkloadQueriesHelpers:
     def test_acctbal_ranges_scale_free(self):
         from repro.workloads.queries import _acctbal_range, Q6_FRACTION, Q7_FRACTION

@@ -7,16 +7,19 @@ import re
 import pytest
 
 from repro.cache.backend import BackendServer
-from repro.cache.mtcache import FallbackPolicy, MTCache
+from repro.cache.mtcache import FallbackPolicy, MTCache, QueryLog
 from repro.cli import run_script
 from repro.obs import (
     NULL_REGISTRY,
     Counter,
+    Event,
+    EventLog,
     Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
 )
+from repro.obs.ring import Ring
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +222,32 @@ class TestNullRegistry:
 
     def test_shared_instance(self):
         assert NULL_REGISTRY.counter("anything") is NULL_REGISTRY.counter("other")
+
+
+# ----------------------------------------------------------------------
+# Bounded rings: Ring and the logs built on it
+# ----------------------------------------------------------------------
+def _filled(ring_cls):
+    ring = ring_cls(8)
+    for i in range(4):
+        if ring_cls is EventLog:
+            ring.record("tick", str(i))
+        else:
+            ring.record(str(i))
+    return ring
+
+
+def _labels(entries):
+    return [e.message if isinstance(e, Event) else e for e in entries]
+
+
+@pytest.mark.parametrize("ring_cls", [Ring, QueryLog, EventLog])
+@pytest.mark.parametrize(
+    "n, expected",
+    [(0, []), (-1, []), (-5, []), (1, ["3"]), (3, ["1", "2", "3"]), (9, ["0", "1", "2", "3"])],
+)
+def test_ring_recent_returns_last_n_and_none_for_non_positive(ring_cls, n, expected):
+    assert _labels(_filled(ring_cls).recent(n)) == expected
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.cache",
     "repro.semantics",
     "repro.workloads",
-    "repro.resultcache",
     "repro.fleet",
     "repro.cli",
 ]

@@ -14,7 +14,7 @@ from repro.cache.mtcache import MTCache
 from repro.semantics.checker import ResultChecker
 
 
-def build_cache(interval, delay, heartbeat):
+def build_cache(interval, delay, heartbeat, ddl=False):
     backend = BackendServer()
     backend.create_table(
         "CREATE TABLE kv (id INT NOT NULL, v INT NOT NULL, w INT NOT NULL, "
@@ -24,10 +24,20 @@ def build_cache(interval, delay, heartbeat):
     backend.execute(f"INSERT INTO kv VALUES {rows}")
     backend.refresh_statistics()
     cache = MTCache(backend)
-    cache.create_region("r1", interval, delay, heartbeat_interval=heartbeat)
-    cache.create_matview("kv_a", "kv", ["id", "v", "w"], region="r1")
-    cache.create_region("r2", interval * 1.5, delay, heartbeat_interval=heartbeat)
-    cache.create_matview("kv_b", "kv", ["id", "v", "w"], region="r2")
+    regions = [("r1", "kv_a", interval), ("r2", "kv_b", interval * 1.5)]
+    for region, view, every in regions:
+        if ddl:  # the same cache, declared through the cache-side DDL
+            cache.execute(
+                f"CREATE CURRENCY REGION {region} INTERVAL {every:g} SEC "
+                f"DELAY {delay:g} SEC HEARTBEAT {heartbeat:g} SEC"
+            )
+            cache.execute(
+                f"CREATE MATERIALIZED VIEW {view} IN REGION {region} AS "
+                "SELECT id, v, w FROM kv"
+            )
+        else:
+            cache.create_region(region, every, delay, heartbeat_interval=heartbeat)
+            cache.create_matview(view, "kv", ["id", "v", "w"], region=region)
     return backend, cache
 
 
@@ -38,6 +48,7 @@ steps = st.lists(
         st.tuples(st.just("insert"), st.integers(21, 60), st.integers(0, 999)),
         st.tuples(st.just("advance"), st.floats(0.5, 12.0), st.just(0)),
         st.tuples(st.just("query"), st.sampled_from([0, 1, 3, 10, 40, 10_000]), st.just(0)),
+        st.tuples(st.just("range_query"), st.sampled_from([0, 3, 40, 10_000]), st.integers(1, 61)),
         st.tuples(st.just("join_query"), st.sampled_from([3, 40, 10_000]), st.just(0)),
     ),
     min_size=4,
@@ -51,12 +62,22 @@ class TestEndToEndGuarantees:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(steps=steps, interval=st.sampled_from([4.0, 8.0]), delay=st.sampled_from([1.0, 2.0]))
-    def test_every_result_satisfies_its_constraint(self, steps, interval, delay):
-        backend, cache = build_cache(interval, delay, heartbeat=1.0)
+    @given(
+        steps=steps,
+        interval=st.sampled_from([4.0, 8.0]),
+        delay=st.sampled_from([1.0, 2.0]),
+        ddl=st.booleans(),
+    )
+    def test_every_result_satisfies_its_constraint(self, steps, interval, delay, ddl):
+        backend, cache = build_cache(interval, delay, heartbeat=1.0, ddl=ddl)
         checker = ResultChecker(cache, deep=True)
         inserted = set()
-        for kind, a, b in steps:
+        routings = set()
+        # Every schedule closes with a loose read after the first
+        # propagation and a bound-0 read, so it is served both ways.
+        closing = [("advance", 1.5 * interval + delay + 1.0, 0),
+                   ("query", 10_000, 0), ("query", 0, 0)]
+        for kind, a, b in steps + closing:
             if kind == "update":
                 backend.execute(f"UPDATE kv SET v = {b} WHERE id = {a}")
             elif kind == "insert":
@@ -66,22 +87,23 @@ class TestEndToEndGuarantees:
                 backend.execute(f"INSERT INTO kv VALUES ({a}, {b}, {a % 3})")
             elif kind == "advance":
                 cache.run_for(a)
-            elif kind == "query":
-                sql = (
-                    "SELECT k.id, k.v FROM kv k WHERE k.v >= 0 "
-                    f"CURRENCY BOUND {a} SEC ON (k)"
-                )
+            else:
+                if kind == "join_query":  # two instances of kv, one class
+                    sql = (
+                        "SELECT x.id, y.v FROM kv x, kv y WHERE x.id = y.id "
+                        f"CURRENCY BOUND {a} SEC ON (x, y)"
+                    )
+                else:
+                    where = f"k.id < {b}" if kind == "range_query" else "k.v >= 0"
+                    sql = (
+                        f"SELECT k.id, k.v FROM kv k WHERE {where} "
+                        f"CURRENCY BOUND {a} SEC ON (k)"
+                    )
                 result = cache.execute(sql)
+                routings.add(result.routing)
                 report = checker.check(sql, result)
                 assert report.ok, (report.violations, report.sources)
-            else:  # join_query: two instances of kv, one consistency class
-                sql = (
-                    "SELECT x.id, y.v FROM kv x, kv y WHERE x.id = y.id "
-                    f"CURRENCY BOUND {a} SEC ON (x, y)"
-                )
-                result = cache.execute(sql)
-                report = checker.check(sql, result)
-                assert report.ok, (report.violations, report.sources)
+        assert {"local", "remote"} <= routings
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -9,11 +9,11 @@ import pytest
 from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache
 from repro.cli import Shell
+from repro.engine.analyze import q_error
 from repro.fleet import CacheFleet
 from repro.obs.events import SEVERITIES, Event, EventLog
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.obs.trace import NULL_TRACE, TraceContext, TraceExporter, TraceLog
-from repro.optimizer.cost import q_error
 from repro.sql.parser import parse
 from repro.workloads.driver import WorkloadDriver, point_lookup_factory
 from tests.conftest import stream_every_plan
