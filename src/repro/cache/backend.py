@@ -4,7 +4,8 @@ A complete single-node DBMS: catalog, heap storage, transactions with a
 replication log, the cost-based optimizer over base tables, and an
 iterator executor.  It also exposes the two endpoints MTCache needs:
 
-* ``execute_remote(sql)`` — run a shipped query and return its rows, and
+* ``execute_remote(sql)`` — run a shipped query and return its result as
+  one dense :class:`~repro.engine.columnar.ColumnBatch`, and
 * ``estimate(select)`` — cost/cardinality estimates that the cache's shadow
   statistics are built from.
 
@@ -183,13 +184,15 @@ class BackendServer(Backend):
         raise ExecutionError(f"unsupported statement: {type(stmt).__name__}")
 
     def execute_remote(self, sql, shards=None):
-        """Endpoint for the cache's RemoteQuery operator: rows only.
+        """Endpoint for the cache's RemoteQuery operator: the result as one
+        dense ColumnBatch, concatenated from the executor's batches with
+        no row built; a result that starts as rows (a tiny plan, the
+        naive path) is wrapped, so the cache unwraps it for free.
 
         ``shards`` (a shard pin from the cache optimizer) is accepted for
         protocol compatibility and ignored — one server is one shard.
         """
-        result = self.execute(sql)
-        return result.rows
+        return self.execute(sql).as_batch()
 
     def estimate(self, select):
         """(cost, rows, width) estimate for a Select AST or SQL string."""

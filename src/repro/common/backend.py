@@ -91,7 +91,9 @@ class Backend:
         raise NotImplementedError
 
     def execute_remote(self, sql, shards=None):
-        """Rows-only endpoint for the cache's RemoteQuery operators.
+        """Endpoint for the cache's RemoteQuery operators: runs one SELECT
+        and returns its result as one dense
+        :class:`~repro.engine.columnar.ColumnBatch`.
 
         ``shards`` is an optional pin: an iterable of partition indexes
         the statement is known to touch (the optimizer supplies it for

@@ -49,7 +49,26 @@ class ColumnBatch:
         upstream operators)."""
         if not rows:
             return cls([[] for _ in range(width)], 0)
-        return cls([list(col) for col in zip(*rows)], len(rows), source_rows=rows)
+        return cls(list(map(list, zip(*rows))), len(rows), source_rows=rows)
+
+    @classmethod
+    def concat(cls, batches, width):
+        """One dense batch of the live rows of ``batches``, in order: a
+        lone dense batch as is (zero-copy), else each column's buffers
+        extended into one list, gathered through ``sel`` where a batch
+        has one.  ``width`` gives the shape when there is no batch."""
+        if len(batches) == 1 and batches[0].sel is None:
+            return batches[0]
+        if batches:
+            width = len(batches[0].columns)
+        columns = [[] for _ in range(width)]
+        n = 0
+        for batch in batches:
+            sel = batch.sel
+            for dst, col in zip(columns, batch.columns):
+                dst.extend(col if sel is None else map(col.__getitem__, sel))
+            n += batch.n_rows
+        return cls(columns, n)
 
     @property
     def n_rows(self):
@@ -134,20 +153,43 @@ def _typed_column(values):
         return values
 
 
-def column_store(table):
-    """The per-table columnar snapshot SeqScan reads: one buffer per
-    schema column over the live rows, cached on the table and rebuilt
-    only when its mutation counter moves."""
+def _snapshot(table):
+    """``(mutation_count, store, positions)`` for ``table``, cached on it
+    and rebuilt only when its mutation counter moves."""
     version = table.mutation_count
     cached = getattr(table, "_column_store", None)
     if cached is not None and cached[0] == version:
-        return cached[1]
-    rows = [v.values for v in table._rows if v is not None]
+        return cached
+    heap = table._rows
+    rows = [v.values for v in heap if v is not None]
     width = len(table.schema.names())
     if rows:
         columns = [_typed_column(list(col)) for col in zip(*rows)]
     else:
         columns = [[] for _ in range(width)]
-    batch = ColumnBatch(columns, len(rows))
-    table._column_store = (version, batch)
-    return batch
+    positions = None
+    if len(rows) != len(heap):
+        positions = []
+        n = 0
+        for v in heap:
+            if v is None:
+                positions.append(None)
+            else:
+                positions.append(n)
+                n += 1
+    cached = table._column_store = (version, ColumnBatch(columns, len(rows)), positions)
+    return cached
+
+
+def column_store(table):
+    """The per-table columnar snapshot SeqScan reads: one buffer per
+    schema column over the live rows, cached on the table and rebuilt
+    only when its mutation counter moves."""
+    return _snapshot(table)[1]
+
+
+def store_positions(table):
+    """``rid -> position`` in :func:`column_store`'s buffers, built in the
+    same pass: None when the heap has no tombstones (the two coincide),
+    else a list with None at each deleted rid."""
+    return _snapshot(table)[2]

@@ -8,7 +8,9 @@ each phase with a high-resolution counter.
 """
 
 import time
+from functools import cached_property
 
+from repro.engine.columnar import ColumnBatch
 from repro.engine.operators import SeqScan, coerce_engine
 from repro.obs.metrics import NULL_REGISTRY, NullRegistry
 
@@ -161,6 +163,11 @@ class QueryResult:
         self.context = context
         self.plan = plan
 
+    def as_batch(self):
+        """The result as one ColumnBatch: the rows wrapped, so that its
+        ``to_rows()`` is free."""
+        return ColumnBatch.from_rows(self.rows, len(self.columns))
+
     @property
     def trace_id(self):
         """Id of the trace this result's context ran under (None: untraced)."""
@@ -212,14 +219,36 @@ class QueryResult:
         return f"QueryResult(columns={self.columns}, rows={len(self.rows)})"
 
 
+class BatchResult(QueryResult):
+    """A result kept as one dense ColumnBatch (every columnar run, and a
+    sharded scatter): ``batch`` is it, and ``rows`` are zipped from it on
+    first read, so a caller that ships the batch on never builds a row."""
+
+    def __init__(self, columns, batch, timings, context, plan=None):
+        self.columns = list(columns)
+        self.batch = batch
+        self.timings = timings
+        self.context = context
+        self.plan = plan
+
+    @cached_property
+    def rows(self):
+        return self.batch.to_rows()
+
+    def as_batch(self):
+        return self.batch
+
+
 class Executor:
     """Runs a physical operator tree through its three phases.
 
     Under the columnar engine (the default) the run phase drains the
-    plan's ``col_batches()`` stream, except for tiny plans, which
-    materialize through ``all_rows()`` with ``ctx.engine = "row"``.  The
-    row engine — the reference the differential suites compare against —
-    drains the plan's ``rows()`` generator.  The Table 4.5
+    plan's ``col_batches()`` stream into one dense batch (a
+    :class:`BatchResult`; rows are zipped on first read), except for
+    tiny plans, which materialize through ``all_rows()`` with
+    ``ctx.engine = "row"``.  The row engine — the reference the
+    differential suites compare against — drains the plan's ``rows()``
+    generator.  The Table 4.5
     setup/run/shutdown split is the same whichever protocol runs:
     ``open`` is setup, draining is run, ``close`` is shutdown.
 
@@ -299,12 +328,11 @@ class Executor:
             trace.close(span)
         t1 = timer()
         span = trace.open("exec.run") if traced else None
+        batch = None
         if engine == "columnar":
-            rows = []
-            extend = rows.extend
-            for batch in plan.col_batches():
-                extend(batch.to_rows())
-                n_batches += 1
+            batches = list(plan.col_batches())
+            n_batches = len(batches)
+            batch = ColumnBatch.concat(batches, len(plan.output))
         else:
             rows = plan.all_rows() if tiny else list(plan.rows())
         if traced:
@@ -322,7 +350,7 @@ class Executor:
             self._h_run.observe(timings.run)
             self._h_shutdown.observe(timings.shutdown)
             self._c_queries.inc()
-            self._c_rows.inc(len(rows))
+            self._c_rows.inc(len(rows) if batch is None else batch.length)
             if n_batches:
                 self._c_batches.inc(n_batches)
             n_fused = len(ctx.fused_pipelines) - fused_before
@@ -332,4 +360,6 @@ class Executor:
                 (self._c_branch_local if index == 0 else self._c_branch_remote).inc()
         if column_names is None:
             column_names = [c.name for c in plan.output.columns]
+        if batch is not None:
+            return BatchResult(column_names, batch, timings, ctx, plan=plan)
         return QueryResult(column_names, rows, timings, ctx, plan=plan)

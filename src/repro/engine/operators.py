@@ -16,9 +16,11 @@ phases so the executor can time them (the paper's Table 4.5 profiles
   tiny plans (guarded point lookups): one list in, one list out;
 * ``close()`` — release state.
 
-Scans, filters, positional projections, hash joins and limits are
-columnar-native: filters shrink a selection vector, projections pick
-columns, hash joins gather columns at matched positions.  Every other
+Scans, filters, positional projections, hash and index nested-loops
+joins, limits and remote queries are columnar-native: filters shrink a
+selection vector, projections pick columns, joins gather columns at
+matched positions, a remote query serves the column result the back-end
+shipped.  Every other
 operator gets ``col_batches`` from the base class, which columnarizes its
 ``rows()``.  The row-only operators (Sort, HashAggregate, Distinct and the
 row build of the hash operators) read their input through
@@ -36,7 +38,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 from repro.common.errors import ExecutionError
-from repro.engine.columnar import ColumnBatch, column_store
+from repro.engine.columnar import ColumnBatch, column_store, store_positions
 from repro.engine.expressions import make_env, row_fn_of, row_fns_of
 from repro.engine.ir import selection_fn
 from repro.sql.ast import render_params
@@ -303,12 +305,16 @@ class IndexSeek(PhysicalOperator):
 
     def _rid_iter(self):
         key = self._key
+        if None in key:
+            return ()  # a NULL key part matches no row
         if len(key) == len(self.index.key_positions):
             return self.index.seek(key)
         return (rid for _, rid in self.index.range(low=key, high=key))
 
     def _rid_list(self):
         key = self._key
+        if None in key:
+            return []
         index = self.index
         if len(key) == len(index.key_positions):
             return index.seek_list(key)
@@ -656,6 +662,32 @@ def _gather(columns, indexes):
     return [pick(col) for col in columns]
 
 
+def _row_predicate(predicate, outer):
+    """A join residual as ``row -> truth value`` (None without one)."""
+    if predicate is None:
+        return None
+    return row_fn_of(predicate) or (lambda row: predicate(make_env(row, outer)))
+
+
+def _batch_selector(predicate, outer):
+    """``fn(batch) -> live indexes`` for a join residual over a batch's
+    live rows — its IR selection kernel when it has one, else its row
+    form over the rows — or None without a residual."""
+    if predicate is None:
+        return None
+    kernel = selection_fn(getattr(predicate, "ir", None))
+    if kernel is not None:
+        params = getattr(predicate, "params", None)
+        return lambda batch: kernel(batch.columns, batch.sel, batch.length, params)
+    keep = _row_predicate(predicate, outer)
+
+    def select(batch):
+        live = range(batch.length) if batch.sel is None else batch.sel
+        return [i for i, row in zip(live, batch.to_rows()) if keep(row) is True]
+
+    return select
+
+
 class HashJoin(PhysicalOperator):
     """Equality hash join; the right child is the build side.
 
@@ -694,15 +726,9 @@ class HashJoin(PhysicalOperator):
         self._build_rows = self._build_cols = None
         positions = _key_positions(self.right_key_fns)
         if positions is not None and getattr(ctx, "engine", None) == "columnar":
-            columns = [[] for _ in range(len(self.right.output))]
-            n = 0
-            for batch in self.right.col_batches():
-                sel = batch.sel
-                for dst, col in zip(columns, batch.columns):
-                    dst.extend(col if sel is None else map(col.__getitem__, sel))
-                _index_keys(index, _batch_keys(batch, positions)[1], n)
-                n += batch.n_rows
-            self._build_cols = ColumnBatch(columns, n)
+            self._build_cols = build = ColumnBatch.concat(
+                list(self.right.col_batches()), len(self.right.output))
+            _index_keys(index, _batch_keys(build, positions)[1], 0)
             return
         self._build_rows = rows = list(_input_rows(self.right, ctx))
         _index_keys(index, map(_row_keyer(self.right_key_fns, outer_env), rows), 0)
@@ -717,19 +743,11 @@ class HashJoin(PhysicalOperator):
             self._build_cols = ColumnBatch.from_rows(self._build_rows, len(self.right.output))
         return self._build_cols.columns
 
-    def _row_residual(self):
-        """The residual as ``row -> truth value``, or None without one."""
-        residual = self.residual
-        if residual is None:
-            return None
-        outer = self._outer_env
-        return row_fn_of(residual) or (lambda row: residual(make_env(row, outer)))
-
     def _probe(self, left_rows):
         get = self._index.get
         build = self._build_row_list()
         keyer = _row_keyer(self.left_key_fns, self._outer_env)
-        keep = self._row_residual()
+        keep = _row_predicate(self.residual, self._outer_env)
         for left_row in left_rows:
             hits = get(keyer(left_row))
             if hits is None:
@@ -742,19 +760,6 @@ class HashJoin(PhysicalOperator):
     def rows(self):
         return self._probe(self.left.rows())
 
-    def _residual_sel(self):
-        """``fn(joined batch) -> live indexes`` for the residual — its IR
-        selection kernel when it has one, else the row residual over the
-        batch's rows — or None without a residual."""
-        kernel = selection_fn(getattr(self.residual, "ir", None))
-        if kernel is not None:
-            params = getattr(self.residual, "params", None)
-            return lambda batch: kernel(batch.columns, None, batch.length, params)
-        keep = self._row_residual()
-        if keep is None:
-            return None
-        return lambda batch: [i for i, row in enumerate(batch.to_rows()) if keep(row) is True]
-
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         """Columnar probe: key columns in, (probe, build) position pairs
         out, then one gathered batch per probe batch, residual applied as
@@ -765,7 +770,7 @@ class HashJoin(PhysicalOperator):
             return
         get = self._index.get
         build = self._build_columns()
-        residual_sel = self._residual_sel()
+        residual_sel = _batch_selector(self.residual, self._outer_env)
         for batch in self.left.col_batches(size):
             indexes, keys = _batch_keys(batch, positions)
             # Every step is one C-level pass: look each key up, keep the
@@ -973,16 +978,25 @@ class IndexNLJoin(PhysicalOperator):
     """Index nested-loops join: for each outer row, seek the inner index.
 
     The inner side is an operator subtree (usually an IndexSeek) whose key
-    functions reference the outer row through the correlated environment —
-    the canonical consumer of ``rows()``; batching the correlated inner
-    would only re-buffer one seek's handful of rows.
+    functions reference the outer row through the correlated environment;
+    ``rows()`` re-opens it per outer row.
+
+    ``outer_keys`` — the outer-row positions of the inner seek's key parts,
+    resolved by the optimizer — enables the columnar probe: when the inner
+    is an equality :class:`IndexSeek` (no IN list, no inner predicate or
+    one with a selection kernel), :meth:`col_batches` reads each outer
+    batch's key columns, probes the index once per key and gathers the
+    outer columns and the inner table's column store at the matches.  The
+    output order is the row protocol's: outer order, then index order
+    within a key.
     """
 
-    def __init__(self, outer, inner, output, residual=None):
+    def __init__(self, outer, inner, output, residual=None, outer_keys=None):
         self.outer = outer
         self.inner = inner
         self.output = output
         self.residual = residual
+        self.outer_keys = None if outer_keys is None else list(outer_keys)
         self._ctx = None
         self._outer_env = None
 
@@ -1007,6 +1021,58 @@ class IndexNLJoin(PhysicalOperator):
                         yield combined
             finally:
                 self.inner.close()
+
+    def _inner_kernel(self):
+        """The inner seek's selection kernel (``False`` without an inner
+        predicate), or None when the columnar probe does not apply."""
+        inner = self.inner
+        if (self.outer_keys is None or type(inner) is not IndexSeek
+                or inner.in_fns is not None
+                or len(self.outer_keys) != len(inner.key_fns)):
+            return None
+        if inner.predicate is None:
+            return False
+        return selection_fn(getattr(inner.predicate, "ir", None))
+
+    def col_batches(self, size=DEFAULT_BATCH_SIZE):
+        """Columnar probe: outer key columns in, (outer index, inner rid)
+        pairs out, one gathered batch per outer batch; the inner predicate
+        and the residual become its selection vector."""
+        kernel = self._inner_kernel()
+        if kernel is None:
+            yield from PhysicalOperator.col_batches(self, size)
+            return
+        params = None if not kernel else getattr(self.inner.predicate, "params", None)
+        table = self.inner.table
+        store = column_store(table).columns
+        rid_at = store_positions(table)  # None: rids are store positions
+        seek_keys = self.inner.index.seek_keys
+        keys_at = self.outer_keys
+        residual_sel = _batch_selector(self.residual, self._outer_env)
+        for batch in self.outer.col_batches(size):
+            sel = batch.sel
+            indexes = range(batch.length) if sel is None else sel
+            columns = batch.columns
+            hits = seek_keys(zip(*[
+                columns[p] if sel is None else map(columns[p].__getitem__, sel)
+                for p in keys_at]))
+            rids = list(chain.from_iterable(hits))
+            if not rids:
+                continue
+            outer_at = list(chain.from_iterable(map(repeat, indexes, map(len, hits))))
+            inner_cols = _gather(
+                store, rids if rid_at is None else list(map(rid_at.__getitem__, rids)))
+            n = len(rids)
+            live = kernel(inner_cols, None, n, params) if kernel else None
+            if live is not None and not live:
+                continue
+            joined = ColumnBatch(_gather(columns, outer_at) + inner_cols, n, live)
+            if residual_sel is not None:
+                live = residual_sel(joined)
+                if not live:
+                    continue
+                joined.sel = live
+            yield joined
 
     def close(self):
         self.outer.close()
@@ -1353,10 +1419,12 @@ class SwitchUnion(PhysicalOperator):
 class RemoteQuery(PhysicalOperator):
     """Ship a SQL query to the back-end server and stream its result.
 
-    ``remote_executor`` is a callable ``(sql) -> (rows, n_cols)`` provided
-    by the cache's connection to the back-end.  The query is issued during
-    ``open`` (binding phase), mirroring the paper's observation that remote
-    binding makes plan setup more expensive.
+    ``remote_executor`` is a callable ``(sql) -> ColumnBatch`` provided by
+    the cache's connection to the back-end: the result arrives as one
+    dense batch, which ``col_batches`` serves as is and ``rows`` /
+    ``all_rows`` zip once.  The query is issued during ``open`` (binding
+    phase), mirroring the paper's observation that remote binding makes
+    plan setup more expensive.
 
     In a plan template the text holds placeholders for the statement's
     bindable literals; ``params`` is then the template's parameter cell
@@ -1381,18 +1449,19 @@ class RemoteQuery(PhysicalOperator):
 
     def open(self, ctx, outer_env=None):
         sql = self.sql
-        rows = self.remote_executor(sql)
-        self._buffered = rows
-        ctx.record_remote_query(sql, len(rows))
+        batch = self.remote_executor(sql)
+        self._buffered = batch
+        ctx.record_remote_query(sql, batch.n_rows)
 
     def rows(self):
-        return iter(self._buffered)
+        return iter(self._buffered.to_rows())
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
-        return _columnarize(self._buffered, self.output, size)
+        batch = self._buffered
+        return [batch] if batch.n_rows else []
 
     def all_rows(self):
-        return list(self._buffered)
+        return self._buffered.to_rows()
 
     def close(self):
         self._buffered = None

@@ -367,7 +367,8 @@ class FleetNode(MTCache):
             return out
 
     def remote_executor(self, sql, shards=None):
-        """Rows-only back-end endpoint for RemoteQuery operators."""
+        """Back-end endpoint for RemoteQuery operators: the column result
+        of ``execute_remote``, passed through unchanged."""
         return self._backend_call(
             self.backend.execute_remote, sql, shards, shards=shards
         )

@@ -417,7 +417,13 @@ class Optimizer:
                         if residual_all is not None
                         else None
                     )
-                    return ops.IndexNLJoin(left.operator(), inner, nl_binding, residual=residual)
+                    # The same key columns as outer-row positions, for the
+                    # columnar probe (None when one lives further out).
+                    resolved = [left.binding.resolve(ref) for ref in ordered_outer_refs]
+                    outer_keys = ([pos for _, pos in resolved]
+                                  if all(kind == "local" for kind, _ in resolved) else None)
+                    return ops.IndexNLJoin(left.operator(), inner, nl_binding,
+                                           residual=residual, outer_keys=outer_keys)
 
                 nl_cost = (
                     left.cost

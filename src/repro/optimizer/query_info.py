@@ -97,7 +97,9 @@ def _try_semi_join(conjunct, catalog):
     None.  Eligible: outer operand a plain column, inner a single-block
     single-table projection of one plain column, uncorrelated (every inner
     reference resolves against the inner table).  Negated conjuncts
-    (NOT IN) become anti joins."""
+    (NOT IN) become anti joins.  An inner CURRENCY clause does not stand
+    in the way: the statement's normalised constraint already carries
+    it."""
     if not isinstance(conjunct, ast.InSubquery):
         return None
     if not isinstance(conjunct.operand, ast.ColumnRef):
@@ -108,7 +110,6 @@ def _try_semi_join(conjunct, catalog):
         or select.having is not None
         or select.distinct
         or select.limit is not None
-        or select.currency is not None
     ):
         return None
     if len(select.from_items) != 1 or not isinstance(select.from_items[0], ast.FromTable):

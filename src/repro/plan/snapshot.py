@@ -198,6 +198,7 @@ def _ser_index_nl_join(op):
         "inner": _serialize_op(op.inner),
         "binding": _binding_obj(op.output),
         "residual": _expr_obj(op.residual, "join residual"),
+        "outer_keys": op.outer_keys,
     }
 
 
@@ -413,6 +414,7 @@ class _Instantiator:
             self.build(node["inner"]),
             self._binding(node["binding"]),
             residual=self._expr(node["residual"]),
+            outer_keys=node.get("outer_keys"),
         )
 
     def _build_Sort(self, node):

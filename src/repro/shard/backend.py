@@ -53,7 +53,8 @@ from repro.common.backend import Backend, ReplicationSource, stable_shard_hash
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ExecutionError
 from repro.common.scheduler import EventScheduler
-from repro.engine.executor import ExecutionContext, PhaseTimings, QueryResult
+from repro.engine.columnar import ColumnBatch
+from repro.engine.executor import BatchResult, ExecutionContext, PhaseTimings, QueryResult
 from repro.obs.metrics import NULL_REGISTRY
 from repro.optimizer.cost import CostModel
 from repro.optimizer.query_info import _constant_value, _has_subquery, _split_conjuncts
@@ -66,6 +67,11 @@ from repro.sql import ast
 from repro.sql.parser import parse
 
 __all__ = ["ShardedBackend", "ShardRoute"]
+
+
+def _concat_legs(legs):
+    """Shard legs' results as one dense ColumnBatch, in leg order."""
+    return ColumnBatch.concat([leg.as_batch() for leg in legs], len(legs[0].columns))
 
 
 class ShardRoute:
@@ -674,7 +680,8 @@ class ShardedBackend(Backend):
         raise ExecutionError(f"unsupported statement: {type(stmt).__name__}")
 
     def execute_remote(self, sql, shards=None):
-        """Rows-only endpoint; honours an optimizer shard pin.
+        """The cache's endpoint: one dense ColumnBatch, the legs' columns
+        concatenated; honours an optimizer shard pin.
 
         A pin means the caller proved the statement only touches rows on
         those partitions (a guarded point plan), so the select runs there
@@ -687,12 +694,11 @@ class ShardedBackend(Backend):
             elif isinstance(sql, str) and is_select_text(sql):
                 text, select = sql, None
             else:
-                return self.execute(sql).rows
-            rows = []
-            for shard in sorted({s % self.partition_count for s in shards}):
-                rows.extend(self._run_on(shard, select, sql=text).rows)
-            return rows
-        return self.execute(sql).rows
+                return self.execute(sql).as_batch()
+            legs = [self._run_on(shard, select, sql=text)
+                    for shard in sorted({s % self.partition_count for s in shards})]
+            return _concat_legs(legs)
+        return self.execute(sql).as_batch()
 
     def _run_on(self, shard, select, ctx=None, sql=None):
         """One leg on one partition: by text through its plan cache when
@@ -723,9 +729,8 @@ class ShardedBackend(Backend):
             return self._run_on(route.shards[0], select, ctx, sql)
         if route.mode == "scatter":
             legs = [self._run_on(shard, select, ctx, sql) for shard in route.shards]
-            rows = [row for leg in legs for row in leg.rows]
             timings = PhaseTimings(run=max(leg.timings.total for leg in legs))
-            return QueryResult(legs[0].columns, rows, timings, ctx)
+            return BatchResult(legs[0].columns, _concat_legs(legs), timings, ctx)
         if route.mode == "fetch":
             return self._execute_fetch(select, route, ctx)
         return self._execute_gather(select, ctx)

@@ -104,6 +104,35 @@ class Index:
             pos += 1
         return out
 
+    def seek_keys(self, keys):
+        """Row ids per key for a run of equality probes: one sequence per
+        key of ``keys``, in index order.  A key may be a prefix of the
+        index key: a bare prefix tuple sorts before all of its
+        extensions, so one bisect lands on its first entry.  A key with a
+        NULL part matches nothing."""
+        entries = self._entries
+        n = len(entries)
+        full = len(self.key_positions)
+        bisect_left = bisect.bisect_left
+        out = []
+        for key in keys:
+            if None in key:
+                out.append(())
+                continue
+            pos = bisect_left(entries, (key,))
+            hits = []
+            if len(key) == full:
+                while pos < n and entries[pos][0] == key:
+                    hits.append(entries[pos][1])
+                    pos += 1
+            else:
+                width = len(key)
+                while pos < n and entries[pos][0][:width] == key:
+                    hits.append(entries[pos][1])
+                    pos += 1
+            out.append(hits)
+        return out
+
     def range(self, low=None, high=None, low_inclusive=True, high_inclusive=True):
         """Yield (key, rid) pairs with low <= key <= high, in key order.
 

@@ -43,7 +43,7 @@ class HeapTable:
         #: Bumped on every successful mutation; cheap change detection for
         #: derived structures (the columnar engine's column store).
         self.mutation_count = 0
-        self._column_store = None  # (mutation_count, ColumnBatch) cache
+        self._column_store = None  # (mutation_count, ColumnBatch, rid -> position)
         self.indexes = {}
         self.primary_key = None
         if primary_key:
@@ -98,14 +98,14 @@ class HeapTable:
         self.schema.validate_row(values)
         rid = len(self._rows)
         version = RowVersion(values, xtime, commit_time)
-        # Insert into indexes first so a uniqueness violation leaves the
-        # heap untouched.
+        # Insert into indexes first so a failure (a uniqueness violation,
+        # a key that does not compare) leaves the heap untouched.
         inserted = []
         try:
             for ix in self.indexes.values():
                 ix.insert(values, rid)
                 inserted.append(ix)
-        except StorageError:
+        except Exception:
             for ix in inserted:
                 ix.delete(values, rid)
             raise
@@ -137,7 +137,7 @@ class HeapTable:
             for ix in self.indexes.values():
                 ix.insert(values, rid)
                 inserted.append(ix)
-        except StorageError:
+        except Exception:
             # Roll back: drop the new entries, restore the old ones.
             for ix in inserted:
                 ix.delete(values, rid)
@@ -149,6 +149,27 @@ class HeapTable:
         version.commit_time = commit_time
         self.mutation_count += 1
         return old
+
+    def restore(self, rid, before):
+        """Put row ``rid`` back to ``before`` — ``(values, xtime,
+        commit_time)``, or None for no row — indexes included: the undo
+        of a failed commit.  Undoing the newest insert pops it, so the
+        heap is as it was before."""
+        current = self._rows[rid]
+        if current is not None:
+            for ix in self.indexes.values():
+                ix.delete(current.values, rid)
+            self._live -= 1
+        if before is not None:
+            for ix in self.indexes.values():
+                ix.insert(before[0], rid)
+            self._live += 1
+            self._rows[rid] = RowVersion(*before)
+        elif rid == len(self._rows) - 1:
+            self._rows.pop()
+        else:
+            self._rows[rid] = None
+        self.mutation_count += 1
 
     def truncate(self):
         """Remove all rows."""

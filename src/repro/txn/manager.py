@@ -113,34 +113,53 @@ class TransactionManager:
         return self._next_txn_id - 1
 
     def _commit(self, txn):
+        """Apply ``txn``'s operations all or nothing.  On any failure the
+        applied ones are undone in reverse order and the exception
+        propagates: nothing reaches the log and the txn id is not used.
+        The log records are appended only once every operation applied."""
         txn_id = self._next_txn_id
         commit_time = self.clock.now()
-        for op in txn._ops:
-            table = self._table(op.table)
-            if op.op is Operation.INSERT:
-                table.insert(op.values, xtime=txn_id, commit_time=commit_time)
-                old = None
-            elif op.op is Operation.UPDATE:
-                rid = table.pk_lookup(op.pk)
-                if rid is None:
-                    raise StorageError(f"update: no row with pk {op.pk} in {table.name}")
-                old = table.update(rid, op.values, xtime=txn_id, commit_time=commit_time)
-            else:
-                rid = table.pk_lookup(op.pk)
-                if rid is None:
-                    raise StorageError(f"delete: no row with pk {op.pk} in {table.name}")
-                old = table.delete(rid, xtime=txn_id, commit_time=commit_time)
-            self.log.append(
-                LogRecord(
-                    txn_id,
-                    commit_time,
-                    op.table,
-                    op.op,
-                    op.pk,
-                    values=op.values,
-                    old_values=old,
+        records = []
+        undo = []  # (table, rid, row before): applied ops, in order
+        try:
+            for op in txn._ops:
+                table = self._table(op.table)
+                if op.op is Operation.INSERT:
+                    rid = table.insert(op.values, xtime=txn_id, commit_time=commit_time)
+                    undo.append((table, rid, None))
+                    old = None
+                else:
+                    rid = table.pk_lookup(op.pk)
+                    if rid is None:
+                        raise StorageError(
+                            f"{op.op.value}: no row with pk {op.pk} in {table.name}")
+                    # update() changes the version in place: copy it.
+                    v = table.version(rid)
+                    before = (v.values, v.xtime, v.commit_time)
+                    if op.op is Operation.UPDATE:
+                        old = table.update(rid, op.values, xtime=txn_id,
+                                           commit_time=commit_time)
+                    else:
+                        old = table.delete(rid, xtime=txn_id, commit_time=commit_time)
+                    undo.append((table, rid, before))
+                records.append(
+                    LogRecord(
+                        txn_id,
+                        commit_time,
+                        op.table,
+                        op.op,
+                        op.pk,
+                        values=op.values,
+                        old_values=old,
+                    )
                 )
-            )
+        except Exception:
+            for table, rid, before in reversed(undo):
+                table.restore(rid, before)
+            txn.state = "aborted"
+            raise
+        for record in records:
+            self.log.append(record)
         self._next_txn_id += 1
         self.committed.append((txn_id, commit_time))
         txn.txn_id = txn_id

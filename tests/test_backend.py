@@ -217,7 +217,7 @@ class TestEstimates:
         assert cost_one < cost_all
 
     def test_execute_remote_returns_rows(self, server):
-        rows = server.execute_remote("SELECT d.did FROM dept d ORDER BY d.did")
+        rows = server.execute_remote("SELECT d.did FROM dept d ORDER BY d.did").to_rows()
         assert rows == [(1,), (2,), (3,)]
 
 

@@ -89,9 +89,9 @@ def same_rows(got, expected, sql):
 
 def assert_remote_matches_reference(backend, sql):
     reference = backend.execute_select(parse(sql)).rows
-    cold = backend.execute_remote(sql)
+    cold = backend.execute_remote(sql).to_rows()
     same_rows(cold, reference, sql)
-    same_rows(backend.execute_remote(sql), reference, sql)  # the text hit
+    same_rows(backend.execute_remote(sql).to_rows(), reference, sql)  # the text hit
     # Naive-path statements stay uncached, and so do the fetch/gather
     # routes of a sharded back-end (their final runs on a scratch server).
     try:
@@ -102,7 +102,7 @@ def assert_remote_matches_reference(backend, sql):
     if isinstance(backend, ShardedBackend):
         route = backend.route_select(parse(sql))
         if route.mode == "single":  # the cache's pin for this statement
-            same_rows(backend.execute_remote(sql, shards=route.shards), reference, sql)
+            same_rows(backend.execute_remote(sql, shards=route.shards).to_rows(), reference, sql)
         compiled = compiled and route.mode in ("single", "scatter")
     assert (sql in cached_texts(backend)) is compiled, sql
     for server in servers(backend):
@@ -125,7 +125,7 @@ class TestDifferential:
     def test_point_lookups_share_one_template_per_server(self, engine, partitions):
         backend = make_backend(engine, partitions)
         for key in range(1, 13):
-            assert backend.execute_remote(POINT.format(key)) == [(key, f"cust#{key}")]
+            assert backend.execute_remote(POINT.format(key)).to_rows() == [(key, f"cust#{key}")]
         for server in servers(backend):
             assert len(server.plans.cache.templates) <= 1
             if server.plans.cache:
@@ -136,7 +136,7 @@ class TestDifferential:
         backend = make_backend(engine, partitions)
         sql = "SELECT c.c_custkey FROM customer c WHERE c.c_custkey < {}"
         for key in (5, 9, 5):
-            rows = backend.execute_remote(sql.format(key))
+            rows = backend.execute_remote(sql.format(key)).to_rows()
             assert sorted(rows) == [(k,) for k in range(1, key)]
         for server in servers(backend):
             assert len(server.plans.cache.templates) == 2
@@ -150,7 +150,7 @@ WARM = POINT.format(3)
 
 
 def warm(backend):
-    assert backend.execute_remote(WARM) == [(3, "cust#3")]
+    assert backend.execute_remote(WARM).to_rows() == [(3, "cust#3")]
     backend.execute_remote(WARM)
     plans = {id(server): server.plans.cache.get(WARM) for server in servers(backend)}
     assert any(plan is not None for plan in plans.values())
@@ -159,7 +159,7 @@ def warm(backend):
 
 def assert_recompiles(backend, before):
     assert WARM not in cached_texts(backend)
-    assert backend.execute_remote(WARM) == [(3, "cust#3")]
+    assert backend.execute_remote(WARM).to_rows() == [(3, "cust#3")]
     after = [server.plans.cache.get(WARM) for server in servers(backend)]
     assert any(plan is not None for plan in after)
     assert not any(plan is not None and plan is before.get(id(server))
@@ -197,12 +197,12 @@ class TestInvalidation:
     def test_a_new_index_is_used_by_the_next_remote_call(self, partitions):
         backend = make_backend(partitions=partitions)
         sql = "SELECT o.o_orderkey FROM orders o WHERE o.o_custkey = 7"
-        expected = sorted(backend.execute_remote(sql))
+        expected = sorted(backend.execute_remote(sql).to_rows())
         assert "IndexSeek" not in "".join(
             plan.explain() for plan in
             (s.plans.cache.get(sql) for s in servers(backend)) if plan is not None)
         backend.create_index("CREATE INDEX ix_ocust ON orders (o_custkey)")
-        assert sorted(backend.execute_remote(sql)) == expected
+        assert sorted(backend.execute_remote(sql).to_rows()) == expected
         plans = [s.plans.cache[sql] for s in servers(backend) if sql in s.plans.cache]
         assert plans and all("IndexSeek(orders.ix_ocust)" in p.explain() for p in plans)
 
@@ -219,7 +219,7 @@ def test_a_promoted_replica_compiles_afresh(engine):
     backend.promote_shard(shard)
     new = backend.partitions[shard]
     assert new is not old and not new.plans.cache
-    assert backend.execute_remote(WARM, shards=(shard,)) == [(3, "cust#3")]
+    assert backend.execute_remote(WARM, shards=(shard,)).to_rows() == [(3, "cust#3")]
     assert WARM in new.plans.cache
 
 
@@ -278,8 +278,8 @@ class TestParseCounts:
         del parses[:]
         same_shard = next(k for k in range(4, 40)
                           if (backend.shard_of("customer", k) or 0) == pin[0])
-        assert backend.execute_remote(POINT.format(3), shards=pin) == [(3, "cust#3")]
-        assert backend.execute_remote(POINT.format(same_shard), shards=pin) == [
+        assert backend.execute_remote(POINT.format(3), shards=pin).to_rows() == [(3, "cust#3")]
+        assert backend.execute_remote(POINT.format(same_shard), shards=pin).to_rows() == [
             (same_shard, f"cust#{same_shard}")]
         assert parses == []
 

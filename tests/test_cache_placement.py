@@ -56,7 +56,7 @@ class TestRemoteSQLGeneration:
         placement = cache.placement
         info = info_for(cache, "SELECT i.id FROM item i WHERE i.cat = 3")
         candidate = placement._operand_remote_candidate(info.operand("i"))
-        rows = backend.execute_remote(candidate.operator().sql)
+        rows = backend.execute_remote(candidate.operator().sql).to_rows()
         assert all(r[0] == 3 for r in rows)  # cat sorted first alphabetically
 
     def test_subset_remote_includes_join_conjuncts(self, env):

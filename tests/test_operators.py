@@ -5,6 +5,7 @@ import pytest
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ExecutionError
 from repro.engine import operators as ops
+from repro.engine.columnar import ColumnBatch
 from repro.engine.executor import ExecutionContext, Executor
 from repro.engine.expressions import (
     ExpressionContext,
@@ -402,7 +403,7 @@ class TestRemoteQuery:
 
         def remote(sql):
             calls.append(sql)
-            return [(1,), (2,)]
+            return ColumnBatch.from_rows([(1,), (2,)], 1)
 
         plan = ops.RemoteQuery("SELECT x FROM t", binding, remote)
         result = run_op(plan)

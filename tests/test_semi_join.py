@@ -191,3 +191,45 @@ class TestCacheBehavior:
         assert plan.summary() == "remote"
         result = cache.execute(QUERY)
         assert len(result.rows) == 40
+
+
+class TestInnerCurrencyClause:
+    """A CURRENCY clause on the inner block keeps the semi-join rewrite:
+    the statement ships whole, and the back-end plans the shipped text
+    (which still carries the inner clause) as a hash semi join, not on
+    the naive path."""
+
+    INNER = ("SELECT e.eid FROM emp e WHERE e.did IN (SELECT d.did FROM dept d "
+             "WHERE d.budget > 5000 CURRENCY BOUND 600 SEC ON (d))")
+
+    def sqlite_rows(self):
+        import sqlite3
+
+        db = sqlite3.connect(":memory:")
+        db.execute("CREATE TABLE emp (eid INTEGER, did INTEGER, sal REAL)")
+        db.execute("CREATE TABLE dept (did INTEGER, budget REAL)")
+        db.executemany("INSERT INTO emp VALUES (?, ?, ?)",
+                       [(i, i % 10, float(i * 10)) for i in range(1, 101)])
+        db.executemany("INSERT INTO dept VALUES (?, ?)",
+                       [(i, float(i * 1000)) for i in range(10)])
+        return db.execute(QUERY).fetchall()
+
+    def test_inner_clause_is_recognized(self, server):
+        info = analyze_select(parse(self.INNER), server.catalog)
+        assert len(info.semi_joins) == 1 and not info.post_conjuncts
+
+    def test_shipped_text_plans_a_semi_join_on_the_backend(self, server):
+        from collections import Counter
+
+        from repro.cache.mtcache import MTCache
+
+        cache = MTCache(server)
+        cache.create_region("r", 10, 2, heartbeat_interval=1)
+        cache.create_matview("dept_copy", "dept", ["did", "budget"], region="r")
+        cache.run_for(11)
+        result = cache.execute(self.INNER)
+        [(shipped, _)] = result.context.remote_queries
+        assert "CURRENCY" in shipped  # the inner clause travels with the text
+        plan = "\n".join(line for (line,) in server.explain(shipped).rows)
+        assert "naive plan" not in plan and "HashSemiJoin" in plan, plan
+        assert Counter(result.rows) == Counter(self.sqlite_rows())

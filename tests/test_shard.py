@@ -129,12 +129,12 @@ class TestShardRouting:
         shard = self.backend.shard_of("inv", 7)
         rows = self.backend.execute_remote(
             "SELECT i.id, i.qty FROM inv i WHERE i.id = 7", shards=(shard,)
-        )
+        ).to_rows()
         assert [r[0] for r in rows] == [7]
         other = tuple(s for s in range(4) if s != shard)
         assert self.backend.execute_remote(
             "SELECT i.id FROM inv i WHERE i.id = 7", shards=other
-        ) == []
+        ).to_rows() == []
 
 
 class TestCrossShardEquivalence:

@@ -169,3 +169,84 @@ class TestReplicationLog:
         _, _, manager = make_manager()
         manager.run(lambda txn: [txn.insert("t", (1, 1.0)), txn.insert("t", (2, 1.0))])
         assert [r.seq for r in manager.log] == [0, 1]
+
+
+class TestAtomicCommit:
+    """A commit applies all of its operations or none: a failing one
+    undoes the ones before it, nothing reaches the log, and its txn id
+    goes to the next commit."""
+
+    def snapshot(self, table):
+        return [(rid, v.values, v.xtime, v.commit_time) for rid, v in table.scan_versions()]
+
+    def test_failed_commit_undoes_update_delete_and_insert(self):
+        clock, table, manager = make_manager()
+        manager.run(lambda txn: [txn.insert("t", (i, float(i))) for i in range(1, 5)])
+        clock.advance(3.0)
+        before = self.snapshot(table)
+        pk_index = table.clustered_index()
+        entries = list(pk_index.scan())
+
+        def doomed(txn):
+            txn.update("t", (1,), (1, 10.0))
+            txn.delete("t", (2,))
+            txn.insert("t", (7, 7.0))
+            txn.insert("t", (3, 3.5))  # duplicate key: fails at commit
+
+        with pytest.raises(StorageError):
+            manager.run(doomed)
+        assert self.snapshot(table) == before
+        assert list(pk_index.scan()) == entries
+        assert len(table._rows) == 4  # the undone insert left no tombstone
+        assert len(manager.log) == 4 and manager.last_txn_id == 1
+        assert manager.run(lambda txn: txn.insert("t", (7, 7.0))).txn_id == 2
+        assert [r.txn_id for r in manager.log.records[4:]] == [2]
+
+    def test_failed_commit_leaves_the_transaction_aborted(self):
+        _, _, manager = make_manager()
+        txn = manager.begin()
+        txn.update("t", (99,), (99, 1.0))
+        with pytest.raises(StorageError):
+            txn.commit()
+        assert txn.state == "aborted" and txn.txn_id is None
+
+    def test_server_statement_failing_midway_is_invisible_and_unlogged(self):
+        from repro.cache.backend import BackendServer
+
+        server = BackendServer()
+        server.create_table("CREATE TABLE c (cid INT NOT NULL, pid INT, PRIMARY KEY (cid))")
+        server.execute("INSERT INTO c VALUES (1, 10)")
+        log = server.txn_manager.log
+        n, last = len(log), server.txn_manager.last_txn_id
+        with pytest.raises(StorageError):
+            server.execute("INSERT INTO c VALUES (5, 50), (1, 11)")
+        assert server.execute("SELECT c.cid, c.pid FROM c c").rows == [(1, 10)]
+        assert len(log) == n
+        server.execute("INSERT INTO c VALUES (6, 60)")
+        assert [(r.txn_id, r.pk) for r in log.records[n:]] == [(last + 1, (6,))]
+
+    def test_index_insert_failing_on_a_non_storage_error_rolls_back(self):
+        # A NULL in an indexed column does not compare with the stored
+        # keys: the insert fails cleanly and leaves no primary-key entry.
+        from repro.cache.backend import BackendServer
+
+        server = BackendServer()
+        server.create_table("CREATE TABLE c (cid INT NOT NULL, pid INT, PRIMARY KEY (cid))")
+        server.create_index("CREATE INDEX ix_pid ON c (pid)")
+        server.execute("INSERT INTO c VALUES (1, 10)")
+        with pytest.raises(TypeError):
+            server.execute("INSERT INTO c VALUES (2, NULL)")
+        server.execute("INSERT INTO c VALUES (2, 20)")
+        assert server.execute("SELECT c.cid, c.pid FROM c c").rows == [(1, 10), (2, 20)]
+
+    def test_failed_update_rolls_back_its_index_entries(self):
+        schema = Schema([Column("id", DataType.INT, nullable=False),
+                         Column("v", DataType.INT)])
+        table = HeapTable("u", schema, primary_key=["id"])
+        index = table.create_index("ix_v", ["v"])
+        rid = table.insert((1, 5))
+        table.insert((2, 6))
+        with pytest.raises(TypeError):
+            table.update(rid, (1, None))
+        assert table.row(rid) == (1, 5)
+        assert [key for key, _ in index.scan()] == [(5,), (6,)]
