@@ -839,7 +839,8 @@ class MTCache:
         intersect; only an unambiguous single-shard pin is returned —
         anything wider falls back to the conservative all-shards guard.
         A plan template's bindable key is classified by its shard, not
-        read, so the template is keyed on the shard it pins.
+        read, and an IN-list's items as one set, so the template is keyed
+        on the shards it spans.
         """
         pcol = self.backend.partition_column(operand.table_name)
         if pcol is None:
@@ -853,7 +854,7 @@ class MTCache:
             if sarg.op == "=":
                 shards = {ast.classify(sarg.value, shard_of)}
             elif sarg.op == "in":
-                shards = {ast.classify(value, shard_of) for value in sarg.value}
+                shards = ast.classify_set(sarg.value, shard_of)
             else:
                 continue
             pinned = shards if pinned is None else pinned & shards

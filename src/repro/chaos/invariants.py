@@ -68,20 +68,10 @@ class InvariantChecker:
         """Audit one delivered result against its declared bound.
 
         Returns the violations found for this result (empty = clean).
-
-        A scatter-gathered result (``result.shard_results``) is audited
-        leg by leg: each single-shard leg must satisfy the bound and the
-        one-snapshot rule on its own, while the merged row set is allowed
-        to mix per-shard snapshots — that is exactly the per-shard C&C
-        rule (the merged result is as current as its stalest leg, which
-        the worst leg's own bound check already covers).
+        A multi-shard read is one result too: its guard vouches for the
+        stalest contributing shard's snapshot, so the bound and the
+        one-snapshot rule apply to it unchanged.
         """
-        sub_results = getattr(result, "shard_results", None)
-        if sub_results:
-            found = []
-            for sub in sub_results:
-                found.extend(self.check_result(sub, bound, now=now))
-            return found
         self.results_checked += 1
         now = self.fleet.clock.now() if now is None else now
         found = []

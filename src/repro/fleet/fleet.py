@@ -16,19 +16,14 @@ with the nodes truly running in parallel.  That is the number the fleet
 throughput benchmark compares against a single cache.
 """
 
-from repro.common.errors import FleetStateError, ParseError
-from repro.engine.executor import ExecutionContext, PhaseTimings, QueryResult
+from repro.common.errors import FleetStateError
 from repro.fleet.config import FleetConfig
 from repro.fleet.network import SimulatedNetwork
 from repro.fleet.node import FleetNode, NodeLifecycle
 from repro.fleet.routing import bound_from_sql, make_policy
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.trace import TraceLog
-from repro.optimizer.query_info import _constant_value, _split_conjuncts
 from repro.plan.store import PlanSnapshotStore
-from repro.sql import ast
-from repro.sql.lexer import fingerprint
-from repro.sql.parser import parse
 
 #: Floor on a query's simulated service time, so zero-cost results still
 #: occupy their node for a tick.
@@ -38,26 +33,15 @@ _MIN_SERVICE = 1e-6
 class FleetRouter:
     """Routes queries to nodes according to a pluggable policy.
 
-    Over a sharded back-end the router additionally *scatter-gathers*:
-    a select whose IN-list on the partition column spans several shards
-    is split into one single-shard leg per shard (each a normal query
-    the policy routes independently, so legs land on different nodes),
-    and the legs' rows are concatenated.  The merged result carries the
-    per-shard C&C rule — its recorded snapshots are the union over the
-    legs, so it is only as current as the stalest contributing shard —
-    and exposes the legs as ``result.shard_results``.
+    Every statement goes to one node.  A select that spans several
+    shards needs no splitting here: the node's plan reads them in one
+    pass under a guard over the contributing shards, so the result is as
+    current as its stalest shard (per-shard C&C).
     """
-
-    #: Bound on the remembered shapes (a memo, so clearing it is harmless).
-    NEVER_SCATTERS_MAX = 1024
 
     def __init__(self, fleet, policy="round_robin"):
         self.fleet = fleet
         self.policy = make_policy(policy)
-        #: Statement shapes known not to scatter, valid for one back-end
-        #: ddl epoch (partition columns are schema).
-        self._never_scatters = set()
-        self._scatter_epoch = None
 
     def set_policy(self, policy):
         self.policy = make_policy(policy)
@@ -84,186 +68,12 @@ class FleetRouter:
         return self.policy.choose(candidates, bound=bound)
 
     def execute(self, sql, bound=None, session=None):
-        """Route and execute one statement; annotates the result with the
-        serving node's name (``result.node``).
-
-        Multi-shard IN-list selects are scatter-gathered (see the class
-        docstring); everything else takes the single-leg path.  A
-        read-your-writes ``session`` rides along to whichever node the
-        policy picks — tokens are keyed by replication source, so the
-        floor means the same thing on every node.
-        """
-        legs = self.scatter_split(sql)
-        if legs is None:
-            return self._execute_one(sql, bound=bound, session=session)
-        merged = self._execute_scatter(legs, bound=bound, session=session)
-        recorder = self.fleet.history
-        if recorder is not None:
-            recorder.record_scatter(
-                node=merged.node,
-                sql=sql,
-                time=self.fleet.clock.now(),
-                legs=[
-                    getattr(r, "history_qid", None)
-                    for r in merged.shard_results
-                ],
-                shards=[r.shard for r in merged.shard_results],
-                rows=len(merged.rows),
-            )
-        return merged
-
-    # ------------------------------------------------------------------
-    # Scatter-gather over a sharded back-end
-    # ------------------------------------------------------------------
-    def scatter_split(self, sql):
-        """Split a multi-shard IN-list select into single-shard legs.
-
-        Returns ``[(shard_id, leg_sql), ...]`` when the statement is a
-        plain select over one table whose only cross-shard fan-out is a
-        top-level ``pcol IN (...)`` conjunct spanning >1 shard — the one
-        shape where splitting is exact (shards hold disjoint rows and
-        there is no final aggregation/ordering pass).  Anything else
-        returns None and routes as a single query.
-
-        Whether a statement *can* scatter is a property of its shape
-        (the fingerprint fixes everything but the literals' values), so
-        the router parses only shapes that can, and remembers the rest
-        until the back-end's schema changes.
-        """
-        backend = self.fleet.backend
-        if getattr(backend, "partition_count", 1) <= 1:
-            return None
-        if not isinstance(sql, str):
-            return None
-        epoch = backend.ddl_epoch
-        if (
-            epoch != self._scatter_epoch
-            or len(self._never_scatters) > self.NEVER_SCATTERS_MAX
-        ):
-            self._never_scatters.clear()
-            self._scatter_epoch = epoch
-        shape, _ = fingerprint(sql)
-        if shape in self._never_scatters:
-            return None
-        try:
-            stmt = parse(sql)
-        except ParseError:
-            return None  # not remembered: LIMIT 1.5 and LIMIT 1 share a shape
-        target = self._scatter_in_list(stmt)
-        if target is None:
-            self._never_scatters.add(shape)
-            return None
-        table, conjuncts, split_at = target
-        in_list = conjuncts[split_at]
-        by_shard = {}
-        for item in in_list.items:
-            ok, value = _constant_value(item)
-            if not ok:
-                return None
-            shard = backend.shard_of(table.name, value)
-            by_shard.setdefault(shard, []).append(item)
-        if len(by_shard) <= 1:
-            return None
-        legs = []
-        for shard in sorted(by_shard):
-            parts = list(conjuncts)
-            parts[split_at] = ast.InList(in_list.operand, by_shard[shard])
-            where = parts[0]
-            for conjunct in parts[1:]:
-                where = ast.BinaryOp("and", where, conjunct)
-            leg = ast.Select(
-                stmt.items, [table], where=where, currency=stmt.currency
-            )
-            legs.append((shard, leg.to_sql()))
-        return legs
-
-    def _scatter_in_list(self, stmt):
-        """``(table, conjuncts, index of the partition-column IN-list)``
-        for a statement of the one shape that scatters, else None.  Looks
-        at structure only, never at a literal's value."""
-        if not isinstance(stmt, ast.Select):
-            return None
-        if (
-            len(stmt.from_items) != 1
-            or not isinstance(stmt.from_items[0], ast.FromTable)
-            or stmt.group_by
-            or stmt.having is not None
-            or stmt.order_by
-            or stmt.distinct
-            or stmt.limit is not None
-        ):
-            return None
-        for item in stmt.items:
-            if item.star:
-                continue
-            if any(
-                isinstance(node, ast.FuncCall) and node.is_aggregate
-                for node in item.expr.walk()
-            ):
-                return None
-        table = stmt.from_items[0]
-        pcol = self.fleet.backend.partition_column(table.name)
-        if pcol is None:
-            return None
-        conjuncts = _split_conjuncts(stmt.where)
-        split_at = None
-        for i, conjunct in enumerate(conjuncts):
-            if (
-                isinstance(conjunct, ast.InList)
-                and not conjunct.negated
-                and isinstance(conjunct.operand, ast.ColumnRef)
-                and conjunct.operand.name == pcol
-                and conjunct.operand.qualifier in (None, table.alias)
-            ):
-                if split_at is not None:
-                    return None  # two IN lists on the key: don't split
-                split_at = i
-        if split_at is None:
-            return None
-        return table, conjuncts, split_at
-
-    def _execute_scatter(self, legs, bound=None, session=None):
-        """Run the legs through the normal routed path and merge."""
-        fleet = self.fleet
-        fleet.metrics.counter(
-            "fleet_scatter_total",
-            help="multi-shard selects split by the scatter-gather router",
-        ).inc()
-        fleet.metrics.counter(
-            "fleet_scatter_legs_total",
-            help="single-shard legs issued by the scatter-gather router",
-        ).inc(len(legs))
-        results = []
-        for shard, leg_sql in legs:
-            result = self._execute_one(leg_sql, bound=bound, session=session)
-            result.shard = shard
-            results.append(result)
-        ctx = ExecutionContext(clock=fleet.clock)
-        rows = []
-        service = 0.0
-        for result in results:
-            rows.extend(result.rows)
-            leg_ctx = result.context
-            if leg_ctx is not None:
-                ctx.branches.extend(leg_ctx.branches)
-                ctx.remote_queries.extend(leg_ctx.remote_queries)
-                ctx.snapshots_used.extend(leg_ctx.snapshots_used)
-                ctx.warnings.extend(leg_ctx.warnings)
-            timings = getattr(result, "timings", None)
-            if timings is not None:
-                service = max(service, timings.total)
-        merged = QueryResult(
-            results[0].columns, rows, PhaseTimings(run=service), ctx
-        )
-        #: per-leg results (each annotated with ``.shard`` and ``.node``),
-        #: for invariant checkers and tests auditing the fan-out.
-        merged.shard_results = results
-        merged.node = "+".join(r.node for r in results)
-        return merged
-
-    def _execute_one(self, sql, bound=None, session=None):
-        """The single-leg path: route, execute, charge the capacity
-        ledger and record the query's trace tree.
+        """Route and execute one statement: charge the capacity ledger,
+        record the query's trace tree and annotate the result with the
+        serving node's name (``result.node``).  A read-your-writes
+        ``session`` rides along to whichever node the policy picks —
+        tokens are keyed by replication source, so the floor means the
+        same thing on every node.
 
         The router is the tier that first sees the query, so it creates
         the query's :class:`~repro.obs.trace.TraceContext` here and passes

@@ -11,8 +11,8 @@ over a *history*, so this package records one:
   JSON-lines-serializable sequence of records: every transaction commit
   from every replication source (shard-precise ids), every query's
   local reads with region snapshot times and agent progress, session
-  floors, DML commits, TIMEORDERED brackets, scatter-gather fan-outs,
-  and lifecycle/fault events.  Seed-deterministic: the same seeded run
+  floors, DML commits, TIMEORDERED brackets and lifecycle/fault
+  events.  Seed-deterministic: the same seeded run
   produces byte-identical JSONL (and therefore the same
   :meth:`~repro.history.records.History.digest`).
 * :class:`~repro.history.recorder.HistoryRecorder` — the low-overhead

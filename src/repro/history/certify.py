@@ -13,10 +13,9 @@ re-certified later:
   trade, which is announced, never silent).  Details carry the
   per-region sawtooth reconstruction (sample count, worst age).
 * ``snapshot_consistency`` — §2.3: all local reads inside one declared
-  consistency class come from one snapshot.  Scatter-gather legs are
-  ordinary query records and are certified individually — the *merged*
-  result is allowed to mix shard snapshots (per-shard C&C), the legs
-  are not.
+  consistency class come from one snapshot.  A multi-shard read records
+  one read, at the stalest contributing shard's snapshot (per-shard
+  C&C), which ``currency_bound`` holds to the bound.
 * ``delta_consistency`` — appendix's Δ-consistency distance: the
   transaction-time spread ``max − min`` over the applied-txn sync
   points of the copies one class read (computed with
@@ -249,10 +248,7 @@ class ConsistencyCertifier:
                         spread=round(snapshots[-1] - snapshots[0], 6),
                         views=", ".join(views),
                     ))
-        details = {"scatter_merges": len(self.history.by_kind("scatter"))}
-        return Certificate(
-            "snapshot_consistency", checked, anomalies, details
-        )
+        return Certificate("snapshot_consistency", checked, anomalies)
 
     # ------------------------------------------------------------------
     # Δ-consistency distance in transaction time

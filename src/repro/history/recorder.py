@@ -112,8 +112,7 @@ class HistoryRecorder:
                      snapshots, reads, branches, warnings, remote_queries,
                      session, floors, rows):
         """One completed SELECT; returns its ``qid`` (stable, 1-based,
-        shared across the deployment so scatter legs can be referenced).
-        """
+        shared across the deployment)."""
         if not self.enabled:
             return None
         qid = self._next_qid
@@ -156,19 +155,6 @@ class HistoryRecorder:
             "session": session,
         })
         return qid
-
-    def record_scatter(self, *, node, sql, time, legs, shards, rows):
-        if not self.enabled:
-            return None
-        self.history.append({
-            "kind": "scatter",
-            "node": node,
-            "time": time,
-            "sql": sql,
-            "legs": legs,
-            "shards": shards,
-            "rows": rows,
-        })
 
     def record_timeline(self, *, node, event, time):
         if not self.enabled:

@@ -20,9 +20,6 @@ Record kinds (see DESIGN.md §13 for the field-by-field schema):
   session name + commit floors it ran under.
 * ``dml`` — one write through the cache tier: the per-source commit
   floor the back-end reported.
-* ``scatter`` — one scatter-gather fan-out: the ``qid`` of each leg
-  (legs are ordinary ``query`` records; the merged result is only as
-  current as its stalest leg, per-shard C&C).
 * ``timeline`` — a BEGIN/END TIMEORDERED bracket edge on one node.
 * ``event`` — a lifecycle/fault/invariant event mirrored from the
   fleet's event log.
@@ -40,7 +37,7 @@ __all__ = ["History", "RECORD_KINDS", "canonical_line"]
 
 #: Every record kind a recorder may append, in no particular order.
 RECORD_KINDS = frozenset(
-    {"commit", "query", "dml", "scatter", "timeline", "event"}
+    {"commit", "query", "dml", "timeline", "event"}
 )
 
 

@@ -118,10 +118,13 @@ class PlanCompiler:
                 self.report("demotions")
         classes = dict(known.classes) if known is not None else {}
         classes.update(params.classes)
+        groups = dict(known.groups) if known is not None else {}
+        groups.update(params.groups)
         recipe = ShapeRecipe(
             len(literals),
             set(range(len(literals))).difference(slots),
             {slot: fn for slot, fn in classes.items() if slot in slots},
+            {group: fn for group, fn in groups.items() if set(group) <= set(slots)},
         )
         template = PlanTemplate(plan, params, shape, recipe)
         self.report("misses")

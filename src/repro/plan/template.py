@@ -16,7 +16,10 @@ Each literal token of a shape is a **slot** of one of three kinds:
   costing never looks at the value.
 * *classed* — free, but plan-time code classified the value
   (:meth:`Param.classify`, e.g. the shard a partition key lives on); the
-  key carries the class.
+  key carries the class.  The items of an IN-list are classified as one
+  group (:func:`~repro.sql.ast.classify_set`): the key carries the *set*
+  of their classes, so ``IN (1, 2, 3)`` over shards (0, 1, 0) and over
+  (1, 0, 0) share the plan, which only depends on the shards spanned.
 * *pinned* — part of the key by value: every other literal (ranges,
   select-list and residual literals, LIMIT, the currency bound — plan
   choice is a function of B), and any free slot whose value plan-time
@@ -82,22 +85,28 @@ def parameterize(select, params, pinned):
 
 class ShapeRecipe:
     """How to key the templates of one shape: ``n`` literal slots, of
-    which ``pinned`` are keyed by value and ``classes`` (``(slot, fn)``
-    pairs) by ``fn(value)``; every slot is keyed by its type."""
+    which ``pinned`` are keyed by value, ``classes`` (``(slot, fn)``
+    pairs) by ``fn(value)`` and ``groups`` (``(slots, fn)`` pairs) by the
+    set of ``fn(value)`` over the group; every slot is keyed by its type.
+    Each class and each group is one entry of the key's class part."""
 
-    __slots__ = ("n", "pinned", "classes")
+    __slots__ = ("n", "pinned", "classes", "groups")
 
-    def __init__(self, n, pinned, classes):
+    def __init__(self, n, pinned, classes, groups):
         self.n = n
         self.pinned = tuple(sorted(pinned))
         self.classes = tuple(sorted(classes.items(), key=lambda item: item[0]))
+        self.groups = tuple(sorted(groups.items(), key=lambda item: item[0]))
 
     def key(self, shape, literals):
+        classes = [fn(literals[slot]) for slot, fn in self.classes]
+        for slots, fn in self.groups:
+            classes.append(frozenset([fn(literals[slot]) for slot in slots]))
         return (
             shape,
             tuple(map(type, literals)),
             tuple([literals[slot] for slot in self.pinned]),
-            tuple([fn(literals[slot]) for slot, fn in self.classes]),
+            tuple(classes),
         )
 
 
@@ -115,19 +124,30 @@ class PlanTemplate:
         self.key = recipe.key(shape, params)
 
     def describe(self, literals):
-        """The ``template:`` line of EXPLAIN: the shape and each slot's kind."""
+        """The ``template:`` line of EXPLAIN: the shape and each slot's
+        kind; a group is listed once, at its first slot, with its set."""
         recipe = self.recipe
         classes = dict(recipe.classes)
-        slots = []
+        groups = {slots[0]: (slots, fn) for slots, fn in recipe.groups}
+        grouped = {slot for slots, _ in recipe.groups for slot in slots}
+        parts = []
         for slot, value in enumerate(literals):
+            if slot in groups:
+                slots, fn = groups[slot]
+                members = sorted({str(fn(literals[s])) for s in slots})
+                names = ",".join(f"?{s}" for s in slots)
+                parts.append(f"{names} set={{{', '.join(members)}}}")
+                continue
+            if slot in grouped:
+                continue
             if slot in recipe.pinned:
                 kind = f"pinned={ast.Literal(value).to_sql()}"
             elif slot in classes:
                 kind = f"class={classes[slot](value)}"
             else:
                 kind = "free"
-            slots.append(f"?{slot} {kind}")
-        return f"template: {self.shape} [{', '.join(slots)}]"
+            parts.append(f"?{slot} {kind}")
+        return f"template: {self.shape} [{', '.join(parts)}]"
 
 
 class BoundPlan:
@@ -179,10 +199,10 @@ class PlanCache(OrderedDict):
     handed in (recipes oldest-first: a shape that lost its recipe just
     compiles again).
 
-    A recipe only ever moves slots free -> classed -> pinned, and every
-    such move changes the length of a key's pinned/class tuples, so a
-    template stored under an older recipe can never answer a probe made
-    with a newer one.
+    A recipe only ever moves slots free -> classed (alone or in a group)
+    -> pinned, and every such move changes the length of a key's
+    pinned/class tuples, so a template stored under an older recipe can
+    never answer a probe made with a newer one.
     """
 
     def __init__(self):

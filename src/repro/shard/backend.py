@@ -550,8 +550,9 @@ class ShardedBackend(Backend):
 
     def _conjunct_shards(self, table_name, pcol, alias, conjunct):
         """Shards a conjunct restricts the table to, or None (no pin).
-        A plan template's bindable key is classified, not read: the
-        template is then keyed on the shard it was compiled for."""
+        A plan template's bindable key is classified, not read, and an
+        IN-list's items as one set: the template is then keyed on the
+        shards it was compiled for."""
         if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
             left, right = conjunct.left, conjunct.right
             if not self._is_pcol_ref(left, pcol, alias):
@@ -565,13 +566,13 @@ class ShardedBackend(Backend):
             and not conjunct.negated
             and self._is_pcol_ref(conjunct.operand, pcol, alias)
         ):
-            shards = set()
+            values = []
             for item in conjunct.items:
                 ok, value = _constant_value(item)
                 if not ok:
                     return None
-                shards.add(ast.classify(value, partial(self.shard_of, table_name)))
-            return shards
+                values.append(value)
+            return ast.classify_set(values, partial(self.shard_of, table_name))
         return None
 
     def _pinned_shards(self, table_name, where, alias):

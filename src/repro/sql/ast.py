@@ -91,11 +91,13 @@ class Params(list):
     slot, of the statement the template is running.  Compiled closures
     read it on every row, binding a statement overwrites it in place.
     ``classes`` maps each slot plan-time code classified
-    (:meth:`Param.classify`) to the classifying function."""
+    (:meth:`Param.classify`) to the classifying function, ``groups`` each
+    tuple of slots classified as one set (:func:`classify_set`) to its."""
 
     def __init__(self, values=()):
         super().__init__(values)
         self.classes = {}
+        self.groups = {}
 
 
 class Param(Expr):
@@ -146,6 +148,23 @@ class Param(Expr):
 def classify(value, fn):
     """``fn(value)`` for a plan-time constant that may be a :class:`Param`."""
     return value.classify(fn) if isinstance(value, Param) else fn(value)
+
+
+def classify_set(values, fn):
+    """``{fn(v) for v in values}`` for plan-time constants that may be
+    Params, for a plan decision that depends on the *set* of classes only
+    (the shards an IN-list spans).  The Params are recorded as one group,
+    so the template's key carries the set of their classes: every order
+    and multiplicity of the same classes binds one plan."""
+    slots = tuple(value.slot for value in values if isinstance(value, Param))
+    if not slots:
+        return {fn(value) for value in values}
+    params = next(value.params for value in values if isinstance(value, Param))
+    params.groups[slots] = fn
+    return {
+        fn(params[value.slot] if isinstance(value, Param) else value)
+        for value in values
+    }
 
 
 def params_of(expr):

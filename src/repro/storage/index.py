@@ -63,7 +63,12 @@ class Index:
     def insert(self, row, rid):
         key = self.key_of(row)
         entry = (key, rid)
-        pos = bisect.bisect_left(self._entries, entry)
+        try:
+            pos = bisect.bisect_left(self._entries, entry)
+        except TypeError:
+            # NULL does not order against the stored keys.
+            raise StorageError(f"index {self.name}: key {key} does not compare "
+                               "with the stored keys") from None
         if self.unique:
             # Any entry with the same key (regardless of rid) is a violation.
             if pos < len(self._entries) and self._entries[pos][0] == key:

@@ -7,6 +7,7 @@ import io
 
 import pytest
 
+from repro.cache import mtcache as mtcache_module
 from repro.cache.backend import BackendServer
 from repro.chaos import (
     ChaosScheduler,
@@ -16,7 +17,7 @@ from repro.chaos import (
 )
 from repro.cli import Shell
 from repro.common.errors import FleetStateError, InvariantViolation
-from repro.fleet import CacheFleet, NodeLifecycle
+from repro.fleet import CacheFleet, FleetConfig, NodeLifecycle
 
 LOOSE = "SELECT t.id, t.v FROM t CURRENCY BOUND 600 SEC ON (t)"
 STRICT = "SELECT t.id, t.v FROM t CURRENCY BOUND 2 SEC ON (t)"
@@ -40,6 +41,36 @@ def make_fleet(n_nodes=3, settle=True, **kwargs):
     if settle:
         fleet.run_for(6.0)
     return fleet
+
+
+MULTI_SHARD = (
+    "SELECT t.id, t.v FROM t WHERE t.id IN (1, 2, 3, 4) "
+    "CURRENCY BOUND {} SEC ON (t)"
+)
+
+
+def make_sharded_fleet():
+    """Two nodes over two shards; ``MULTI_SHARD`` spans both."""
+    fleet = FleetConfig(nodes=2, partitions=2).build()
+    backend = fleet.backend
+    backend.create_table(
+        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, PRIMARY KEY (id))"
+    )
+    backend.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+    backend.refresh_statistics()
+    assert {backend.shard_of("t", k) for k in (1, 2, 3, 4)} == {0, 1}
+    fleet.create_region("r", 1.0, 0.25, heartbeat_interval=0.5)
+    fleet.create_matview("t_copy", "t", ["id", "v"], region="r")
+    fleet.run_for(3.0)
+    return fleet
+
+
+def stall_shard(fleet, shard):
+    """Stop every node's agent for one shard: its replicas go stale."""
+    for node in fleet.nodes:
+        for key, agent in node.agents.items():
+            if key.endswith(f"#p{shard}"):
+                agent.stop()
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +359,38 @@ class TestInvariantChecker:
         snap = fleet.metrics.snapshot()
         key = 'chaos_invariant_violations_total{invariant="currency_bound"}'
         assert snap[key] == 1
+
+    def test_unsplit_multi_shard_read_passes(self):
+        fleet = make_sharded_fleet()
+        checker = InvariantChecker(fleet)
+        result = fleet.execute(MULTI_SHARD.format(5))
+        assert result.routing == "local"
+        assert len(result.context.snapshots_used) == 1
+        assert checker.check_result(result, 5.0) == []
+        stall_shard(fleet, 0)
+        fleet.run_for(10.0)
+        result = fleet.execute(MULTI_SHARD.format(5))
+        assert result.routing == "remote"  # the stale shard bounces it all
+        assert checker.check_result(result, 5.0) == []
+
+    def test_multi_shard_guard_skipping_a_stale_shard_is_a_violation(
+        self, monkeypatch
+    ):
+        fleet = make_sharded_fleet()
+        checker = InvariantChecker(fleet)
+        # Plant: the all-shards guard consults only the last shard.
+        real = mtcache_module.MTCache._guard_heartbeats
+        monkeypatch.setattr(
+            mtcache_module.MTCache, "_guard_heartbeats",
+            lambda self, cid, shard: real(self, cid, shard)[-1:],
+        )
+        stall_shard(fleet, 0)
+        fleet.run_for(10.0)
+        result = fleet.execute(MULTI_SHARD.format(5))
+        assert result.routing == "local" and not result.warnings
+        (violation,) = checker.check_result(result, 5.0)
+        assert violation.invariant == "currency_bound"
+        assert violation.attrs["staleness"] > 5.0
 
     def test_convergence_clean_after_settle(self):
         fleet = make_fleet()

@@ -2,10 +2,10 @@
 consistency certifier (DESIGN.md §13).
 
 Covers the recorder's capture points (commits, queries, DML, timeline
-brackets, scatter fan-outs, fleet events), the canonical JSONL round
-trip and digest determinism, clean certification of the default seeded
-chaos schedules, and the three planted anomalies the certifier must
-catch: a broken currency guard, a torn scatter-gather snapshot, and a
+brackets, fleet events), the canonical JSONL round trip and digest
+determinism, clean certification of the default seeded chaos schedules,
+and the three planted anomalies the certifier must catch: a broken
+currency guard, a multi-shard guard that skips a stale shard, and a
 skipped session floor — each producing exactly its expected Anomaly
 kind and nothing else.
 """
@@ -192,20 +192,9 @@ class TestRecorder:
         cache = MTCache(backend)
         assert cache.history is None
 
-    def test_scatter_record_references_leg_qids(self):
-        fleet, history = _sharded_item_fleet()
-        scatters = history.by_kind("scatter")
-        assert len(scatters) == 1
-        scatter = scatters[0]
-        assert len(scatter["legs"]) == len(scatter["shards"]) == 2
-        for qid in scatter["legs"]:
-            leg = history.query(qid)
-            assert leg["reads"]
-        assert scatter["rows"] == 8
-
 
 def _sharded_item_fleet():
-    """A 2-shard fleet plus one executed scatter-gather query; returns
+    """A 2-shard fleet plus one executed multi-shard IN-list read; returns
     ``(fleet, history)``."""
     fleet = FleetConfig(nodes=2, partitions=2, record_history=True).build()
     backend = fleet.backend
@@ -221,13 +210,15 @@ def _sharded_item_fleet():
     fleet.create_region("r", 1.0, 0.25, heartbeat_interval=0.5)
     fleet.create_matview("item_copy", "item", ["id", "v"], region="r")
     fleet.run_for(3.0)
-    result = fleet.execute(
-        "SELECT i.id, i.v FROM item i "
-        "WHERE i.id IN (1, 2, 3, 4, 5, 6, 7, 8) "
-        "CURRENCY BOUND 600 SEC ON (i)"
-    )
-    assert len(result.shard_results) == 2
+    result = fleet.execute(ITEM_IN_LIST.format(600))
+    assert len(result.rows) == 8
     return fleet, fleet.history.history
+
+
+ITEM_IN_LIST = (
+    "SELECT i.id, i.v FROM item i WHERE i.id IN (1, 2, 3, 4, 5, 6, 7, 8) "
+    "CURRENCY BOUND {} SEC ON (i)"
+)
 
 
 # ----------------------------------------------------------------------
@@ -341,22 +332,34 @@ class TestPlantedAnomalies:
         assert anomaly.qid == result.history_qid
         assert anomaly.attrs["staleness"] > anomaly.attrs["bound"] == 600.0
 
-    def test_torn_scatter_snapshot_is_caught_by_snapshot_consistency(self):
+    def test_torn_multi_shard_guard_is_caught_by_currency_bound(
+        self, monkeypatch
+    ):
         fleet, history = _sharded_item_fleet()
+        (read,) = history.by_kind("query")
+        assert sorted(read["reads"][0]["sources"]) == ["p0", "p1"]
         assert certify(history).ok  # clean before the plant
-        scatter = history.by_kind("scatter")[0]
-        leg = history.query(scatter["legs"][0])
-        # Plant the tear: the leg suddenly vouches for a second copy of
-        # the same table at a different snapshot (identical sync points,
-        # so Δ-consistency stays clean — the *snapshot* is what tore).
-        torn = dict(leg["reads"][0])
-        torn["snapshot"] = torn["snapshot"] + 5.0
-        leg["reads"].append(torn)
+        # Plant the tear: the all-shards guard consults only shard 1's
+        # heartbeat, so it vouches for shard 0's rows without checking
+        # them — and shard 0's agents stall.
+        real = mtcache_module.MTCache._guard_heartbeats
+        monkeypatch.setattr(
+            mtcache_module.MTCache, "_guard_heartbeats",
+            lambda self, cid, shard: real(self, cid, shard)[-1:],
+        )
+        for node in fleet.nodes:
+            for key, agent in node.agents.items():
+                if key.endswith("#p0"):
+                    agent.stop()
+        fleet.run_for(10.0)
+        result = fleet.execute(ITEM_IN_LIST.format(5))
+        assert result.routing == "local"
+        assert not result.warnings  # silently wrong — the certifier's case
         report = certify(history)
-        assert anomaly_kinds(report) == {"snapshot_consistency"}
+        assert anomaly_kinds(report) == {"currency_bound"}
         (anomaly,) = report.anomalies
-        assert anomaly.qid == leg["qid"]
-        assert anomaly.attrs["spread"] == 5.0
+        assert anomaly.qid == result.history_qid
+        assert anomaly.attrs["staleness"] > anomaly.attrs["bound"] == 5.0
 
     def test_skipped_session_floor_is_caught_by_session_ryw(self, monkeypatch):
         cache = make_recording_cache()

@@ -19,6 +19,7 @@ from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache
 from repro.common.errors import ParseError
 from repro.engine import ir
+from repro.engine.operators import RemoteQuery
 from repro.fleet import CacheFleet
 from repro.optimizer import placement
 from repro.plan.template import BoundPlan
@@ -513,7 +514,7 @@ class TestLifetime:
 
 
 # ----------------------------------------------------------------------
-# Satellites: one parse per miss, the router's memo, observability
+# One parse per miss, shard-set keys, observability
 # ----------------------------------------------------------------------
 class TestOneParsePerMiss:
     def test_a_miss_parses_once_and_counts_it(self, monkeypatch):
@@ -538,66 +539,85 @@ class TestOneParsePerMiss:
         assert source.count(".probe(sql)") == 1
 
 
-def make_ledger_fleet():
-    from repro.chaos import build_ledger_fleet
-
-    fleet, workload = build_ledger_fleet(3, partitions=2)
-    workload.preload(40)
-    fleet.run_for(2.0)
-    return fleet
+IN_LIST = ("SELECT l.tid, l.leg, l.delta FROM ledger l WHERE l.tid IN ({}, {}, {})"
+           " CURRENCY BOUND {} SEC ON (l)")
 
 
-class TestRouterMemo:
-    STATEMENTS = [
-        "SELECT l.tid, l.leg FROM ledger l WHERE l.tid IN ({0}, {1}, {2}) "
-        "CURRENCY BOUND 600 SEC ON (l)",
-        "SELECT l.tid, l.leg FROM ledger l WHERE l.tid IN ({0}, {0})",
-        "SELECT l.tid FROM ledger l WHERE l.tid = {0} CURRENCY BOUND 2 SEC ON (l)",
-        "SELECT l.tid FROM ledger l WHERE l.tid IN ({0}, {1}) ORDER BY l.tid",
-        "SELECT a.id, a.grp FROM accounts a WHERE a.id = {0}",
-        "SELECT COUNT(*) FROM ledger l WHERE l.tid IN ({0}, {1})",
-        "SELECT l.tid FROM ledger l WHERE l.tid IN ({0}, {1}) AND l.tid IN ({1}, {2})",
-        "SELECT l.tid FROM ledger l WHERE l.leg IN ({0}, {1})",
-        "INSERT INTO ledger VALUES ({0}000, 0, 1, 5), ({0}000, 1, 2, -5)",
-        "SELECT l.tid FROM ledger l WHERE l.tid IN ({0}, ",
-    ]
+def remote_pins(plan):
+    """The shard pin of every RemoteQuery in a plan's operator tree."""
+    pins, stack = [], [plan.root()]
+    while stack:
+        op = stack.pop()
+        if isinstance(op, RemoteQuery):
+            pins.append(op.shards)
+        stack.extend(op.children())
+    return pins
 
-    def test_memo_changes_no_decision_and_skips_the_parser(self, monkeypatch):
-        from repro.fleet import fleet as fleet_module
 
-        fleet = make_ledger_fleet()
-        router = fleet.router
-        parsed = []
-        real = fleet_module.parse
-        monkeypatch.setattr(
-            fleet_module, "parse", lambda sql: parsed.append(sql) or real(sql))
-        decisions = {}
-        for round_ in range(3):
-            for shape in self.STATEMENTS:
-                sql = shape.format(round_ + 1, round_ + 7, round_ + 12)
-                legs = router.scatter_split(sql)
-                router._never_scatters.discard(fingerprint(sql)[0])
-                assert router.scatter_split(sql) == legs  # memo or not: same answer
-                decisions.setdefault(shape, []).append(legs is not None)
-        assert decisions[self.STATEMENTS[0]] == [True, True, True]
-        assert not any(decisions[self.STATEMENTS[2]])
-        del parsed[:]
-        for shape in self.STATEMENTS:
-            router.scatter_split(shape.format(21, 22, 23))
-        # Only the shapes with a lone top-level IN-list on the partition
-        # column (and the unparseable one) still reach the parser.
-        assert [fingerprint(s)[0] for s in parsed] == [
-            fingerprint(self.STATEMENTS[i].format(21, 22, 23))[0] for i in (0, 1, 9)
+class TestShardSetKeys:
+    """An IN-list's template key carries the *set* of shards its items
+    live on, so every order of the same shards binds one plan."""
+
+    def setup_method(self):
+        self.cache = make_cache("columnar", 2)
+        shard_of = self.cache.backend.shard_of
+        self.keys = {0: [], 1: []}
+        for tid in range(1, 31):
+            self.keys[shard_of("ledger", tid)].append(tid)
+
+    def lists(self, *patterns):
+        """One IN-list per shard pattern, drawing fresh keys from each shard."""
+        pools = {shard: iter(keys) for shard, keys in self.keys.items()}
+        return [[next(pools[shard]) for shard in pattern] for pattern in patterns]
+
+    def run(self, tids, bound):
+        misses = events(self.cache, "misses")
+        sql = IN_LIST.format(*tids, bound)
+        assert_warm_equals_cold(self.cache, sql)
+        plan = self.cache._plans.cache[sql]
+        return events(self.cache, "misses") - misses, plan
+
+    @pytest.mark.parametrize("bound", [600, 0])
+    def test_shard_orders_share_one_template(self, bound):
+        lists = self.lists((0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 0))
+        compiled = [self.run(tids, bound)[0] for tids in lists]
+        assert compiled == [1, 0, 0, 0]
+        assert events(self.cache, "binds") == 3
+        assert len(self.cache._plans.cache.templates) == 1
+
+    def test_single_shard_list_compiles_a_pinned_template(self):
+        lists = self.lists((0, 1, 0), (0, 0, 0), (0, 0, 0), (1, 1, 1))
+        (_, spread), (one, pinned), (again, rebound), (other, _) = [
+            self.run(tids, 600) for tids in lists
         ]
+        assert (one, again, other) == (1, 0, 1)
+        assert rebound.template is pinned.template is not spread.template
+        # The pinned plan's remote branch goes to shard 0 alone; the
+        # spread plan's to whichever shards the back-end routes it to.
+        assert remote_pins(pinned) == [(0,)]
+        assert remote_pins(spread) == [None]
 
-    def test_memo_is_dropped_when_the_schema_moves(self):
-        fleet = make_ledger_fleet()
-        router = fleet.router
-        router.scatter_split("SELECT a.id FROM accounts a WHERE a.id = 1")
-        assert router._never_scatters
-        fleet.backend.create_index("CREATE INDEX ix_grp ON accounts (grp)")
-        router.scatter_split("SELECT l.tid FROM ledger l WHERE l.tid = 1")
-        assert len(router._never_scatters) == 1
+    def test_the_remote_branch_binds_on_every_partition(self):
+        # B = 0: every read takes the remote branch, which ShardedBackend
+        # routes to the shards the list spans; each partition compiles its
+        # leg's shape once and binds every later list.
+        for tids in self.lists((0, 1, 0), (1, 0, 0), (0, 0, 1)):
+            result = self.cache.execute(IN_LIST.format(*tids, 0))
+            assert result.routing == "remote"
+        for partition in self.cache.backend.partitions:
+            templates = partition.plans.cache.templates
+            assert len(templates) == 1
+            assert len(partition.plans.cache) == 3
+
+    def test_explain_names_the_set(self):
+        (tids,) = self.lists((1, 0, 1))
+        sql = IN_LIST.format(*tids, 5)
+        lines = [row[0] for row in self.cache.execute("EXPLAIN " + sql).rows]
+        assert [line for line in lines if line.startswith("template:")] == [
+            "template: SELECT l.tid, l.leg, l.delta FROM ledger l "
+            "WHERE l.tid IN (?, ?, ?) CURRENCY BOUND ? SEC ON (l) "
+            "[?0,?1,?2 set={0, 1}, ?3 pinned=5]"
+        ]
 
 
 class TestObservability:

@@ -4,8 +4,8 @@ Covers the :class:`~repro.common.backend.Backend` protocol boundary,
 cross-shard equivalence against a single server under an identical
 transaction history, the per-shard currency rule (a result is only as
 current as its stalest contributing shard; pinned plans only answer to
-their own shard), the scatter-gather fleet router, and a seeded chaos
-run with one shard dark.
+their own shard), multi-shard reads through the fleet, and a seeded
+chaos run with one shard dark.
 """
 
 import pytest
@@ -294,55 +294,80 @@ class TestFleetConfigAndScatter:
         assert len(fleet.nodes) == 3
         assert fleet.router.policy.name == "round_robin"
 
-    def test_scatter_split_on_multi_shard_in(self):
-        fleet = self.make_fleet()
-        sql = (
-            "SELECT i.id, i.qty FROM inv i WHERE i.id IN (1, 2, 30, 200) "
-            "CURRENCY BOUND 60 SEC ON (i)"
-        )
-        legs = fleet.router.scatter_split(sql)
-        assert legs is not None and len(legs) > 1
-        assert all("CURRENCY BOUND" in leg_sql for _, leg_sql in legs)
-        result = fleet.execute(sql)
-        assert sorted(r[0] for r in result.rows) == [1, 2, 30, 200]
-        assert len(result.shard_results) == len(legs)
-        assert {leg.shard for leg in result.shard_results} == {
-            s for s, _ in legs
-        }
+    MULTI_SHARD = (
+        "SELECT i.id, i.qty FROM inv i WHERE i.id IN (1, 2, 30, 200) "
+        "CURRENCY BOUND {} SEC ON (i)"
+    )
 
-    def test_scatter_result_carries_stalest_shard_snapshot(self):
+    def test_multi_shard_in_is_one_unsplit_read(self):
         fleet = self.make_fleet()
-        sql = (
-            "SELECT i.id FROM inv i WHERE i.id IN (1, 2, 30, 200) "
-            "CURRENCY BOUND 60 SEC ON (i)"
-        )
-        result = fleet.execute(sql)
-        leg_snapshots = [
-            min(leg.context.snapshots_used)
-            for leg in result.shard_results
-            if leg.context.snapshots_used
+        keys = [1, 2, 30, 200]
+        assert len({fleet.backend.shard_of("inv", k) for k in keys}) > 1
+        result = fleet.execute(self.MULTI_SHARD.format(60))
+        # One node served it, locally, through the all-shards guard: the
+        # rows are the union of what each shard holds for the list.
+        assert result.node in {n.name for n in fleet.nodes}
+        assert result.routing == "local"
+        expected = []
+        for partition in fleet.backend.partitions:
+            expected += partition.execute(
+                "SELECT i.id, i.qty FROM inv i WHERE i.id IN (1, 2, 30, 200)"
+            ).rows
+        assert sorted(result.rows) == sorted(expected)
+        assert sorted(r[0] for r in result.rows) == keys
+        assert sum(n.queries_routed for n in fleet.nodes) == 1
+
+    def test_multi_shard_read_carries_stalest_shard_snapshot(self):
+        fleet = self.make_fleet()
+        result = fleet.execute(self.MULTI_SHARD.format(60))
+        node = next(n for n in fleet.nodes if n.name == result.node)
+        (view,) = node.catalog.matviews_on("inv")
+        assert len(view.shard_snapshots) == 4
+        assert result.context.snapshots_used == [
+            min(view.shard_snapshots.values())
         ]
-        assert result.context.snapshots_used
-        assert min(result.context.snapshots_used) == min(leg_snapshots)
+
+    def test_one_shard_past_the_bound_sends_the_whole_read_remote(self):
+        fleet = self.make_fleet(partitions=2)
+        stale = fleet.backend.shard_of("inv", 1)
+        for node in fleet.nodes:
+            for key, agent in node.agents.items():
+                if key.endswith(f"#p{stale}"):
+                    agent.stop()
+        fleet.run_for(10.0)  # one shard's replicas are now ~10 s stale
+        sql = self.MULTI_SHARD.format(3)
+        result = fleet.execute(sql)
+        assert result.routing == "remote"
+        assert [branch for _, branch in result.context.branches] == [1]
+        assert sorted(r[0] for r in result.rows) == [1, 2, 30, 200]
+        # A list on the fresh shard alone still reads locally.
+        fresh = [k for k in (1, 2, 30, 200)
+                 if fleet.backend.shard_of("inv", k) != stale]
+        pinned = fleet.execute(
+            f"SELECT i.id FROM inv i WHERE i.id IN ({', '.join(map(str, fresh))}) "
+            "CURRENCY BOUND 3 SEC ON (i)"
+        )
+        assert pinned.routing == "local"
+        assert sorted(r[0] for r in pinned.rows) == fresh
 
     def test_no_split_for_single_shard_or_ordered_queries(self):
         fleet = self.make_fleet()
-        assert fleet.router.scatter_split(
-            "SELECT i.id FROM inv i WHERE i.id = 7"
-        ) is None
-        assert fleet.router.scatter_split(
-            "SELECT i.id FROM inv i WHERE i.id IN (1, 2, 30) ORDER BY i.id"
-        ) is None
-        assert fleet.router.scatter_split(
+        ordered = fleet.execute(
+            "SELECT i.id FROM inv i WHERE i.id IN (30, 2, 1) ORDER BY i.id"
+        )
+        assert ordered.rows == [(1,), (2,), (30,)]
+        counted = fleet.execute(
             "SELECT COUNT(*) FROM inv i WHERE i.id IN (1, 2, 30)"
-        ) is None
+        )
+        assert counted.rows == [(3,)]
+        assert fleet.execute("SELECT i.id FROM inv i WHERE i.id = 7").rows == [(7,)]
 
     def test_unsharded_fleet_never_splits(self):
         backend = load_history(BackendServer())
         fleet = CacheFleet(backend, n_nodes=2)
-        assert fleet.router.scatter_split(
-            "SELECT i.id FROM inv i WHERE i.id IN (1, 2, 30)"
-        ) is None
+        result = fleet.execute("SELECT i.id FROM inv i WHERE i.id IN (1, 2, 30)")
+        assert sorted(result.rows) == [(1,), (2,), (30,)]
+        assert result.node in ("node0", "node1")
 
 
 class TestShardedChaos:

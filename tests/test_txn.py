@@ -225,17 +225,32 @@ class TestAtomicCommit:
         server.execute("INSERT INTO c VALUES (6, 60)")
         assert [(r.txn_id, r.pk) for r in log.records[n:]] == [(last + 1, (6,))]
 
-    def test_index_insert_failing_on_a_non_storage_error_rolls_back(self):
+    def test_index_insert_failing_on_a_non_storage_error_rolls_back(self, monkeypatch):
         # A NULL in an indexed column does not compare with the stored
-        # keys: the insert fails cleanly and leaves no primary-key entry.
+        # keys: the insert is a declared StorageError and leaves no
+        # primary-key entry.  Any other error rolls back the same way.
         from repro.cache.backend import BackendServer
+        from repro.storage.index import Index
 
         server = BackendServer()
         server.create_table("CREATE TABLE c (cid INT NOT NULL, pid INT, PRIMARY KEY (cid))")
         server.create_index("CREATE INDEX ix_pid ON c (pid)")
         server.execute("INSERT INTO c VALUES (1, 10)")
-        with pytest.raises(TypeError):
+        log = server.txn_manager.log
+        n = len(log)
+        with pytest.raises(StorageError, match="ix_pid"):
             server.execute("INSERT INTO c VALUES (2, NULL)")
+        real = Index.insert
+
+        def planted(index, row, rid):
+            if row[1] == 30:
+                raise RuntimeError("planted")
+            return real(index, row, rid)
+
+        monkeypatch.setattr(Index, "insert", planted)
+        with pytest.raises(RuntimeError, match="planted"):
+            server.execute("INSERT INTO c VALUES (3, 30)")
+        assert len(log) == n
         server.execute("INSERT INTO c VALUES (2, 20)")
         assert server.execute("SELECT c.cid, c.pid FROM c c").rows == [(1, 10), (2, 20)]
 
@@ -246,7 +261,23 @@ class TestAtomicCommit:
         index = table.create_index("ix_v", ["v"])
         rid = table.insert((1, 5))
         table.insert((2, 6))
-        with pytest.raises(TypeError):
+        with pytest.raises(StorageError):
             table.update(rid, (1, None))
         assert table.row(rid) == (1, 5)
         assert [key for key, _ in index.scan()] == [(5,), (6,)]
+        # Any exception rolls back: plant a non-storage error in a second
+        # index, after the first has taken its new entry.
+        late = table.create_index("ix_late", ["v"])
+        real = late.insert
+
+        def planted(row, rid):
+            if row == (1, 7):
+                raise RuntimeError("planted")
+            return real(row, rid)
+
+        late.insert = planted
+        with pytest.raises(RuntimeError, match="planted"):
+            table.update(rid, (1, 7))
+        assert table.row(rid) == (1, 5)
+        for ix in (index, late):
+            assert [key for key, _ in ix.scan()] == [(5,), (6,)]
