@@ -2,9 +2,9 @@
 
 Three measurements on the 2000-row replicated profile table:
 
-* **scan, per engine** — the fused scan+filter+project returning 1600 of
-  2000 rows, run under each engine in ``ENGINES``.  The acceptance bar is
-  >= 10x the pre-PR-2 row engine (207.8 qps) on the columnar engine.
+* **scan** — the fused scan+filter+project returning 1600 of 2000 rows,
+  streamed as column batches.  The acceptance bar is >= 10x the pre-PR-2
+  row engine (207.8 qps).
 * **point_lookup latency, quiet** — 32 cached guarded point lookups,
   cycled, with a :class:`~repro.obs.metrics.NullRegistry` and the GC
   disabled.  Latency is sampled in batches of 32 queries per timer read
@@ -14,8 +14,8 @@ Three measurements on the 2000-row replicated profile table:
   serialized snapshot vs. a full parse+optimize of the same SQL; the bar
   is a >= 5x speedup (the point of shipping snapshots fleet-wide).
 
-Everything lands in ``benchmarks/BENCH_7.json``, keyed per engine mode
-where applicable.
+Everything lands in ``benchmarks/BENCH_7.json`` (the scan under its
+``"columnar"`` key).
 
 Run:  pytest benchmarks/test_bench_columnar_snapshot.py -s
 """
@@ -28,7 +28,6 @@ import pytest
 
 from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache
-from repro.engine.operators import ENGINES
 from repro.obs.metrics import NullRegistry
 from repro.plan import instantiate_snapshot, serialize_plan
 
@@ -56,9 +55,8 @@ SCAN_SQL = (
 )
 
 
-def build_cache(engine=None):
-    kwargs = {} if engine is None else {"engine": engine}
-    backend = BackendServer(**kwargs)
+def build_cache():
+    backend = BackendServer()
     backend.create_table(
         "CREATE TABLE profile (id INT NOT NULL, name VARCHAR NOT NULL, "
         "score INT NOT NULL, PRIMARY KEY (id))"
@@ -69,7 +67,7 @@ def build_cache(engine=None):
         )
         backend.execute(f"INSERT INTO profile VALUES {values}")
     backend.refresh_statistics()
-    cache = MTCache(backend, **kwargs)
+    cache = MTCache(backend)
     cache.create_region("r", 8.0, 2.0)
     cache.create_matview("profile_copy", "profile", ["id", "name", "score"],
                          region="r")
@@ -93,20 +91,18 @@ def run_scan(cache, n_queries=SCAN_QUERIES):
     return {"qps": n_queries / elapsed, "queries": n_queries}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_scan_throughput_per_engine(benchmark, bench7_recorder, engine):
-    cache = build_cache(engine)
+def test_scan_throughput_per_engine(benchmark, bench7_recorder):
+    cache = build_cache()
     stats = benchmark.pedantic(lambda: run_scan(cache), rounds=1, iterations=1)
     stats["speedup_vs_pre_pr2"] = stats["qps"] / PRE_PR2_SCAN_QPS
-    bench7_recorder.setdefault("scan", {})[engine] = stats
-    print(f"\n=== scan[{engine}]: {stats['qps']:.0f} qps "
+    bench7_recorder.setdefault("scan", {})["columnar"] = stats
+    print(f"\n=== scan: {stats['qps']:.0f} qps "
           f"({stats['speedup_vs_pre_pr2']:.1f}x pre-PR-2) ===")
-    if engine == "columnar":
-        assert stats["speedup_vs_pre_pr2"] >= SCAN_SPEEDUP_FLOOR, (
-            f"columnar scan {stats['qps']:.0f} qps is only "
-            f"{stats['speedup_vs_pre_pr2']:.1f}x the pre-PR-2 baseline "
-            f"of {PRE_PR2_SCAN_QPS} qps"
-        )
+    assert stats["speedup_vs_pre_pr2"] >= SCAN_SPEEDUP_FLOOR, (
+        f"columnar scan {stats['qps']:.0f} qps is only "
+        f"{stats['speedup_vs_pre_pr2']:.1f}x the pre-PR-2 baseline "
+        f"of {PRE_PR2_SCAN_QPS} qps"
+    )
 
 
 def measure_point_latency(cache):
@@ -157,7 +153,7 @@ def measure_snapshot_speedup(cache, n=300):
     sql = POINT_SQLS[7]
     cache.execute(sql)
     plan = cache.optimize(sql)
-    snapshot = serialize_plan(plan, engine=cache.engine)
+    snapshot = serialize_plan(plan)
     timer = time.perf_counter
 
     t0 = timer()

@@ -51,18 +51,13 @@ class BackendServer(Backend):
     Implements the :class:`~repro.common.backend.Backend` protocol with
     the single-node topology defaults (one partition, one replication
     source).
-
-    ``engine`` (keyword-only) selects the evaluation mode: ``"columnar"``
-    (the default) or ``"row"``, the reference path.
     """
 
-    def __init__(self, clock=None, scheduler=None, cost_model=None, metrics=None,
-                 *, engine=None):
+    def __init__(self, clock=None, scheduler=None, cost_model=None, metrics=None):
         self.clock = clock or SimulatedClock()
         self.scheduler = scheduler or EventScheduler(self.clock)
         self.catalog = Catalog()
         self.txn_manager = TransactionManager(self.clock)
-        self.engine = ops.coerce_engine(engine)
         self.cost_model = cost_model or CostModel()
         #: Monotonic schema/statistics version.  Every DDL or stats
         #: refresh bumps it; plan caches and snapshot stores compare it
@@ -89,7 +84,7 @@ class BackendServer(Backend):
         self.plans = PlanCompiler(
             lambda select: self.optimizer.optimize(select, self.catalog), report,
         )
-        self.executor = Executor(clock=self.clock, registry=self.metrics, engine=self.engine)
+        self.executor = Executor(clock=self.clock, registry=self.metrics)
         self.heartbeats = HeartbeatService(
             self.txn_manager, self.clock, self.scheduler, registry=self.metrics
         )

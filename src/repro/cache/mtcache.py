@@ -189,8 +189,6 @@ class MTCache:
       its statement texts, and of the plan templates they share);
     * ``metrics`` — a :class:`~repro.obs.MetricsRegistry` (default) or
       :class:`~repro.obs.NullRegistry` to turn instrumentation off;
-    * ``engine`` — evaluation mode: ``"columnar"`` (default) or ``"row"``,
-      the reference path for debugging and equivalence testing;
     * ``snapshot_store`` — an optional shared
       :class:`~repro.plan.store.PlanSnapshotStore`: on a local plan-cache
       miss the cache tries to instantiate a published snapshot before
@@ -201,9 +199,8 @@ class MTCache:
 
     def __init__(self, backend, *, cost_model=None, fallback_policy=FallbackPolicy.REMOTE,
                  plan_cache_size=PLAN_CACHE_SIZE, metrics=None,
-                 engine=None, snapshot_store=None, record_history=False):
+                 snapshot_store=None, record_history=False):
         self._fallback_policy = _coerce_policy(fallback_policy).value
-        self.engine = ops.coerce_engine(engine)
         #: Observability registry: every hot-path component below reports
         #: into it (see repro.obs).  Real by default — instrumentation is
         #: always-on; pass NullRegistry() for zero-overhead micro-runs.
@@ -232,7 +229,7 @@ class MTCache:
         self.cost_model = cost_model or backend.cost_model
         self.placement = CachePlacement(self, self.cost_model)
         self.optimizer = Optimizer(self.placement, registry=self.metrics)
-        self.executor = Executor(clock=self.clock, registry=self.metrics, engine=self.engine)
+        self.executor = Executor(clock=self.clock, registry=self.metrics)
         #: Optional fleet-shared snapshot store (see repro.plan.store).
         self.snapshot_store = snapshot_store
         #: Back-end schema/statistics version the cached plans were
@@ -375,7 +372,7 @@ class MTCache:
         """Digest of everything plan choice depends on besides SQL text.
 
         Two nodes may share a precompiled snapshot only when this matches:
-        fallback policy, execution engine, shard topology, every region's
+        fallback policy, shard topology, every region's
         currency parameters and every view's definition and indexes.
         Fleet nodes suffix their region cids with ``@node``; the digest
         strips the suffix so identically-configured replicas fingerprint
@@ -384,7 +381,6 @@ class MTCache:
         parts = [
             "v1",
             self._fallback_policy,
-            self.engine,
             str(getattr(self.backend, "partition_count", 1)),
         ]
         if self._table_consistency:
@@ -417,9 +413,7 @@ class MTCache:
         if store is None:
             return None
         snapshot = store.get(
-            sql, self.config_fingerprint(), self.engine,
-            epoch=self.backend.ddl_epoch,
-        )
+            sql, self.config_fingerprint(), epoch=self.backend.ddl_epoch)
         if snapshot is None:
             return None
         try:
@@ -435,13 +429,11 @@ class MTCache:
         if store is None:
             return
         try:
-            snapshot = serialize_plan(plan, engine=self.engine)
+            snapshot = serialize_plan(plan)
         except SnapshotUnsupported:
             return
         store.publish(
-            sql, self.config_fingerprint(), self.engine, snapshot,
-            epoch=self.backend.ddl_epoch,
-        )
+            sql, self.config_fingerprint(), snapshot, epoch=self.backend.ddl_epoch)
 
     # ------------------------------------------------------------------
     # Shadow database

@@ -5,7 +5,7 @@
 tree with counting-and-timing wrappers (instance attributes shadow the
 class methods, so the operators themselves stay untouched — and because
 both the row and the columnar protocol are wrapped, the same
-instrumentation covers both engines; ``all_rows`` is counted through the
+instrumentation covers both run modes; ``all_rows`` is counted through the
 wrapped ``rows()``).  Each node accumulates an :class:`OpStats`:
 
 * ``loops`` — times the node was opened (IndexNLJoin re-opens its inner

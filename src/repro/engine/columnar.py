@@ -1,6 +1,6 @@
 """Columnar batches: per-column buffers plus a selection vector.
 
-The columnar engine's exchange format (the row engine's is the row
+The streamed exchange format (the tiny-plan path's is the row
 tuple): a :class:`ColumnBatch` holds one Python list — or, for dense
 numeric columns, an ``array.array``, and for the columns a hash join
 gathers, a tuple, all exposed through the same indexing protocol — per

@@ -11,13 +11,13 @@ import time
 from functools import cached_property
 
 from repro.engine.columnar import ColumnBatch
-from repro.engine.operators import SeqScan, coerce_engine
+from repro.engine.operators import SeqScan
 from repro.obs.metrics import NULL_REGISTRY, NullRegistry
 
-#: Below this many rows, estimated out and scanned in, the columnar drive
-#: falls back to one materialized row list: columnarizing a handful of
-#: rows costs more than it saves (guarded point lookups are the case that
-#: matters).
+#: Below this many rows, estimated out and scanned in, a plan runs as one
+#: materialized row list instead of streaming column batches:
+#: columnarizing a handful of rows costs more than it saves (guarded point
+#: lookups are the case that matters).
 COLUMNAR_MIN_EST_ROWS = 33
 
 
@@ -72,9 +72,9 @@ class ExecutionContext:
         #: The caller's read-your-writes Session (None: no session
         #: guarantees requested); strict-table guards consult its floors.
         self.session = session
-        #: Execution engine driving this run ("row"/"columnar"); operators
-        #: consult it at open() (join build-side strategy, how row-only
-        #: operators read their input).
+        #: Protocol of this run: "row" (a tiny plan's ``all_rows()``) or
+        #: "columnar" (``col_batches()``); operators consult it at open()
+        #: (join build-side strategy, how row-only operators read input).
         self.engine = "row"
         self.branches = []  # (label, chosen index)
         self.remote_queries = []  # (sql, row count)
@@ -83,8 +83,7 @@ class ExecutionContext:
         self.snapshots_used = []
         #: Constraint-violation warnings (serve-stale fallback policy).
         self.warnings = []
-        #: Labels of fused scan pipelines that ran (columnar and tiny-plan
-        #: paths; the row engine fuses nothing).
+        #: Labels of fused scan pipelines that ran.
         self.fused_pipelines = []
         #: Session-floor guard decisions: (view, "local"/"remote",
         #: lagging source or None) — EXPLAIN ANALYZE renders these.
@@ -242,13 +241,10 @@ class BatchResult(QueryResult):
 class Executor:
     """Runs a physical operator tree through its three phases.
 
-    Under the columnar engine (the default) the run phase drains the
-    plan's ``col_batches()`` stream into one dense batch (a
-    :class:`BatchResult`; rows are zipped on first read), except for
-    tiny plans, which materialize through ``all_rows()`` with
-    ``ctx.engine = "row"``.  The row engine — the reference the
-    differential suites compare against — drains the plan's ``rows()``
-    generator.  The Table 4.5
+    The run phase drains the plan's ``col_batches()`` stream into one
+    dense batch (a :class:`BatchResult`; rows are zipped on first read),
+    except for tiny plans, which materialize through ``all_rows()`` with
+    ``ctx.engine = "row"``.  The Table 4.5
     setup/run/shutdown split is the same whichever protocol runs:
     ``open`` is setup, draining is run, ``close`` is shutdown.
 
@@ -260,11 +256,9 @@ class Executor:
     :class:`~repro.obs.metrics.NullRegistry`.
     """
 
-    def __init__(self, clock=None, timer=time.perf_counter, registry=None, engine=None):
+    def __init__(self, clock=None, timer=time.perf_counter, registry=None):
         self.clock = clock
         self.timer = timer
-        #: "row" | "columnar" (None resolves to columnar).
-        self.engine = coerce_engine(engine)
         self.set_registry(registry if registry is not None else NULL_REGISTRY)
 
     def set_registry(self, registry):
@@ -289,7 +283,7 @@ class Executor:
         self._c_branch_remote = registry.counter(
             "switchunion_branch_total", labels={"branch": "remote"})
         self._c_batches = registry.counter(
-            "engine_batches_total", help="batches drained by the columnar engine")
+            "engine_batches_total", help="batches drained by streamed runs")
         self._c_fused = registry.counter(
             "engine_fused_pipelines_total",
             help="fused scan pipelines (scan+filter/project in one loop)")
@@ -301,23 +295,19 @@ class Executor:
         trace = ctx.trace
         branches_before = len(ctx.branches)
         fused_before = len(ctx.fused_pipelines)
-        engine = self.engine
         tiny = False
-        if engine == "columnar":
-            est = plan.est_rows
-            if est is not None and est < COLUMNAR_MIN_EST_ROWS:
-                # Tiny plans (guarded point lookups — the cache's hottest
-                # request) skip vectorization *and* the generator chain:
-                # one materialized list end to end, row-mode join builds.
-                # "Tiny" counts rows read, not returned: a full scan
-                # counts as its table's live rows.
-                scanned = plan.scanned_tables
-                if scanned is None:
-                    scanned = _scanned_tables(plan)
-                if not scanned or sum(map(len, scanned)) < COLUMNAR_MIN_EST_ROWS:
-                    engine = "row"
-                    tiny = True
-        ctx.engine = engine
+        est = plan.est_rows
+        if est is not None and est < COLUMNAR_MIN_EST_ROWS:
+            # Tiny plans (guarded point lookups — the cache's hottest
+            # request) skip vectorization *and* the generator chain:
+            # one materialized list end to end, row-mode join builds.
+            # "Tiny" counts rows read, not returned: a full scan
+            # counts as its table's live rows.
+            scanned = plan.scanned_tables
+            if scanned is None:
+                scanned = _scanned_tables(plan)
+            tiny = not scanned or sum(map(len, scanned)) < COLUMNAR_MIN_EST_ROWS
+        ctx.engine = "row" if tiny else "columnar"
         n_batches = 0
 
         traced = bool(trace)
@@ -329,12 +319,12 @@ class Executor:
         t1 = timer()
         span = trace.open("exec.run") if traced else None
         batch = None
-        if engine == "columnar":
+        if tiny:
+            rows = plan.all_rows()
+        else:
             batches = list(plan.col_batches())
             n_batches = len(batches)
             batch = ColumnBatch.concat(batches, len(plan.output))
-        else:
-            rows = plan.all_rows() if tiny else list(plan.rows())
         if traced:
             trace.close(span)
         t2 = timer()

@@ -356,6 +356,25 @@ def _in_list(operand, items, negated):
     return _in
 
 
+def _sql_div(l, r):
+    """SQL ``/``: true division; a zero divisor is an ExecutionError."""
+    try:
+        return l / r
+    except ZeroDivisionError:
+        raise ExecutionError("division by zero") from None
+
+
+def _sql_mod(l, r):
+    """SQL ``%``: the remainder takes the dividend's sign (``-7 % 3`` is
+    -1; Python's ``%`` takes the divisor's); a zero divisor is an
+    ExecutionError."""
+    try:
+        m = l % r
+    except ZeroDivisionError:
+        raise ExecutionError("division by zero") from None
+    return m - r if m and (m < 0) != (l < 0) else m
+
+
 def _binary(op, left, right):
     """Combinators are mode-agnostic: they only ever call their children
     with whatever single argument (env or row) the mode supplies."""
@@ -406,8 +425,8 @@ def _binary(op, left, right):
         "+": lambda l, r: l + r,
         "-": lambda l, r: l - r,
         "*": lambda l, r: l * r,
-        "/": lambda l, r: l / r,
-        "%": lambda l, r: l % r,
+        "/": _sql_div,
+        "%": _sql_mod,
     }
     try:
         return _null_guard(table[op])

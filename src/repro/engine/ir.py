@@ -20,7 +20,7 @@ Three consumers:
   instantiation time, with semantics identical to ``compile_expr`` (it
   reuses :func:`repro.engine.expressions._binary` for the three-valued
   comparison/arithmetic table);
-* :func:`selection_fn` — the columnar engine's predicate codegen: emits
+* :func:`selection_fn` — the columnar filter codegen: emits
   one Python comprehension per filter (null-guarded, short-circuiting
   ``and``/``or``) mapping a column set + selection vector to the
   surviving row indexes.
@@ -37,7 +37,7 @@ Node forms (plain tuples, JSON-serializable via to_obj/from_obj)::
 """
 
 from repro.common.errors import ExecutionError
-from repro.engine.expressions import _binary, _in_list
+from repro.engine.expressions import _binary, _in_list, _sql_div, _sql_mod
 from repro.sql import ast
 
 
@@ -291,7 +291,7 @@ class _Gen:
     like FALSE), and ``NOT x`` becomes ``is_false(x)`` — De Morgan over
     the guarded comparison forms.  Constants are passed through the exec
     namespace (never repr-injected), so any comparable Python value the
-    row engine accepts works here too.  A ``("param", slot)`` reads
+    row closures accept works here too.  A ``("param", slot)`` reads
     ``_p[slot]``, the kernel's fourth argument (never NULL: bindable
     literals are NUMBER/STRING tokens).
     """
@@ -337,6 +337,9 @@ class _Gen:
             lg, lv = self.value(node[2])
             rg, rv = self.value(node[3])
             guard = _conj(lg, rg)
+            fn = _SQL_ARITH.get(node[1])
+            if fn is not None:
+                return guard, f"{self._const(fn)}({lv}, {rv})"
             return guard, f"({lv} {node[1]} {rv})"
         raise _ColumnarUnsupported(tag)
 
@@ -443,6 +446,10 @@ class _Gen:
         if guard == "False":
             return "False"
         return f"({guard} and ({body}))"
+
+
+#: Operators whose SQL meaning differs from Python's: kernels call these.
+_SQL_ARITH = {"/": _sql_div, "%": _sql_mod}
 
 
 def _conj(*guards):

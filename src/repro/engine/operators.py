@@ -8,10 +8,10 @@ phases so the executor can time them (the paper's Table 4.5 profiles
   selectors, issue remote queries;
 * ``col_batches(size)`` — a generator of
   :class:`~repro.engine.columnar.ColumnBatch` objects, the streaming
-  protocol of the columnar engine (the default);
-* ``rows()`` — a generator of result tuples: the row engine (the
-  reference the differential suites compare against) and correlated
-  evaluation (IndexNLJoin inners, subquery runners) speak it;
+  protocol the executor drives for every plan that is not tiny;
+* ``rows()`` — a generator of result tuples: correlated evaluation
+  (IndexNLJoin inners, subquery runners), the row-only operators'
+  inputs and the default ``all_rows()`` speak it;
 * ``all_rows()`` — the whole result as one list, the executor's path for
   tiny plans (guarded point lookups): one list in, one list out;
 * ``close()`` — release state.
@@ -47,25 +47,9 @@ from repro.sql.ast import render_params
 #: batch is its whole column store instead).
 DEFAULT_BATCH_SIZE = 256
 
-#: The execution engines, by exchange format: row tuples and
-#: :class:`~repro.engine.columnar.ColumnBatch`.
-ENGINES = ("row", "columnar")
-
 #: Shared rowless environment for evaluating uncorrelated key expressions
 #: (expressions only ever read an env, so one instance serves all opens).
 _EMPTY_ENV = make_env(())
-
-
-def coerce_engine(engine):
-    """Resolve the engine knob: None picks columnar; a name is validated."""
-    if engine is None:
-        return "columnar"
-    name = str(engine).lower()
-    if name not in ENGINES:
-        raise ValueError(
-            f"invalid engine: {engine!r} (expected one of: {', '.join(ENGINES)})"
-        )
-    return name
 
 
 class PhysicalOperator:
@@ -159,7 +143,7 @@ def _columnarize(rows, output, size):
 
 def _input_rows(child, ctx):
     """Every row of ``child``, for an operator that consumes rows: read
-    through ``col_batches()`` under the columnar engine, so a columnar
+    through ``col_batches()`` in a streamed run, so a columnar
     child (a hash join, a filtered scan) stays columnar beneath a
     row-only parent, and through ``rows()`` otherwise."""
     if getattr(ctx, "engine", None) == "columnar":
@@ -232,7 +216,7 @@ class IndexSeek(PhysicalOperator):
     """Point lookup: equality on an index key prefix, optional residual.
 
     Key evaluation is hoisted to ``open()`` — the key cannot change within
-    one execution, so re-deriving it per ``rows()`` call (as the row engine
+    one execution, so re-deriving it per ``rows()`` call (as the seek
     once did) only burned allocations on the hottest lookup path.
 
     ``in_fns`` (optional) makes it an IN-list seek: the key is the equality
@@ -693,7 +677,7 @@ class HashJoin(PhysicalOperator):
 
     The build is one structure for both protocols: the build side's rows
     plus a map from join key (:func:`_row_keyer`) to the positions of the
-    build rows carrying it.  Under the columnar engine, with every key a
+    build rows carrying it.  In a streamed run, with every key a
     bare column, the rows are kept as one list per column, and
     :meth:`col_batches` reads only the probe batch's key columns and emits
     each joined batch by gathering probe and build columns at the matched
@@ -876,7 +860,7 @@ class _HashKeyFilter(PhysicalOperator):
     """Shared body of the semi and anti joins: a set of the build (right)
     side's join keys filters the left rows, which pass through unchanged.
     The set holds keys in :func:`_row_keyer` form and is built from the
-    key columns alone under the columnar engine; ``col_batches`` only
+    key columns alone in a streamed run; ``col_batches`` only
     shrinks each left batch's selection vector."""
 
     def __init__(self, left, right, left_key_fns, right_key_fns, output=None):

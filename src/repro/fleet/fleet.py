@@ -136,7 +136,7 @@ class CacheFleet:
       state); each node still owns its per-node registry;
     * breaker tuning (``failure_threshold``, ``reset_timeout``,
       ``max_remote_wait``) is applied to every node;
-    * remaining keyword arguments (``fallback_policy``, ``engine``, ...)
+    * remaining keyword arguments (``fallback_policy``, ``plan_cache_size``, ...)
       are forwarded to each :class:`FleetNode`/MTCache.
 
     Instead of a backend + knobs, the first argument may be a

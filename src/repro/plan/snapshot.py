@@ -80,7 +80,7 @@ def _expr_objs(fns, what):
     return [_expr_obj(fn, what) for fn in fns]
 
 
-def serialize_plan(plan, engine=None):
+def serialize_plan(plan):
     """Serialize an :class:`~repro.optimizer.optimizer.OptimizedPlan`
     (or any object exposing ``root()`` / ``column_names`` / ``cost`` /
     ``est_rows``) into a snapshot dict, or raise
@@ -88,7 +88,6 @@ def serialize_plan(plan, engine=None):
     root = plan.root()
     snapshot = {
         "version": SNAPSHOT_VERSION,
-        "engine": engine,
         "column_names": list(plan.column_names or []),
         "cost": float(plan.cost) if plan.cost is not None else None,
         "est_rows": float(plan.est_rows) if plan.est_rows is not None else None,

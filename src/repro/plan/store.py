@@ -2,7 +2,7 @@
 
 One :class:`PlanSnapshotStore` is shared by every node of a
 :class:`~repro.fleet.fleet.CacheFleet` (a standalone MTCache may own a
-private one).  Keys are ``(sql, fingerprint, engine)``: the fingerprint
+private one).  Keys are ``(sql, fingerprint)``: the fingerprint
 digests everything plan choice depends on besides the SQL text — cache
 configuration (matview definitions, regions and their currency
 parameters), fallback policy and shard topology — so two nodes only
@@ -50,30 +50,26 @@ class PlanSnapshotStore:
     def _now(self):
         return self.clock.now() if self.clock is not None else None
 
-    @staticmethod
-    def _key(sql, fingerprint, engine):
-        return (sql, fingerprint, engine)
-
-    def publish(self, sql, fingerprint, engine, snapshot, *, epoch=0):
-        """Store a snapshot under ``(sql, fingerprint, engine)``, stamped
-        with the publisher's catalog epoch."""
+    def publish(self, sql, fingerprint, snapshot, *, epoch=0):
+        """Store a snapshot under ``(sql, fingerprint)``, stamped with the
+        publisher's catalog epoch."""
         now = self._now()
         expires_at = None if now is None else now + self.ttl
-        key = self._key(sql, fingerprint, engine)
+        key = (sql, fingerprint)
         self._entries[key] = (snapshot, epoch, expires_at)
         self._entries.move_to_end(key)
         self.stats["publishes"] += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def get(self, sql, fingerprint, engine, *, epoch=0):
+    def get(self, sql, fingerprint, *, epoch=0):
         """Return the stored snapshot, or None.
 
         Rejects (and drops) entries published under a different catalog
         epoch or past their TTL — both count in ``stats`` so monitoring
         can distinguish cold misses from staleness churn.
         """
-        key = self._key(sql, fingerprint, engine)
+        key = (sql, fingerprint)
         entry = self._entries.get(key)
         if entry is None:
             self.stats["misses"] += 1

@@ -167,7 +167,7 @@ class ShardedBackend(Backend):
     """
 
     def __init__(self, n_partitions=2, clock=None, scheduler=None, cost_model=None,
-                 metrics=None, *, engine=None, replicas=0,
+                 metrics=None, *, replicas=0,
                  replica_interval=0.2, failure_timeout=1.5,
                  detector_interval=0.25, durable_log=True):
         if n_partitions < 1:
@@ -178,10 +178,8 @@ class ShardedBackend(Backend):
         self.scheduler = scheduler or EventScheduler(self.clock)
         self.cost_model = cost_model or CostModel()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        kwargs = {} if engine is None else {"engine": engine}
-        self._server_kwargs = kwargs
         self.partitions = [
-            BackendServer(self.clock, self.scheduler, self.cost_model, **kwargs)
+            BackendServer(self.clock, self.scheduler, self.cost_model)
             for _ in range(n_partitions)
         ]
         self.heartbeats = _ShardedHeartbeats(self.partitions)
@@ -305,7 +303,7 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     def _build_replica(self, shard, replica_id):
         server = BackendServer(
-            self.clock, self.scheduler, self.cost_model, **self._server_kwargs
+            self.clock, self.scheduler, self.cost_model
         )
         replica = ShardReplica(
             shard, replica_id, server, self.clock,

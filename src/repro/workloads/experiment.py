@@ -59,19 +59,17 @@ def build_paper_setup(
     heartbeat_interval=2.0,
     paper_scale_stats=True,
     settle=True,
-    engine=None,
 ):
     """Assemble the paper's experimental environment.
 
     ``paper_scale_stats=True`` installs SF 1.0 statistics so the optimizer
     reproduces the paper's plan choices even though less data is loaded.
     ``settle=True`` advances simulated time far enough for heartbeats to
-    propagate, so currency guards can pass immediately.  ``engine`` picks
-    the execution engine of both servers (``"row"`` / ``"columnar"``).
+    propagate, so currency guards can pass immediately.
     """
-    backend = BackendServer(engine=engine)
+    backend = BackendServer()
     load_tpcd(backend, scale_factor=scale_factor, seed=seed)
-    cache = MTCache(backend, engine=engine)
+    cache = MTCache(backend)
 
     for cid, interval, delay, _view in REGION_SETTINGS:
         cache.create_region(cid, interval, delay, heartbeat_interval=heartbeat_interval)

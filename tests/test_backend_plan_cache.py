@@ -4,9 +4,10 @@ tier uses, so a remote branch costs a fingerprint + bind + execute instead
 of parse + optimize + execute.
 
 The contract under test: a compiled plan is invisible — a warm
-``execute_remote(text)`` answers exactly what the uncached reference path
-(``execute_select(parse(text))``) answers — and no plan outlives the schema
-or statistics it was costed under.
+``execute_remote(text)`` answers exactly what the uncached path
+(``execute_select(parse(text))``) answers, and both are stdlib sqlite3's
+answer — and no plan outlives the schema or statistics it was costed
+under.
 """
 
 from collections import Counter
@@ -27,6 +28,7 @@ from repro.sql.parser import parse
 from tests import test_in_list_seek as in_list_seek
 from tests import test_plan_template as plan_template
 from tests.conftest import EXECUTION_PATHS
+from tests.sql_reference import SqliteReference, strip_currency
 from tests.test_plan_template import POINT, make_backend
 
 
@@ -38,10 +40,6 @@ def servers(backend):
 
 def cached_texts(backend):
     return {sql for server in servers(backend) for sql in server.plans.cache}
-
-
-def strip_currency(sql):
-    return sql.split(" CURRENCY ")[0]
 
 
 # ----------------------------------------------------------------------
@@ -71,13 +69,14 @@ STATEMENTS = st.one_of(
 _ENVS = {}
 
 
-def shared_backend(engine, partitions):
-    """One long-lived back-end per (engine, partitions): its templates stay
-    warm across hypothesis examples, which is the state worth testing."""
-    key = (engine, partitions)
-    if key not in _ENVS:
-        _ENVS[key] = make_backend(engine, partitions)
-    return _ENVS[key]
+def shared_backend(partitions):
+    """One long-lived back-end per partition count, shared by both
+    execution paths, and its sqlite3 copy: its templates stay warm across
+    hypothesis examples, which is the state worth testing."""
+    if partitions not in _ENVS:
+        backend = make_backend(partitions)
+        _ENVS[partitions] = backend, SqliteReference(backend)
+    return _ENVS[partitions]
 
 
 def same_rows(got, expected, sql):
@@ -87,8 +86,9 @@ def same_rows(got, expected, sql):
         assert Counter(got) == Counter(expected), sql
 
 
-def assert_remote_matches_reference(backend, sql):
+def assert_remote_matches_reference(backend, sql, sqlite):
     reference = backend.execute_select(parse(sql)).rows
+    sqlite.check(reference, sql)
     cold = backend.execute_remote(sql).to_rows()
     same_rows(cold, reference, sql)
     same_rows(backend.execute_remote(sql).to_rows(), reference, sql)  # the text hit
@@ -112,18 +112,18 @@ def assert_remote_matches_reference(backend, sql):
 
 
 @pytest.mark.parametrize("partitions", [1, 2])
-@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
+@pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
 class TestDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=list(HealthCheck))
     @given(batch=st.lists(STATEMENTS, min_size=1, max_size=6))
-    def test_warm_remote_text_matches_the_uncached_path(self, engine, partitions, batch):
-        backend = shared_backend(engine, partitions)
+    def test_warm_remote_text_matches_the_uncached_path(self, path, partitions, batch):
+        backend, sqlite = shared_backend(partitions)
         for sql in batch:
-            assert_remote_matches_reference(backend, sql)
+            assert_remote_matches_reference(backend, sql, sqlite)
 
-    def test_point_lookups_share_one_template_per_server(self, engine, partitions):
-        backend = make_backend(engine, partitions)
+    def test_point_lookups_share_one_template_per_server(self, path, partitions):
+        backend = make_backend(partitions)
         for key in range(1, 13):
             assert backend.execute_remote(POINT.format(key)).to_rows() == [(key, f"cust#{key}")]
         for server in servers(backend):
@@ -132,8 +132,8 @@ class TestDifferential:
                 (template,) = {plan.template for plan in server.plans.cache.values()}
                 assert template.describe([1]).endswith("[?0 free]")
 
-    def test_a_range_is_pinned_not_bound(self, engine, partitions):
-        backend = make_backend(engine, partitions)
+    def test_a_range_is_pinned_not_bound(self, path, partitions):
+        backend = make_backend(partitions)
         sql = "SELECT c.c_custkey FROM customer c WHERE c.c_custkey < {}"
         for key in (5, 9, 5):
             rows = backend.execute_remote(sql.format(key)).to_rows()
@@ -207,9 +207,9 @@ class TestInvalidation:
         assert plans and all("IndexSeek(orders.ix_ocust)" in p.explain() for p in plans)
 
 
-@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
-def test_a_promoted_replica_compiles_afresh(engine):
-    backend = make_backend(engine, 2, replicas=1)
+@pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
+def test_a_promoted_replica_compiles_afresh(path):
+    backend = make_backend(2, replicas=1)
     backend.run_for(1.0)  # the standbys catch up with the preload
     shard = backend.shard_of("customer", 3)
     warm(backend)

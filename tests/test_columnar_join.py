@@ -1,17 +1,19 @@
-"""Columnar hash joins: the columnar engine agrees with the row engine and
-sqlite3.
+"""Hash joins on both protocols, graded by sqlite3.
 
-Under the columnar engine the three hash operators build and probe on
-key columns: :class:`~repro.engine.operators.HashJoin` emits each joined
+In a streamed run the three hash operators build and probe on key
+columns: :class:`~repro.engine.operators.HashJoin` emits each joined
 batch by gathering probe and build columns at the matched positions, and
-the semi/anti joins only shrink the probe batch's selection vector.  The
-differential below drives hand-built operator trees over generated
-tables through both engines and requires
+the semi/anti joins only shrink the probe batch's selection vector; a
+tiny plan's ``all_rows()`` builds and probes rows.  The differential
+below drives hand-built operator trees over generated tables through
+both protocols and requires
 
-* the same rows *in the same order* as the row engine (probe order, then
-  build order within a key), on a first and a second execution of the
-  same tree (a plan-cached tree is reused), and
-* the same bag of rows as stdlib ``sqlite3`` answering the same query.
+* the same rows *in the same order* from ``all_rows()`` and
+  ``col_batches()`` (probe order, then build order within a key), on a
+  first and a second execution of the same tree (a plan-cached tree is
+  reused), and
+* stdlib ``sqlite3``'s answer to the same query
+  (:class:`tests.sql_reference.SqliteReference`).
 
 The generated tables mix typed (``array``) and list column buffers, NULL
 and duplicate keys and int-vs-float keys; probe sides come filtered (a
@@ -19,16 +21,12 @@ non-None selection vector) or not, in one batch or many (the opened
 tree's ``col_batches(3)``).
 """
 
-import sqlite3
-from collections import Counter
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.backend import BackendServer
-from repro.common.clock import SimulatedClock
 from repro.engine import operators as ops
-from repro.engine.executor import ExecutionContext, Executor
+from repro.engine.executor import ExecutionContext
 from repro.engine.expressions import (
     ExpressionContext,
     OutputCol,
@@ -38,6 +36,8 @@ from repro.engine.expressions import (
 from repro.sql.parser import parse, parse_expression
 from repro.storage.schema import Column, DataType, Schema
 from repro.storage.table import HeapTable
+from tests.conftest import each_path, run_protocols
+from tests.sql_reference import SqliteReference
 
 L_COLUMNS = [("id", DataType.INT, False), ("k", DataType.INT, True),
              ("kf", DataType.FLOAT, True), ("k2", DataType.INT, True),
@@ -88,7 +88,7 @@ def _table(name, columns, rows):
 def _source(table, rows, binding, predicate, as_rows):
     """A probe/build source: a SeqScan over the table (one zero-copy
     batch) or a Materialized row set (chunked batches), filtered by
-    ``predicate`` when given (a selection vector under columnar)."""
+    ``predicate`` when given (a selection vector when streamed)."""
     pred = None if predicate is None else _fn(binding, predicate)
     if as_rows:
         source = ops.Materialized(rows, binding)
@@ -96,48 +96,13 @@ def _source(table, rows, binding, predicate, as_rows):
     return ops.SeqScan(table, binding, predicate=pred)
 
 
-def _col_batch_rows(tree, size):
-    """Open ``tree`` under the columnar engine and drain its
-    ``col_batches(size)`` (many batches for a small ``size``)."""
-    ctx = ExecutionContext()
-    ctx.engine = "columnar"
-    tree.open(ctx)
-    try:
-        return [row for batch in tree.col_batches(size) for row in batch.to_rows()]
-    finally:
-        tree.close()
-
-
-def _run_engines(build_tree, size=None):
-    """Rows per engine; each tree runs twice and must repeat itself.  With
-    a ``size`` the columnar run drains ``col_batches(size)`` itself."""
-    out = {}
-    for engine in ops.ENGINES:
-        tree = build_tree()
-        if engine == "columnar" and size is not None:
-            run = lambda: _col_batch_rows(tree, size)  # noqa: E731
-        else:
-            executor = Executor(clock=SimulatedClock(), engine=engine)
-            run = lambda: executor.execute(tree).rows  # noqa: E731
-        first = run()
-        assert run() == first, engine
-        out[engine] = first
-    return out
-
-
-def _sqlite_rows(l_rows, r_rows, sql):
-    db = sqlite3.connect(":memory:")
-    db.execute("CREATE TABLE l (id INTEGER, k INTEGER, kf REAL, k2 INTEGER, s TEXT)")
-    db.execute("CREATE TABLE r (k INTEGER, kf REAL, k2 INTEGER, w INTEGER)")
-    db.executemany("INSERT INTO l VALUES (?, ?, ?, ?, ?)", l_rows)
-    db.executemany("INSERT INTO r VALUES (?, ?, ?, ?)", r_rows)
-    return db.execute(sql).fetchall()
-
-
-def _assert_agree(rows, l_rows, r_rows, sql):
-    reference = rows["row"]
-    assert rows["columnar"] == reference, sql
-    assert Counter(reference) == Counter(_sqlite_rows(l_rows, r_rows, sql)), sql
+def _assert_agree(rows, tables, sql, key=None):
+    """Each protocol gave sqlite3's answer to ``sql`` over ``tables``, and
+    both gave it in the same order."""
+    reference = SqliteReference(*tables)
+    for protocol in ("all_rows", "col_batches"):
+        reference.check(rows[protocol], sql, key=key)
+    assert rows["col_batches"] == rows["all_rows"], sql
 
 
 KEY_VALUES = [0, 1, 2, 3]
@@ -179,6 +144,7 @@ class TestHashJoinDifferential:
     )
     def test_join_matches_row_engine_and_sqlite(self, data, keys, residual, probe_filter,
                                                 build_filter, probe_rows, build_rows, size):
+        # The "row engine" is the row protocol: all_rows(), as a tiny plan runs.
         l_rows, r_rows = data
         l_keys, r_keys = KEYS[keys]
         l_table = _table("l", L_COLUMNS, l_rows)
@@ -204,7 +170,7 @@ class TestHashJoinDifferential:
             where.append(residual.removeprefix("env:"))
         sql = (f"SELECT * FROM l JOIN r ON {_on_clause(l_keys, r_keys)}"
                + (f" WHERE {' AND '.join(where)}" if where else ""))
-        _assert_agree(_run_engines(build_tree, size), l_rows, r_rows, sql)
+        _assert_agree(run_protocols(build_tree, size), (l_table, r_table), sql)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -237,14 +203,14 @@ class TestHashJoinDifferential:
         sql = (f"SELECT * FROM l WHERE {l_key} {'NOT IN' if anti else 'IN'} "
                f"(SELECT {r_key} FROM r)"
                + (f" AND {PROBE_FILTER}" if probe_filter else ""))
-        _assert_agree(_run_engines(build_tree, size), l_rows, r_rows, sql)
+        _assert_agree(run_protocols(build_tree, size), (l_table, r_table), sql)
 
     @settings(max_examples=60, deadline=None)
     @given(data=tables(), keys=st.sampled_from(["single", "composite"]),
            aggregate=st.booleans(), probe_filter=st.booleans())
     def test_join_under_row_only_parent(self, data, keys, aggregate, probe_filter):
-        # Sort and HashAggregate read the join through col_batches() under
-        # the columnar engine and through rows() under the row engine.
+        # Sort and HashAggregate read the join through col_batches() in a
+        # streamed run and through rows() in a tiny plan's all_rows().
         l_rows, r_rows = data
         l_keys, r_keys = KEYS[keys]
         l_table = _table("l", L_COLUMNS, l_rows)
@@ -257,22 +223,24 @@ class TestHashJoinDifferential:
                 [_fn(LB, k) for k in l_keys], [_fn(RB, k) for k in r_keys], JB,
             )
             if aggregate:
-                out = RowBinding([OutputCol("k"), OutputCol("n"), OutputCol("total")])
+                out = RowBinding([OutputCol("k"), OutputCol("n"), OutputCol("total"),
+                                  OutputCol("mean")])
                 return ops.HashAggregate(
                     join, [_fn(JB, "l.s")],
-                    [ops.AggregateSpec("count"), ops.AggregateSpec("sum", _fn(JB, "r.w"))],
+                    [ops.AggregateSpec("count"), ops.AggregateSpec("sum", _fn(JB, "r.w")),
+                     ops.AggregateSpec("avg", _fn(JB, "r.k2"))],
                     out,
                 )
-            return ops.Sort(join, [_fn(JB, "r.w"), _fn(JB, "l.id")], [True, False])
+            # Nullable sort keys: NULL sorts first ascending, last descending.
+            return ops.Sort(join, [_fn(JB, "r.k2"), _fn(JB, "l.k2"), _fn(JB, "l.id")],
+                            [True, False, False])
 
         where = f" WHERE {PROBE_FILTER}" if probe_filter else ""
         body = f"FROM l JOIN r ON {_on_clause(l_keys, r_keys)}{where}"
-        sql = (f"SELECT l.s, COUNT(*), SUM(r.w) {body} GROUP BY l.s" if aggregate
-               else f"SELECT * {body} ORDER BY r.w DESC, l.id")
-        rows = _run_engines(build_tree)
-        _assert_agree(rows, l_rows, r_rows, sql)
-        if not aggregate:
-            assert rows["columnar"] == _sqlite_rows(l_rows, r_rows, sql)
+        sql = (f"SELECT l.s, COUNT(*), SUM(r.w), AVG(r.k2) {body} GROUP BY l.s" if aggregate
+               else f"SELECT * {body} ORDER BY r.k2 DESC, l.k2, l.id")
+        # SELECT *: the sort keys sit at r.k2, l.k2 and l.id of l ++ r.
+        _assert_agree(run_protocols(build_tree), (l_table, r_table), sql, key=[7, 3, 0])
 
 
 class TestHashJoinEdges:
@@ -289,8 +257,8 @@ class TestHashJoinEdges:
                 [_fn(LB, "l.k")], [_fn(RB, "r.k")], JB,
             )
 
-        rows = _run_engines(build_tree)
-        assert rows["columnar"] == rows["row"] == [
+        rows = run_protocols(build_tree)
+        assert rows["col_batches"] == rows["all_rows"] == [
             left + right for left in l_rows for right in r_rows if right[0] == left[1]]
 
     def test_empty_sides(self):
@@ -299,10 +267,10 @@ class TestHashJoinEdges:
         for probe, build in (([], r_rows), (l_rows, []), ([], [])):
             l_table = _table("l", L_COLUMNS, probe)
             r_table = _table("r", R_COLUMNS, build)
-            rows = _run_engines(lambda: ops.HashJoin(
+            rows = run_protocols(lambda: ops.HashJoin(
                 ops.SeqScan(l_table, LB), ops.SeqScan(r_table, RB),
                 [_fn(LB, "l.k")], [_fn(RB, "r.k")], JB))
-            assert rows == {engine: [] for engine in ops.ENGINES}
+            assert rows == {"all_rows": [], "col_batches": []}
 
     def test_columnar_join_emits_gathered_batches(self):
         # No row tuples inside the join: its output batch is built from
@@ -325,9 +293,9 @@ class TestHashJoinEdges:
         assert batches[0].to_rows() == expected
 
 
-#: A back-end whose tables are large enough for the columnar engine.
-def _server(engine):
-    server = BackendServer(engine=engine)
+#: A back-end whose tables are large enough to stream.
+def _server():
+    server = BackendServer()
     server.create_table("CREATE TABLE a (id INT NOT NULL, k INT, PRIMARY KEY (id))")
     server.create_table("CREATE TABLE b (id INT NOT NULL, k INT, PRIMARY KEY (id))")
     a_rows = ", ".join(f"({i}, {'NULL' if i % 9 == 0 else i % 5})" for i in range(60))
@@ -338,37 +306,28 @@ def _server(engine):
     return server
 
 
-def _sqlite_server_rows(sql):
-    db = sqlite3.connect(":memory:")
-    db.execute("CREATE TABLE a (id INTEGER, k INTEGER)")
-    db.execute("CREATE TABLE b (id INTEGER, k INTEGER)")
-    db.executemany("INSERT INTO a VALUES (?, ?)",
-                   [(i, None if i % 9 == 0 else i % 5) for i in range(60)])
-    db.executemany("INSERT INTO b VALUES (?, ?)", [(i, i % 4) for i in range(40)])
-    return db.execute(sql).fetchall()
-
-
 class TestThroughTheServer:
     def test_keyless_cross_join_of_the_naive_path(self):
         # A derived table sends the back-end down its naive planner, which
         # cross joins FROM items with a key-less HashJoin.
         sql = ("SELECT x.id, b.id FROM (SELECT a.id FROM a WHERE a.k = 1) x, b "
                "WHERE b.k = 2")
-        rows = {engine: _server(engine).execute(sql).rows for engine in ops.ENGINES}
-        assert rows["columnar"] == rows["row"]
-        assert Counter(rows["row"]) == Counter(_sqlite_server_rows(sql))
+        server = _server()
+        reference = SqliteReference(server)
+        for _ in each_path():
+            reference.check(server.execute(sql).rows, sql)
 
     def test_not_in_empty_subquery_keeps_null_keys(self):
         # NULL NOT IN (<empty>) is TRUE and NULL IN (<empty>) is FALSE, on
         # the anti/semi join and on the naive path's expression alike.
+        server = _server()
+        reference = SqliteReference(server)
         for sql in ("SELECT a.id FROM a WHERE a.k NOT IN (SELECT b.k FROM b WHERE b.id < 0)",
                     "SELECT a.id FROM a WHERE a.k IN (SELECT b.k FROM b WHERE b.id < 0)"):
-            expected = Counter(_sqlite_server_rows(sql))
-            for engine in ops.ENGINES:
-                server = _server(engine)
-                assert Counter(server.execute(sql).rows) == expected, (engine, sql)
+            for _ in each_path():
+                reference.check(server.execute(sql).rows, sql)
                 root, _, _ = server._build_naive(parse(sql))
-                assert Counter(server.executor.execute(root).rows) == expected, (engine, sql)
+                reference.check(server.executor.execute(root).rows, sql)
 
 
 class TestTinyPlanRule:
@@ -376,14 +335,14 @@ class TestTinyPlanRule:
     a full scan counts as its table's live rows, not as its estimate."""
 
     def test_small_result_of_a_large_scan_runs_columnar(self):
-        server = _server("columnar")
+        server = _server()
         result = server.execute("SELECT a.id FROM a WHERE a.id % 20 = 7")
         assert result.rows == [(7,), (27,), (47,)]
         assert result.plan.est_rows < 33
         assert result.context.engine == "columnar"
 
     def test_point_lookup_and_small_scan_stay_row_mode(self):
-        server = _server("columnar")
+        server = _server()
         assert server.execute("SELECT a.k FROM a WHERE a.id = 3").context.engine == "row"
         server.create_table("CREATE TABLE c (id INT NOT NULL, PRIMARY KEY (id))")
         server.execute("INSERT INTO c VALUES (1), (2), (3)")
@@ -392,7 +351,7 @@ class TestTinyPlanRule:
 
     def test_scanned_tables_found_once_per_tree(self):
         # The cached tree keeps its scan list; later runs read live counts.
-        server = _server("columnar")
+        server = _server()
         sql = "SELECT a.id FROM a WHERE a.id % 20 = 7"
         root = server.execute(sql).plan
         scanned = root.scanned_tables

@@ -11,7 +11,6 @@ paths — the back-end, the cache's guarded local branch and its remote
 branch — and a warm plan template must equal a cold optimization.
 """
 
-import sqlite3
 from collections import Counter
 
 import pytest
@@ -25,6 +24,7 @@ from repro.engine.expressions import OutputCol, RowBinding
 from repro.shard.backend import ShardedBackend
 from repro.sql.parser import parse
 from tests.conftest import EXECUTION_PATHS
+from tests.sql_reference import SqliteReference
 
 LEDGER_DDL = (
     "CREATE TABLE ledger (tid INT NOT NULL, leg INT NOT NULL, "
@@ -47,11 +47,8 @@ def ledger_rows():
 LEDGER_ROWS = ledger_rows()
 
 
-def make_backend(engine, partitions):
-    backend = (
-        BackendServer(engine=engine) if partitions == 1
-        else ShardedBackend(partitions, engine=engine)
-    )
+def make_backend(partitions):
+    backend = BackendServer() if partitions == 1 else ShardedBackend(partitions)
     backend.create_table(LEDGER_DDL)
     values = ", ".join(f"({t}, {l}, {a}, {d})" for t, l, a, d in LEDGER_ROWS)
     backend.execute(f"INSERT INTO ledger VALUES {values}")
@@ -59,11 +56,11 @@ def make_backend(engine, partitions):
     return backend
 
 
-def make_cache(engine, partitions, stale=False):
+def make_cache(partitions, stale=False):
     """A cache with a full ledger copy.  ``stale`` moves the clock far past
     the bound without running replication, so every guard fails and the
     guarded plan takes its remote branch."""
-    cache = MTCache(make_backend(engine, partitions), engine=engine)
+    cache = MTCache(make_backend(partitions))
     cache.create_region("r1", 10.0, 2.0, heartbeat_interval=1.0)
     cache.create_matview(
         "ledger_copy", "ledger", ["tid", "leg", "account", "delta"], region="r1"
@@ -75,34 +72,22 @@ def make_cache(engine, partitions, stale=False):
 
 
 class Env:
-    def __init__(self, engine, partitions):
-        self.backend = make_backend(engine, partitions)
-        self.fresh = make_cache(engine, partitions)
-        self.stale = make_cache(engine, partitions, stale=True)
+    def __init__(self, partitions):
+        self.backend = make_backend(partitions)
+        self.fresh = make_cache(partitions)
+        self.stale = make_cache(partitions, stale=True)
+        self.reference = SqliteReference(self.backend)
 
 
 _ENVS = {}
 
 
-def shared_env(engine, partitions):
-    """One long-lived environment per (engine, partitions): templates stay
-    warm across hypothesis examples."""
-    key = (engine, partitions)
-    if key not in _ENVS:
-        _ENVS[key] = Env(engine, partitions)
-    return _ENVS[key]
-
-
-_SQLITE = sqlite3.connect(":memory:")
-_SQLITE.execute(
-    "CREATE TABLE ledger (tid INTEGER, leg INTEGER, account INTEGER, "
-    "delta INTEGER, PRIMARY KEY (tid, leg))"
-)
-_SQLITE.executemany("INSERT INTO ledger VALUES (?, ?, ?, ?)", LEDGER_ROWS)
-
-
-def sqlite_rows(sql):
-    return _SQLITE.execute(sql).fetchall()
+def shared_env(partitions):
+    """One long-lived environment per partition count, shared by both
+    execution paths: templates stay warm across hypothesis examples."""
+    if partitions not in _ENVS:
+        _ENVS[partitions] = Env(partitions)
+    return _ENVS[partitions]
 
 
 # ----------------------------------------------------------------------
@@ -166,14 +151,6 @@ def statements(draw):
     return SELECT + f"l.tid IN {tids} AND l.account IN (0, 2, 4)"
 
 
-def same_rows(got, sql):
-    expected = sqlite_rows(sql)
-    if "ORDER BY" in sql:
-        assert got == expected, sql
-    else:
-        assert Counter(got) == Counter(expected), sql
-
-
 def assert_warm_equals_cold(cache, sql):
     warm = cache.execute(sql)
     cold_plan = cache.optimize(sql, use_cache=False)
@@ -187,29 +164,29 @@ def assert_warm_equals_cold(cache, sql):
 
 
 @pytest.mark.parametrize("partitions", [1, 2])
-@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
+@pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
 class TestDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=list(HealthCheck))
     @given(batch=st.lists(statements(), min_size=1, max_size=5))
-    def test_every_path_matches_sqlite(self, engine, partitions, batch):
-        env = shared_env(engine, partitions)
+    def test_every_path_matches_sqlite(self, path, partitions, batch):
+        env = shared_env(partitions)
         for sql in batch:
-            same_rows(env.backend.execute(sql).rows, sql)
+            env.reference.check(env.backend.execute(sql).rows, sql)
             bounded = sql + (JOIN_BOUND if " ledger m " in sql else BOUND)
             for cache, routing in ((env.fresh, "local"), (env.stale, "remote")):
                 result = assert_warm_equals_cold(cache, bounded)
                 assert result.routing == routing, sql
                 assert "guarded(ledger_copy)" in result.plan.summary(), sql
-                same_rows(result.rows, sql)
+                env.reference.check(result.rows, sql)
 
-    def test_order_by_keeps_its_sort(self, engine, partitions):
-        env = shared_env(engine, partitions)
+    def test_order_by_keeps_its_sort(self, path, partitions):
+        env = shared_env(partitions)
         sql = SELECT + "l.tid IN (40, 3, 17) ORDER BY l.tid, l.leg"
         plan = env.fresh.optimize(sql + BOUND).explain()
         assert "IndexSeek(ledger_copy.pk_ledger_copy IN 3)" in plan
         assert plan.splitlines()[0] == "Sort"
-        same_rows(env.fresh.execute(sql + BOUND).rows, sql)
+        env.reference.check(env.fresh.execute(sql + BOUND).rows, sql)
 
 
 # ----------------------------------------------------------------------
@@ -236,19 +213,19 @@ class TestPlans:
     def test_an_in_seek_claims_no_sort_order(self):
         # Were the seeks' outputs taken as key-ordered, this join would
         # merge two unsorted inputs and lose rows.
-        backend = make_backend("columnar", 1)
+        backend = make_backend(1)
         sql = ("SELECT l.tid, l.leg, m.leg FROM ledger l, ledger m WHERE l.tid = m.tid "
                "AND l.tid IN (40, 3, 17) AND m.tid IN (17, 40, 3)")
         assert "MergeJoin" not in backend.optimize(parse(sql)).explain()
-        same_rows(backend.execute(sql).rows, sql)
+        SqliteReference(backend).check(backend.execute(sql).rows, sql)
 
     def test_equality_seek_is_described_as_before(self):
-        backend = make_backend("columnar", 1)
+        backend = make_backend(1)
         explain = backend.optimize(parse(SELECT + "l.tid = 5")).explain()
         assert "IndexSeek(ledger.pk_ledger)" in explain
 
     def test_explain_analyze_shows_the_seek_and_its_rows(self):
-        cache = make_cache("columnar", 1)
+        cache = make_cache(1)
         sql = SELECT + "l.tid IN (4, 5, 404)" + BOUND
         lines = [row[0] for row in cache.explain(sql, analyze=True).rows]
         (seek,) = [line for line in lines if "IndexSeek(" in line]
@@ -257,7 +234,7 @@ class TestPlans:
         assert act_rows == "5"  # 3 legs of tid 4, 2 of tid 5
 
     def test_one_template_per_shape(self):
-        cache = make_cache("columnar", 1)
+        cache = make_cache(1)
         for k in range(1, 9):
             result = cache.execute(SELECT + f"l.tid IN ({k}, {k + 10})" + BOUND)
             assert sorted({row[0] for row in result.rows}) == [k, k + 10]
@@ -266,7 +243,7 @@ class TestPlans:
         assert len(cache._plans.cache.templates) == 1
 
     def test_scan_still_wins_when_the_list_covers_the_table(self):
-        backend = make_backend("columnar", 1)
+        backend = make_backend(1)
         items = ", ".join(str(t) for t in range(1, N_TIDS + 1))
         explain = backend.optimize(parse(SELECT + f"l.tid IN ({items})")).explain()
         assert "SeqScan(ledger)" in explain
@@ -276,11 +253,11 @@ class TestPlans:
         backend.create_table(LEDGER_DDL)
         values = ", ".join(f"({t}, {l}, {a}, {d})" for t, l, a, d in LEDGER_ROWS)
         backend.execute(f"INSERT INTO ledger VALUES {values}")
+        reference = SqliteReference(backend)
         for tid in range(1, 10):
             for pred in (f"= {tid}.0", f"IN ({tid}.0)", f"IN ({tid}.0, NULL)"):
                 sql = f"SELECT l.tid, l.leg FROM ledger l WHERE l.tid {pred}"
-                assert sorted(backend.execute(sql).rows) == sqlite_rows(
-                    sql + " ORDER BY l.tid, l.leg"), sql
+                reference.check(backend.execute(sql).rows, sql)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +265,7 @@ class TestPlans:
 # ----------------------------------------------------------------------
 class TestOperator:
     def make_seek(self, items, prefix=()):
-        backend = make_backend("columnar", 1)
+        backend = make_backend(1)
         table = backend.catalog.table("ledger").table
         binding = RowBinding([OutputCol(c.name, "l") for c in table.schema.columns])
         seek = ops.IndexSeek(
@@ -322,7 +299,7 @@ class TestOperator:
 
     def test_reopen_reevaluates_the_items(self):
         params = [3]
-        backend = make_backend("columnar", 1)
+        backend = make_backend(1)
         table = backend.catalog.table("ledger").table
         binding = RowBinding([OutputCol(c.name, "l") for c in table.schema.columns])
         seek = ops.IndexSeek(

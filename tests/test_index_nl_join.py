@@ -1,19 +1,21 @@
 """Columnar index nested-loops joins and column results across the tier
 boundary.
 
-Under the columnar engine :class:`~repro.engine.operators.IndexNLJoin`
+In a streamed run :class:`~repro.engine.operators.IndexNLJoin`
 probes its inner index once per outer key and gathers the outer batch's
 columns and the inner table's column store at the matches, when its
 inner side is an equality :class:`~repro.engine.operators.IndexSeek`
 keyed on bare outer columns (no IN list; no inner predicate, or one with
 a selection kernel).  Every other shape re-opens the inner seek per
-outer row.  The differential below drives hand-built joins over
-generated tables through both engines and requires
+outer row, and so does a tiny plan's ``all_rows()``.  The differential
+below drives hand-built joins over generated tables through both
+protocols and requires
 
-* the same rows *in the same order* as the row engine (outer order, then
-  index order within a key), on a first and a second execution of the
-  same tree, and
-* the same bag of rows as stdlib ``sqlite3`` answering the same query.
+* the same rows *in the same order* from ``all_rows()`` and
+  ``col_batches()`` (outer order, then index order within a key), on a
+  first and a second execution of the same tree, and
+* stdlib ``sqlite3``'s answer to the same query
+  (:class:`tests.sql_reference.SqliteReference`).
 
 The generated inner tables have heap holes (deleted rows) and duplicate
 keys on a two-column index; outer keys are NULL, int or float, seek a
@@ -22,9 +24,6 @@ prefix or the whole key, and arrive in one batch or many.
 The boundary cases check :class:`~repro.engine.operators.RemoteQuery`
 over the column result ``execute_remote`` returns.
 """
-
-import sqlite3
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +43,8 @@ from repro.engine.expressions import (
 from repro.sql.parser import parse_expression
 from repro.storage.schema import Column, DataType, Schema
 from repro.storage.table import HeapTable
-from tests.conftest import EXECUTION_PATHS
+from tests.conftest import EXECUTION_PATHS, drain, run_protocols
+from tests.sql_reference import SqliteReference
 
 L_COLUMNS = [("id", DataType.INT, False), ("k", DataType.INT, True),
              ("kf", DataType.FLOAT, True), ("k2", DataType.INT, True)]
@@ -127,42 +127,6 @@ def _join(l_table, l_rows, r_table, index, keys, inner_predicate, residual,
     )
 
 
-def _col_batch_rows(tree, size):
-    ctx = ExecutionContext()
-    ctx.engine = "columnar"
-    tree.open(ctx)
-    try:
-        return [row for batch in tree.col_batches(size) for row in batch.to_rows()]
-    finally:
-        tree.close()
-
-
-def _run_engines(build_tree, size=None):
-    """Rows per engine; each tree runs twice and must repeat itself.  With
-    a ``size`` the columnar run drains ``col_batches(size)`` itself."""
-    out = {}
-    for engine in ops.ENGINES:
-        tree = build_tree()
-        if engine == "columnar" and size is not None:
-            run = lambda: _col_batch_rows(tree, size)  # noqa: E731
-        else:
-            executor = Executor(clock=SimulatedClock(), engine=engine)
-            run = lambda: executor.execute(tree).rows  # noqa: E731
-        first = run()
-        assert run() == first, engine
-        out[engine] = first
-    return out
-
-
-def _sqlite_rows(l_rows, r_rows, sql):
-    db = sqlite3.connect(":memory:")
-    db.execute("CREATE TABLE l (id INTEGER, k INTEGER, kf REAL, k2 INTEGER)")
-    db.execute("CREATE TABLE r (k INTEGER, k2 INTEGER, w INTEGER)")
-    db.executemany("INSERT INTO l VALUES (?, ?, ?, ?)", l_rows)
-    db.executemany("INSERT INTO r VALUES (?, ?, ?)", r_rows)
-    return db.execute(sql).fetchall()
-
-
 KEY_VALUES = [0, 1, 2, 3]
 
 
@@ -206,27 +170,28 @@ class TestIndexNLJoinDifferential:
                                                 residual, outer_filter, outer_rows,
                                                 size):
         l_rows, r_rows, deleted = data
+        # The "row engine" is the row protocol: all_rows(), as a tiny plan runs.
         l_table = _outer_table(l_rows)
         r_table, index = _inner_table(r_rows, deleted)
-        live_r = [row for rid, row in enumerate(r_rows) if rid not in deleted]
 
         def build_tree():
             return _join(l_table, l_rows, r_table, index, KEYS[keys], inner_predicate,
                          residual, outer_filter, outer_rows)
 
-        rows = _run_engines(build_tree, size)
+        rows = run_protocols(build_tree, size)
         sql = _sql(KEYS[keys], inner_predicate, residual, outer_filter)
-        assert rows["columnar"] == rows["row"], sql
-        assert Counter(rows["row"]) == Counter(_sqlite_rows(l_rows, live_r, sql)), sql
+        reference = SqliteReference(l_table, r_table)
+        for protocol in ("all_rows", "col_batches"):
+            reference.check(rows[protocol], sql)
+        assert rows["col_batches"] == rows["all_rows"], sql
 
 
 def _opens_per_run(tree):
-    """Drain ``tree`` under the columnar engine; the number of times its
-    inner seek was opened."""
+    """Stream ``tree``; the number of times its inner seek was opened."""
     opened = []
     inner_open = tree.inner.open
     tree.inner.open = lambda ctx, env=None: (opened.append(1), inner_open(ctx, env))
-    _col_batch_rows(tree, 4)
+    drain(tree, "col_batches", 4)
     return len(opened)
 
 
@@ -274,8 +239,8 @@ class TestColumnarProbe:
 NULL_KEY_SQL = "SELECT c.cid, p.v FROM c c, p p WHERE c.pid = p.id AND c.cid < 12"
 
 
-def _null_key_server(engine):
-    server = BackendServer(engine=engine)
+def _null_key_server():
+    server = BackendServer()
     server.create_table("CREATE TABLE p (id INT NOT NULL, v INT NOT NULL, PRIMARY KEY (id))")
     server.create_table("CREATE TABLE c (cid INT NOT NULL, pid INT, PRIMARY KEY (cid))")
     server.execute("INSERT INTO p VALUES " + ", ".join(
@@ -286,23 +251,13 @@ def _null_key_server(engine):
     return server
 
 
-def _sqlite_null_key_rows():
-    db = sqlite3.connect(":memory:")
-    db.execute("CREATE TABLE p (id INTEGER, v INTEGER)")
-    db.execute("CREATE TABLE c (cid INTEGER, pid INTEGER)")
-    db.executemany("INSERT INTO p VALUES (?, ?)", [(i, i * 7 % 101) for i in range(2000)])
-    db.executemany("INSERT INTO c VALUES (?, ?)",
-                   [(i, None if i % 5 == 0 else i * 13 % 2000) for i in range(2000)])
-    return db.execute(NULL_KEY_SQL).fetchall()
-
-
-@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
-def test_null_outer_key_matches_nothing(engine):
-    server = _null_key_server(engine)
+@pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
+def test_null_outer_key_matches_nothing(path):
+    server = _null_key_server()
     plan = "\n".join(line for (line,) in server.explain(NULL_KEY_SQL).rows)
     assert "IndexNLJoin" in plan and "IndexSeek(p.pk_p)" in plan, plan
     rows = server.execute(NULL_KEY_SQL).rows
-    assert Counter(rows) == Counter(_sqlite_null_key_rows())
+    SqliteReference(server).check(rows, NULL_KEY_SQL)
     assert server.execute_remote(NULL_KEY_SQL).to_rows() == rows
 
 
@@ -359,16 +314,17 @@ class TestRemoteQuery:
         op.open(ExecutionContext())
         assert list(op.col_batches()) == [result]
 
-    @pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
+    @pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
     @pytest.mark.parametrize("sql", [
         "SELECT p.id, p.v FROM p p WHERE p.id < 0",       # empty
         "SELECT p.id, p.v FROM p p WHERE p.id = 3",       # tiny: wrapped rows
         "SELECT p.id, p.v FROM p p WHERE p.id < 700",     # a range scan's batches
         "SELECT c.cid, p.v FROM c c, p p WHERE c.pid = p.id AND c.cid < 900",
     ])
-    def test_backend_column_result_equals_its_rows(self, engine, sql):
-        server = _null_key_server(engine)
+    def test_backend_column_result_equals_its_rows(self, path, sql):
+        server = _null_key_server()
         expected = server.execute(sql).rows
+        SqliteReference(server).check(expected, sql)
         batch = server.execute_remote(sql)
         assert batch.sel is None and batch.n_rows == len(expected)
         assert batch.to_rows() == expected

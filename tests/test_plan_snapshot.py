@@ -18,6 +18,8 @@ from repro.plan import (
     instantiate_snapshot,
     serialize_plan,
 )
+from tests.conftest import each_path
+from tests.sql_reference import SqliteReference
 
 
 def make_backend(rows=40):
@@ -44,7 +46,7 @@ def make_cache(store=None, **kwargs):
 def roundtrip(cache, sql):
     """optimize -> serialize -> json -> instantiate -> execute."""
     plan = cache.optimize(sql, use_cache=False)
-    snapshot = json.loads(json.dumps(serialize_plan(plan, engine=cache.engine)))
+    snapshot = json.loads(json.dumps(serialize_plan(plan)))
     replay = instantiate_snapshot(snapshot, cache)
     return (
         cache._execute_plan(plan, sql_text=sql),
@@ -73,8 +75,11 @@ class TestSnapshotRoundTrip:
     ])
     def test_rows_identical(self, sql):
         cache = make_cache()
-        fresh, replay, snapshot = roundtrip(cache, sql)
-        assert Counter(replay.rows) == Counter(fresh.rows), sql
+        reference = SqliteReference(cache.backend)
+        for _ in each_path():
+            fresh, replay, snapshot = roundtrip(cache, sql)
+            reference.check(fresh.rows, sql)
+            reference.check(replay.rows, sql)
         assert snapshot["version"] == SNAPSHOT_VERSION
         json.dumps(snapshot)  # stays JSON-compatible
 
@@ -161,7 +166,7 @@ class TestSnapshotRoundTrip:
     def test_equality_seek_record_is_unchanged(self):
         cache = make_cache()
         sql = "SELECT t.id, t.v FROM t WHERE t.id = 7 CURRENCY BOUND 600 SEC ON (t)"
-        snapshot = serialize_plan(cache.optimize(sql, use_cache=False), engine=cache.engine)
+        snapshot = serialize_plan(cache.optimize(sql, use_cache=False))
         assert json.dumps(self.seek_record(snapshot)) == self.EQ_SEEK_RECORD
         assert snapshot["version"] == SNAPSHOT_VERSION == 1
 
@@ -174,7 +179,7 @@ class TestSnapshotRoundTrip:
         sql = ("SELECT t.id, t.v FROM t WHERE t.id IN (9, 3, 3.0, NULL, 999) "
                "AND t.v > 1 CURRENCY BOUND 600 SEC ON (t)")
         plan = publisher.optimize(sql, use_cache=False)
-        snapshot = json.loads(json.dumps(serialize_plan(plan, engine=publisher.engine)))
+        snapshot = json.loads(json.dumps(serialize_plan(plan)))
         record = self.seek_record(snapshot)
         assert record["in"] == [["const", 9], ["const", 3], ["const", 3.0],
                                 ["const", None], ["const", 999]]
@@ -222,12 +227,15 @@ class TestSnapshotRoundTripProperty:
         sql = f"SELECT t.id, t.v, t.w FROM t WHERE {' AND '.join(conjuncts)}"
         if currency:
             sql += " CURRENCY BOUND 600 SEC ON (t)"
-        fresh, replay, _ = roundtrip(shared_cache, sql)
-        assert Counter(replay.rows) == Counter(fresh.rows), sql
+        cache, reference = shared_cache
+        fresh, replay, _ = roundtrip(cache, sql)
+        reference.check(fresh.rows, sql)
+        reference.check(replay.rows, sql)
 
     @pytest.fixture(scope="class")
     def shared_cache(self):
-        return make_cache()
+        cache = make_cache()
+        return cache, SqliteReference(cache.backend)
 
 
 # ----------------------------------------------------------------------
@@ -236,40 +244,39 @@ class TestSnapshotRoundTripProperty:
 class TestPlanSnapshotStore:
     def test_publish_get(self):
         store = PlanSnapshotStore()
-        store.publish("q", "fp", "columnar", {"x": 1}, epoch=3)
-        assert store.get("q", "fp", "columnar", epoch=3) == {"x": 1}
-        assert store.get("q", "other-fp", "columnar", epoch=3) is None
-        assert store.get("q", "fp", "row", epoch=3) is None
-        assert store.stats["hits"] == 1 and store.stats["misses"] == 2
+        store.publish("q", "fp", {"x": 1}, epoch=3)
+        assert store.get("q", "fp", epoch=3) == {"x": 1}
+        assert store.get("q", "other-fp", epoch=3) is None
+        assert store.stats["hits"] == 1 and store.stats["misses"] == 1
 
     def test_epoch_mismatch_rejects_and_drops(self):
         store = PlanSnapshotStore()
-        store.publish("q", "fp", "columnar", {"x": 1}, epoch=3)
-        assert store.get("q", "fp", "columnar", epoch=4) is None
+        store.publish("q", "fp", {"x": 1}, epoch=3)
+        assert store.get("q", "fp", epoch=4) is None
         assert store.stats["epoch_rejections"] == 1
         assert len(store) == 0
 
     def test_ttl_expiry_on_simulated_clock(self):
         backend = make_backend()
         store = PlanSnapshotStore(backend.clock, ttl=10.0)
-        store.publish("q", "fp", "columnar", {"x": 1})
-        assert store.get("q", "fp", "columnar") == {"x": 1}
+        store.publish("q", "fp", {"x": 1})
+        assert store.get("q", "fp") == {"x": 1}
         backend.run_for(11.0)
-        assert store.get("q", "fp", "columnar") is None
+        assert store.get("q", "fp") is None
         assert store.stats["expirations"] == 1
 
     def test_lru_capacity(self):
         store = PlanSnapshotStore(capacity=2)
-        store.publish("a", "fp", "e", 1)
-        store.publish("b", "fp", "e", 2)
-        assert store.get("a", "fp", "e") == 1  # touch: a is now most recent
-        store.publish("c", "fp", "e", 3)
-        assert store.get("b", "fp", "e") is None  # b evicted, not a
-        assert store.get("a", "fp", "e") == 1
+        store.publish("a", "fp", 1)
+        store.publish("b", "fp", 2)
+        assert store.get("a", "fp") == 1  # touch: a is now most recent
+        store.publish("c", "fp", 3)
+        assert store.get("b", "fp") is None  # b evicted, not a
+        assert store.get("a", "fp") == 1
 
     def test_invalidate(self):
         store = PlanSnapshotStore()
-        store.publish("q", "fp", "e", 1)
+        store.publish("q", "fp", 1)
         assert store.invalidate(reason="test") == 1
         assert len(store) == 0
         assert store.last_invalidation == "test"
@@ -328,11 +335,10 @@ class TestMTCacheIntegration:
         for agent in cache.region_agents("r"):
             assert agent._interval == 9.0
 
-    def test_fingerprint_tracks_engine_and_policy(self):
+    def test_fingerprint_tracks_policy(self):
         cache = make_cache()
         fp = cache.config_fingerprint()
-        row = make_cache(engine="row")
-        assert row.config_fingerprint() != fp
+        assert make_cache().config_fingerprint() == fp
         cache.fallback_policy = "serve_stale"
         assert cache.config_fingerprint() != fp
 

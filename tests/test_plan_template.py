@@ -28,6 +28,7 @@ from repro.sql import ast
 from repro.sql.lexer import Lexer, TokenType, fingerprint
 from repro.sql.parser import parse
 from tests.conftest import EXECUTION_PATHS
+from tests.sql_reference import SqliteReference
 
 TESTS = Path(__file__).parent
 
@@ -36,11 +37,10 @@ TESTS = Path(__file__).parent
 # Environment: a paper-like customer/orders pair plus the ledger, over 1
 # or 2 partitions, with a full copy, a predicate view and a view index.
 # ----------------------------------------------------------------------
-def make_backend(engine="columnar", partitions=1, **backend_kwargs):
-    kwargs = dict(engine=engine, **backend_kwargs)
+def make_backend(partitions=1, **backend_kwargs):
     backend = (
-        BackendServer(**kwargs) if partitions == 1
-        else ShardedBackend(partitions, **kwargs)
+        BackendServer(**backend_kwargs) if partitions == 1
+        else ShardedBackend(partitions, **backend_kwargs)
     )
     backend.create_table(
         "CREATE TABLE customer (c_custkey INT NOT NULL, c_name STRING NOT NULL, "
@@ -68,9 +68,9 @@ def make_backend(engine="columnar", partitions=1, **backend_kwargs):
     return backend
 
 
-def make_cache(engine="columnar", partitions=1, **cache_kwargs):
-    backend = make_backend(engine, partitions)
-    cache = MTCache(backend, engine=engine, **cache_kwargs)
+def make_cache(partitions=1, **cache_kwargs):
+    backend = make_backend(partitions)
+    cache = MTCache(backend, **cache_kwargs)
     cache.create_region("r1", 10.0, 2.0, heartbeat_interval=1.0)
     cache.create_matview(
         "cust_copy", "customer",
@@ -95,13 +95,14 @@ def make_cache(engine="columnar", partitions=1, **cache_kwargs):
 _ENVS = {}
 
 
-def shared_cache(engine, partitions):
-    """One long-lived cache per (engine, partitions): templates stay warm
+def shared_cache(partitions):
+    """One long-lived cache per partition count, shared by both execution
+    paths, and the sqlite3 copy of its back-end: templates stay warm
     across hypothesis examples, which is the state worth testing."""
-    key = (engine, partitions)
-    if key not in _ENVS:
-        _ENVS[key] = make_cache(engine, partitions)
-    return _ENVS[key]
+    if partitions not in _ENVS:
+        cache = make_cache(partitions)
+        _ENVS[partitions] = cache, SqliteReference(cache.backend)
+    return _ENVS[partitions]
 
 
 def events(cache, event):
@@ -185,8 +186,12 @@ def statements(draw):
     return sql
 
 
-def assert_warm_equals_cold(cache, sql):
+def assert_warm_equals_cold(cache, sql, reference=None):
+    """The warm template's result is the cold optimization's; with a
+    ``reference``, its rows are also sqlite3's."""
     warm = cache.execute(sql)
+    if reference is not None:
+        reference.check(warm.rows, sql)
     cold_plan = cache.optimize(sql, use_cache=False)
     cold = cache._execute_plan(cold_plan, sql_text=sql)
     assert Counter(warm.rows) == Counter(cold.rows), sql
@@ -202,18 +207,18 @@ def assert_warm_equals_cold(cache, sql):
 
 
 @pytest.mark.parametrize("partitions", [1, 2])
-@pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
+@pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
 class TestDifferential:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=list(HealthCheck))
     @given(batch=st.lists(statements(), min_size=1, max_size=6))
-    def test_warm_template_matches_cold_optimization(self, engine, partitions, batch):
-        cache = shared_cache(engine, partitions)
+    def test_warm_template_matches_cold_optimization(self, path, partitions, batch):
+        cache, reference = shared_cache(partitions)
         for sql in batch:
-            assert_warm_equals_cold(cache, sql)
+            assert_warm_equals_cold(cache, sql, reference)
 
-    def test_the_shapes_above_really_share_plans(self, engine, partitions):
-        cache = make_cache(engine, partitions)
+    def test_the_shapes_above_really_share_plans(self, path, partitions):
+        cache = make_cache(partitions)
         for key in range(1, 13):
             result = cache.execute(POINT.format(key) + BOUND)
             assert result.rows == [(key, f"cust#{key}")]
@@ -222,14 +227,14 @@ class TestDifferential:
         assert events(cache, "binds") == 12 - partitions
         assert len(cache._plans.cache.templates) == partitions
 
-    def test_snapshot_of_a_bound_plan_is_const_only(self, engine, partitions):
+    def test_snapshot_of_a_bound_plan_is_const_only(self, path, partitions):
         from repro.plan import instantiate_snapshot, serialize_plan
 
-        cache = make_cache(engine, partitions)
+        cache = make_cache(partitions)
         cache.execute(POINT.format(3) + BOUND)
         bound = cache.optimize(POINT.format(9) + BOUND)  # binds slot 0 = 9
         assert isinstance(bound, BoundPlan)
-        snapshot = serialize_plan(bound, engine=cache.engine)
+        snapshot = serialize_plan(bound)
         assert '"param"' not in repr(snapshot).replace("'", '"')
         replay = cache._execute_plan(instantiate_snapshot(snapshot, cache), sql_text="x")
         assert replay.rows == [(9, "cust#9")]
@@ -559,7 +564,7 @@ class TestShardSetKeys:
     live on, so every order of the same shards binds one plan."""
 
     def setup_method(self):
-        self.cache = make_cache("columnar", 2)
+        self.cache = make_cache(2)
         shard_of = self.cache.backend.shard_of
         self.keys = {0: [], 1: []}
         for tid in range(1, 31):
@@ -631,7 +636,7 @@ class TestObservability:
         assert events(cache, "binds") == 2
 
     def test_explain_prints_one_template_line(self):
-        cache = make_cache("columnar", 2)
+        cache = make_cache(2)
         sql = ("SELECT l.tid, l.delta FROM ledger l WHERE l.tid = 7 "
                "CURRENCY BOUND 5 SEC ON (l)")
         lines = [row[0] for row in cache.execute("EXPLAIN " + sql).rows]

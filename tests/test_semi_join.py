@@ -5,6 +5,7 @@ import pytest
 from repro.cache.backend import BackendServer
 from repro.optimizer.query_info import analyze_select
 from repro.sql.parser import parse
+from tests.sql_reference import SqliteReference
 
 
 @pytest.fixture()
@@ -202,25 +203,11 @@ class TestInnerCurrencyClause:
     INNER = ("SELECT e.eid FROM emp e WHERE e.did IN (SELECT d.did FROM dept d "
              "WHERE d.budget > 5000 CURRENCY BOUND 600 SEC ON (d))")
 
-    def sqlite_rows(self):
-        import sqlite3
-
-        db = sqlite3.connect(":memory:")
-        db.execute("CREATE TABLE emp (eid INTEGER, did INTEGER, sal REAL)")
-        db.execute("CREATE TABLE dept (did INTEGER, budget REAL)")
-        db.executemany("INSERT INTO emp VALUES (?, ?, ?)",
-                       [(i, i % 10, float(i * 10)) for i in range(1, 101)])
-        db.executemany("INSERT INTO dept VALUES (?, ?)",
-                       [(i, float(i * 1000)) for i in range(10)])
-        return db.execute(QUERY).fetchall()
-
     def test_inner_clause_is_recognized(self, server):
         info = analyze_select(parse(self.INNER), server.catalog)
         assert len(info.semi_joins) == 1 and not info.post_conjuncts
 
     def test_shipped_text_plans_a_semi_join_on_the_backend(self, server):
-        from collections import Counter
-
         from repro.cache.mtcache import MTCache
 
         cache = MTCache(server)
@@ -232,4 +219,4 @@ class TestInnerCurrencyClause:
         assert "CURRENCY" in shipped  # the inner clause travels with the text
         plan = "\n".join(line for (line,) in server.explain(shipped).rows)
         assert "naive plan" not in plan and "HashSemiJoin" in plan, plan
-        assert Counter(result.rows) == Counter(self.sqlite_rows())
+        SqliteReference(server).check(result.rows, self.INNER)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.expressions import OutputCol, RowBinding, evaluator
-from repro.engine.operators import ENGINES
 from repro.sql import ast
 from repro.sql.parser import parse_expression
 from tests.conftest import EXECUTION_PATHS
+from tests.sql_reference import SqliteReference
 
 TRUTH = st.sampled_from([True, False, None])
 
@@ -115,7 +115,7 @@ class TestWhereSemantics:
 
 
 # ----------------------------------------------------------------------
-# [NOT] IN with NULL items, on every engine, against stdlib sqlite3
+# [NOT] IN with NULL items, on both execution paths, against stdlib sqlite3
 # ----------------------------------------------------------------------
 IN_LIST_PREDICATES = [
     "t.v NOT IN (10, NULL)",
@@ -129,9 +129,9 @@ IN_LIST_PREDICATES = [
     "t.k IN (3, NULL) OR NOT (t.v IN (4, NULL))",
 ]
 
-#: Small stays under the executor's COLUMNAR_MIN_EST_ROWS (the row and
-#: columnar engines run the row closures, the "batch" path its kernel);
-#: large crosses it (columnar runs its kernel).
+#: Small stays under the executor's COLUMNAR_MIN_EST_ROWS (the "columnar"
+#: path runs the row closures, the "batch" path its kernel); large
+#: crosses it (both paths run the kernel).
 IN_LIST_TABLE_SIZES = {"small": 20, "large": 200}
 
 
@@ -144,36 +144,26 @@ def in_list_backends():
     from repro.cache.backend import BackendServer
 
     out = {}
-    for engine in ENGINES:
-        for size, n in IN_LIST_TABLE_SIZES.items():
-            backend = BackendServer(engine=engine)
-            backend.create_table("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
-            values = ", ".join(
-                f"({k}, {'NULL' if v is None else v})" for k, v in _in_list_rows(n)
-            )
-            backend.execute(f"INSERT INTO t VALUES {values}")
-            backend.refresh_statistics()
-            out[engine, size] = backend
+    for size, n in IN_LIST_TABLE_SIZES.items():
+        backend = BackendServer()
+        backend.create_table("CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))")
+        values = ", ".join(
+            f"({k}, {'NULL' if v is None else v})" for k, v in _in_list_rows(n)
+        )
+        backend.execute(f"INSERT INTO t VALUES {values}")
+        backend.refresh_statistics()
+        out[size] = backend, SqliteReference(backend)
     return out
-
-
-def _sqlite_rows(n, sql):
-    import sqlite3
-
-    db = sqlite3.connect(":memory:")
-    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
-    db.executemany("INSERT INTO t VALUES (?, ?)", _in_list_rows(n))
-    return sorted(db.execute(sql).fetchall())
 
 
 class TestInListWithNullItems:
     @pytest.mark.parametrize("size", sorted(IN_LIST_TABLE_SIZES))
-    @pytest.mark.parametrize("engine", EXECUTION_PATHS, indirect=True)
+    @pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
     @pytest.mark.parametrize("predicate", IN_LIST_PREDICATES)
-    def test_matches_sqlite(self, in_list_backends, engine, size, predicate):
+    def test_matches_sqlite(self, in_list_backends, path, size, predicate):
         sql = f"SELECT t.k FROM t WHERE {predicate}"
-        rows = in_list_backends[engine, size].execute(sql).rows
-        assert sorted(rows) == _sqlite_rows(IN_LIST_TABLE_SIZES[size], sql), sql
+        backend, reference = in_list_backends[size]
+        reference.check(backend.execute(sql).rows, sql)
 
     def test_closures_follow_the_kernel_truth_table(self):
         # x [NOT] IN (1, NULL): a hit is TRUE (FALSE negated), a miss UNKNOWN.

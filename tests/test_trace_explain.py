@@ -16,7 +16,7 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.obs.trace import NULL_TRACE, TraceContext, TraceExporter, TraceLog
 from repro.sql.parser import parse
 from repro.workloads.driver import WorkloadDriver, point_lookup_factory
-from tests.conftest import stream_every_plan
+from tests.conftest import EXECUTION_PATHS, each_path, stream_every_plan
 
 GUARDED = "SELECT t.id, t.v FROM t WHERE t.v > 20 CURRENCY BOUND 600 SEC ON (t)"
 REMOTE_ONLY = "SELECT t.id, t.v FROM t CURRENCY BOUND 0 SEC ON (t)"
@@ -325,8 +325,8 @@ class TestExplainAnalyze:
         return [r for r in records if r["executed"]]
 
     def test_batch_engine_estimates_vs_actuals(self, monkeypatch):
-        # The "batch" path: the default engine with its tiny-plan shortcut
-        # off, so this small guarded plan streams column batches.
+        # The "batch" path: the executor's tiny-plan shortcut off, so this
+        # small guarded plan streams column batches.
         stream_every_plan(monkeypatch)
         cache = make_cache()
         result = cache.explain(GUARDED, analyze=True)
@@ -343,15 +343,15 @@ class TestExplainAnalyze:
         remote = next(r for r in records if r["op"] == "RemoteQuery")
         assert not remote["executed"] and remote["q_error"] is None
 
-    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    @pytest.mark.parametrize("path", EXECUTION_PATHS, indirect=True)
     @pytest.mark.parametrize("sql", [
         GUARDED,
         "SELECT a.id, b.v FROM t a, t b WHERE a.id = b.v CURRENCY BOUND 600 SEC ON (a, b)",
     ])
-    def test_self_times_sum_to_root_time(self, engine, sql):
+    def test_self_times_sum_to_root_time(self, path, sql):
         # self = inclusive - executed children's inclusive: over the tree
         # the self column accounts for exactly the root's time.
-        result = make_cache(engine=engine).explain(sql, analyze=True)
+        result = make_cache().explain(sql, analyze=True)
         records = result.analysis
         assert sum(r["self_ms"] for r in records) == pytest.approx(records[0]["time_ms"])
         assert all(r["self_ms"] == 0 for r in records if not r["executed"])
@@ -362,31 +362,35 @@ class TestExplainAnalyze:
             "operator", "est.rows", "act.rows", "loops", "batches", "time", "self", "q-err"]
 
     def test_row_engine_estimates_vs_actuals(self):
-        cache = make_cache(engine="row")
+        # A 20-row table: the guarded plan is tiny and runs row mode.
+        cache = make_cache()
         result = cache.explain(GUARDED, analyze=True)
+        assert result.context.engine == "row"
         executed = self.executed(result.analysis)
         assert executed
         for record in executed:
             assert record["q_error"] is not None
-            assert record["batches"] == 0  # row engine exchanges no batches
+            assert record["batches"] == 0  # row mode exchanges no batches
             assert record["mode"] == "row"
         rows_out = [r["actual_rows"] for r in executed]
         assert max(rows_out) > 0
 
     def test_engines_agree_on_actual_rows(self):
-        columnar = make_cache().explain(GUARDED, analyze=True).analysis
-        row = make_cache(engine="row").explain(GUARDED, analyze=True).analysis
+        # Streamed ("batch") and tiny ("columnar", row mode) runs of one plan.
         key = lambda r: (r["op"], r["depth"])  # noqa: E731
-        assert (
-            [(key(r), r["actual_rows"]) for r in columnar if r["executed"]]
-            == [(key(r), r["actual_rows"]) for r in row if r["executed"]]
-        )
+        actuals = {
+            path: [(key(r), r["actual_rows"])
+                   for r in make_cache().explain(GUARDED, analyze=True).analysis
+                   if r["executed"]]
+            for path in each_path()
+        }
+        assert actuals["batch"] == actuals["columnar"]
 
     @pytest.mark.parametrize("tail", ["ORDER BY a.id", "GROUP BY a.v"])
     def test_row_only_parent_keeps_its_join_columnar(self, tail):
         # Sort and HashAggregate read their input through col_batches()
-        # under the columnar engine, so the join beneath them stays
-        # columnar instead of falling back to rows.
+        # in a streamed run, so the join beneath them stays columnar
+        # instead of falling back to rows.
         items = "a.id, b.id" if tail.startswith("ORDER") else "a.v, COUNT(*)"
         sql = (f"SELECT {items} FROM t a, t b WHERE a.v = b.v {tail} "
                "CURRENCY BOUND 600 SEC ON (a, b)")
@@ -456,8 +460,7 @@ class TestExplainAnalyze:
         assert not parse("EXPLAIN SELECT t.id FROM t").analyze
 
     def test_fused_pipeline_membership_reported(self):
-        # Large enough to run columnar: a tiny plan runs the row engine,
-        # which fuses nothing.
+        # Large enough to stream column batches through a fused scan.
         cache = make_cache(rows=60)
         records = cache.explain(GUARDED, analyze=True).analysis
         assert any(r["fused"] for r in records if r["executed"])
