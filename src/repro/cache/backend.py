@@ -9,31 +9,27 @@ iterator executor.  It also exposes the two endpoints MTCache needs:
 * ``estimate(select)`` — cost/cardinality estimates that the cache's shadow
   statistics are built from.
 
-Single-block queries go through the cost-based optimizer; queries with
-derived tables or subqueries take the naive recursive path (scan, cross
-join, filter with a subquery runner, aggregate, sort).
+Every SELECT goes through the cost-based optimizer, nested blocks
+included: a derived table is planned as an operand of the join search,
+and a subquery is compiled once per statement and re-run per outer row
+with its correlated references bound.  A statement outside the supported
+subset raises the optimizer's declared
+:class:`~repro.common.errors.OptimizerError`.
 
 A SELECT *text* (every remote branch the cache ships) is compiled through
 the server's :class:`~repro.plan.compiler.PlanCompiler`, the same plan
 cache the cache tier uses: a text hit or a template bind runs a compiled
-plan without parse or optimize.  Parsed statements and naive-path
-statements stay uncached — the reference path.
+plan without parse or optimize.  Parsed statements stay uncached — the
+reference path.
 """
 
 from repro.catalog.catalog import Catalog
 from repro.common.backend import Backend
 from repro.common.clock import SimulatedClock
-from repro.common.errors import ExecutionError, OptimizerError
+from repro.common.errors import ExecutionError
 from repro.common.scheduler import EventScheduler
-from repro.engine import operators as ops
 from repro.engine.executor import ExecutionContext, Executor
-from repro.engine.expressions import (
-    ExpressionContext,
-    OutputCol,
-    RowBinding,
-    compile_expr,
-    make_env,
-)
+from repro.engine.expressions import ExpressionContext, OutputCol, RowBinding, compile_expr
 from repro.obs.metrics import NULL_REGISTRY
 from repro.optimizer.cost import CostModel
 from repro.optimizer.optimizer import Optimizer
@@ -68,10 +64,11 @@ class BackendServer(Backend):
         #: real one (the cache keeps its own registry for the mid-tier).
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.placement = BackendPlacement(self.catalog, self.cost_model, clock=self.clock)
-        self.placement.expr_ctx = ExpressionContext(
-            clock=self.clock, subquery_runner=self._run_subquery
-        )
         self.optimizer = Optimizer(self.placement, registry=self.metrics)
+        # DML expressions compile their subqueries on demand.
+        self.placement.expr_ctx = ExpressionContext(
+            self.clock, lambda select: self.optimizer.plan_subquery(select, self.catalog)
+        )
         #: Compiled plans of SELECT texts, emptied by every epoch bump.
         #: Events go to the registry given here, like the optimizer's and
         #: the executor's, not to one a fleet attaches later.
@@ -181,8 +178,8 @@ class BackendServer(Backend):
     def execute_remote(self, sql, shards=None):
         """Endpoint for the cache's RemoteQuery operator: the result as one
         dense ColumnBatch, concatenated from the executor's batches with
-        no row built; a result that starts as rows (a tiny plan, the
-        naive path) is wrapped, so the cache unwraps it for free.
+        no row built; a result that starts as rows (a tiny plan) is
+        wrapped, so the cache unwraps it for free.
 
         ``shards`` (a shard pin from the cache optimizer) is accepted for
         protocol compatibility and ignored — one server is one shard.
@@ -193,13 +190,8 @@ class BackendServer(Backend):
         """(cost, rows, width) estimate for a Select AST or SQL string."""
         if isinstance(select, str):
             select = parse(select)
-        try:
-            plan = self.optimizer.optimize(select, self.catalog)
-            return plan.cost, plan.est_rows, plan.est_width
-        except OptimizerError:
-            # Naive-path queries: charge a generous default.
-            total = sum(e.stats.row_count for e in self.catalog.tables())
-            return self.cost_model.seq_scan(max(total, 1.0)) * 2.0, max(total, 1.0), 64.0
+        plan = self.optimizer.optimize(select, self.catalog)
+        return plan.cost, plan.est_rows, plan.est_width
 
     # ------------------------------------------------------------------
     # SELECT
@@ -209,31 +201,21 @@ class BackendServer(Backend):
 
         A text hit or a template bind executes a compiled plan: no parse,
         no optimize.  A miss parses ``sql`` — unless the caller hands its
-        parse in as ``select`` — and compiles it.  A statement the
-        optimizer refuses takes the naive path, uncached.  The sharded
+        parse in as ``select`` — and compiles it.  The sharded
         coordinator enters its partitions here.
         """
         ctx = ctx or ExecutionContext(clock=self.clock)
         plan = self.plans.lookup(sql)
         if plan is None:
-            if select is None:
-                select = parse(sql)
-            try:
-                plan = self.plans.compile(sql, select)
-            except OptimizerError:
-                return self._execute_naive(select, ctx)
+            plan = self.plans.compile(sql, parse(sql) if select is None else select)
         return self.executor.execute(plan.root(), ctx=ctx, column_names=plan.column_names)
 
     def execute_select(self, select, ctx=None):
         """Optimize and run one parsed Select, caching nothing: the
         reference path every compiled plan must agree with."""
         ctx = ctx or ExecutionContext(clock=self.clock)
-        try:
-            plan = self.optimizer.optimize(select, self.catalog)
-        except OptimizerError:
-            return self._execute_naive(select, ctx)
-        root = plan.root()
-        return self.executor.execute(root, ctx=ctx, column_names=plan.column_names)
+        plan = self.optimizer.optimize(select, self.catalog)
+        return self.executor.execute(plan.root(), ctx=ctx, column_names=plan.column_names)
 
     def optimize(self, select):
         """Expose the optimizer (plan inspection in tests/benches)."""
@@ -255,191 +237,18 @@ class BackendServer(Backend):
         text = None
         if isinstance(select, str):
             text, select = select, parse(select)
-        try:
-            if text is None:
-                plan = self.optimizer.optimize(select, self.catalog)
-            else:
-                plan = self.plans.lookup(text) or self.plans.compile(text, select)
-            lines = [
-                f"summary: {plan.summary()}",
-                f"estimated cost: {plan.cost:.1f}",
-                f"estimated rows: {plan.est_rows:.0f}",
-                self.plans.describe(text),
-            ] + plan.explain().splitlines()
-        except OptimizerError:
-            root, _, _ = self._build_naive(select)
-            lines = ["summary: naive plan", self.plans.describe(text)]
-            lines += root.explain().splitlines()
+        if text is None:
+            plan = self.optimizer.optimize(select, self.catalog)
+        else:
+            plan = self.plans.lookup(text) or self.plans.compile(text, select)
+        lines = [
+            f"summary: {plan.summary()}",
+            f"estimated cost: {plan.cost:.1f}",
+            f"estimated rows: {plan.est_rows:.0f}",
+            self.plans.describe(text),
+        ] + plan.explain().splitlines()
         ctx = ExecutionContext(clock=self.clock)
         return QueryResult(["plan"], [(line,) for line in lines], PhaseTimings(), ctx)
-
-    # ------------------------------------------------------------------
-    # Naive recursive path (derived tables, HAVING subqueries, ...)
-    # ------------------------------------------------------------------
-    def _execute_naive(self, select, ctx):
-        root, binding, names = self._build_naive(select, outer_binding=None)
-        return self.executor.execute(root, ctx=ctx, column_names=names)
-
-    def _run_subquery(self, select, outer_binding, outer_env):
-        """Subquery runner wired into expression contexts."""
-        root, _, _ = self._build_naive(select, outer_binding=outer_binding)
-        ctx = ExecutionContext(clock=self.clock)
-        root.open(ctx, outer_env)
-        try:
-            return list(root.rows())
-        finally:
-            root.close()
-
-    def _build_naive(self, select, outer_binding=None):
-        """Construct a straightforward plan for an arbitrary Select block.
-
-        Cross joins all FROM items, filters with the full WHERE (subqueries
-        included), then applies aggregation / projection / distinct / order
-        / limit.  Correlated references resolve through ``outer_binding``.
-        """
-        expr_ctx = self.placement.expr_ctx
-
-        # FROM items -> (operator, binding) pairs
-        sources = []
-        for item in select.from_items:
-            if isinstance(item, ast.FromSubquery):
-                inner_root, inner_binding, inner_names = self._build_naive(
-                    item.select, outer_binding=outer_binding
-                )
-                inner_ctx = ExecutionContext(clock=self.clock)
-                inner_root.open(inner_ctx)
-                try:
-                    inner_rows = list(inner_root.rows())
-                finally:
-                    inner_root.close()
-                binding = RowBinding([OutputCol(n, item.alias) for n in inner_names])
-                sources.append((ops.Materialized(inner_rows, binding), binding))
-            else:
-                entry = self.catalog.table(item.name)
-                binding = RowBinding(
-                    [OutputCol(c.name, item.alias) for c in entry.schema.columns]
-                )
-                sources.append((ops.SeqScan(entry.table, binding), binding))
-
-        root, binding = sources[0]
-        for next_root, next_binding in sources[1:]:
-            binding = binding.concat(next_binding)
-            root = ops.HashJoin(root, next_root, [], [], binding)
-
-        binding = RowBinding(binding.columns, outer=outer_binding)
-        root.output = binding
-
-        if select.where is not None:
-            predicate = compile_expr(select.where, binding, expr_ctx)
-            root = ops.Filter(root, predicate, output=binding)
-
-        # Aggregation or plain projection (same restricted shapes as the
-        # cost-based path).
-        has_agg = bool(select.group_by) or any(
-            isinstance(node, ast.FuncCall) and node.is_aggregate
-            for item in select.items
-            if item.expr is not None
-            for node in item.expr.walk()
-        )
-
-        pre_binding = binding  # before projection, for ORDER BY placement
-        pre_root = root
-        names = []
-        if has_agg:
-            group_refs = [g for g in select.group_by]
-            agg_items = []
-            for item in select.items:
-                if item.star:
-                    raise ExecutionError("* not supported with aggregation")
-                expr = item.expr
-                if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-                    arg = None if expr.star or not expr.args else expr.args[0]
-                    agg_items.append(("agg", expr, item.output_name(), expr.name, arg))
-                else:
-                    agg_items.append(("group", expr, item.output_name(), None, None))
-            agg_binding = RowBinding(
-                [OutputCol(g.name, g.qualifier) for g in group_refs]
-                + [OutputCol(name) for kind, _, name, _, _ in agg_items if kind == "agg"],
-                outer=outer_binding,
-            )
-            group_fns = [compile_expr(g, binding, expr_ctx) for g in group_refs]
-            specs = [
-                ops.AggregateSpec(
-                    func, compile_expr(arg, binding, expr_ctx) if arg is not None else None
-                )
-                for kind, _, _, func, arg in agg_items
-                if kind == "agg"
-            ]
-            having = (
-                compile_expr(select.having, agg_binding, expr_ctx)
-                if select.having is not None
-                else None
-            )
-            root = ops.HashAggregate(root, group_fns, specs, agg_binding, having=having)
-            out_exprs = []
-            for kind, expr, name, _, _ in agg_items:
-                if kind == "group":
-                    out_exprs.append(compile_expr(expr, agg_binding, expr_ctx))
-                else:
-                    out_exprs.append(
-                        compile_expr(ast.ColumnRef(name), agg_binding, expr_ctx)
-                    )
-                names.append(name)
-            binding = RowBinding([OutputCol(n) for n in names], outer=outer_binding)
-            root = ops.Project(root, out_exprs, binding)
-        else:
-            exprs = []
-            for item in select.items:
-                if item.star:
-                    for col in binding.columns:
-                        if item.star_qualifier and col.qualifier != item.star_qualifier:
-                            continue
-                        exprs.append(
-                            compile_expr(
-                                ast.ColumnRef(col.name, qualifier=col.qualifier),
-                                binding,
-                                expr_ctx,
-                            )
-                        )
-                        names.append(col.name)
-                else:
-                    exprs.append(compile_expr(item.expr, binding, expr_ctx))
-                    names.append(item.output_name())
-            binding = RowBinding([OutputCol(n) for n in names], outer=outer_binding)
-            root = ops.Project(root, exprs, binding)
-
-        if select.distinct:
-            root = ops.Distinct(root)
-        if select.order_by:
-            from repro.optimizer.optimizer import _sort_placement, rebind_to_output
-
-            placement = (
-                "post"
-                if has_agg
-                else _sort_placement(select.order_by, pre_binding, binding)
-            )
-            if placement == "pre":
-                # Sort on non-selected columns: rebuild with the sort
-                # inserted below the projection.
-                key_fns = [
-                    compile_expr(o.expr, pre_binding, expr_ctx) for o in select.order_by
-                ]
-                descending = [o.descending for o in select.order_by]
-                sorted_child = ops.Sort(pre_root, key_fns, descending, output=pre_binding)
-                # root is Project(pre_root) (possibly under Distinct); swap
-                # the child of the projection.
-                project = root.child if isinstance(root, ops.Distinct) else root
-                project.child = sorted_child
-            else:
-                key_fns = [
-                    compile_expr(rebind_to_output(o.expr, binding), binding, expr_ctx)
-                    for o in select.order_by
-                ]
-                descending = [o.descending for o in select.order_by]
-                root = ops.Sort(root, key_fns, descending, output=binding)
-        if select.limit is not None:
-            root = ops.Limit(root, select.limit)
-        return root, binding, names
 
     # ------------------------------------------------------------------
     # DML
@@ -460,8 +269,7 @@ class BackendServer(Backend):
                 )
             values = [None] * len(schema)
             for column, expr in zip(columns, value_row):
-                fn = compile_expr(expr, empty, expr_ctx)
-                values[positions[column]] = fn(make_env(()))
+                values[positions[column]] = compile_expr(expr, empty, expr_ctx)(())
             rows.append(tuple(values))
 
         def _apply(txn):
@@ -488,7 +296,7 @@ class BackendServer(Backend):
             raise ExecutionError(f"table {table_name} needs a primary key for DML")
         out = []
         for _, values in table.scan():
-            if predicate is None or predicate(make_env(values)) is True:
+            if predicate is None or predicate(values) is True:
                 out.append((ci.key_of(values), values))
         return entry, out
 
@@ -505,9 +313,8 @@ class BackendServer(Backend):
         def _apply(txn):
             for pk, values in targets:
                 new_values = list(values)
-                env = make_env(values)
                 for position, fn in compiled:
-                    new_values[position] = fn(env)
+                    new_values[position] = fn(values)
                 txn.update(stmt.table, pk, new_values)
 
         self.txn_manager.run(_apply)

@@ -933,7 +933,7 @@ class MTCache:
                 # the shadow catalog once before giving up.
                 self.mirror_backend()
                 query_info = analyze_select(select, self.catalog)
-            if query_info.complex or query_info.post_conjuncts or query_info.semi_joins:
+            if select.nested:
                 # Subquery-bearing statements ship to the back-end wholesale;
                 # the master trivially satisfies any C&C constraint.
                 candidate = self._ship_whole(select, query_info)

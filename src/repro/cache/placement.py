@@ -160,6 +160,7 @@ class CachePlacement(PlacementProvider):
             [ast.SelectItem(ast.ColumnRef(c, qualifier=operand.alias)) for c in needed],
             [ast.FromTable(operand.table_name, operand.alias)],
             where=combine_conjuncts(operand.conjuncts),
+            nested=False,
         )
         binding = RowBinding([OutputCol(c, operand.alias) for c in needed])
         width = sum(operand.stats.column(c).avg_width for c in needed)
@@ -191,7 +192,7 @@ class CachePlacement(PlacementProvider):
             refs = {r.qualifier for r in conjunct.column_refs() if r.qualifier}
             if refs <= aliases:
                 conjuncts.append(conjunct)
-        select = ast.Select(items, from_items, where=combine_conjuncts(conjuncts))
+        select = ast.Select(items, from_items, where=combine_conjuncts(conjuncts), nested=False)
         binding = RowBinding(binding_cols)
         return self._remote_candidate(select, binding, aliases, "remote-subset", width=width)
 

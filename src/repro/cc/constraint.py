@@ -222,16 +222,19 @@ def _collect_clauses(select, scope, expansion, operands, clauses):
 
 
 def _subquery_exprs(select):
-    """Yield Select nodes nested in WHERE/HAVING expressions of one block."""
-    roots = [e for e in (select.where, select.having) if e is not None]
+    """Yield Select nodes nested in the select list, WHERE and HAVING
+    expressions of one block."""
+    if not select.nested:
+        return
+    roots = [item.expr for item in select.items if item.expr is not None]
+    roots += [e for e in (select.where, select.having) if e is not None]
     for root in roots:
         stack = [root]
         while stack:
             node = stack.pop()
-            if isinstance(node, (ast.ExistsSubquery, ast.InSubquery)):
+            if isinstance(node, ast.Subquery):
                 yield node.select
-            elif isinstance(node, ast.Expr):
-                stack.extend(node.children())
+            stack.extend(node.children())
 
 
 def constraint_from_select(select):

@@ -1,6 +1,6 @@
 """Physical execution engine: operators that stream column batches (or,
 for tiny plans, materialize one row list) over explicit setup / run /
-shutdown phases, plus dual-mode expression compilation."""
+shutdown phases, plus expression compilation to row closures."""
 
 from repro.engine.expressions import ExpressionContext, OutputCol, RowBinding, compile_expr
 from repro.engine.executor import ExecutionContext, Executor, PhaseTimings, QueryResult

@@ -8,8 +8,8 @@ both the row and the columnar protocol are wrapped, the same
 instrumentation covers both run modes; ``all_rows`` is counted through the
 wrapped ``rows()``).  Each node accumulates an :class:`OpStats`:
 
-* ``loops`` — times the node was opened (IndexNLJoin re-opens its inner
-  per outer row, exactly like Postgres' ``loops``);
+* ``loops`` — times the node was opened (an IndexNLJoin opens its inner
+  seek once and probes it per outer row: the probes are its rows);
 * ``rows_out`` / ``col_batches_out`` — actuals produced across all loops;
 * ``seconds`` — *inclusive* wall time spent producing this node's
   output (open + iterator pulls, children included); the rendered
@@ -68,11 +68,11 @@ def _wrap(op, stats, timer=time.perf_counter):
     orig_rows = op.rows
     orig_record_fused = op._record_fused
 
-    def open(ctx, outer_env=None):
+    def open(ctx):
         stats.loops += 1
         t0 = timer()
         try:
-            return orig_open(ctx, outer_env)
+            return orig_open(ctx)
         finally:
             stats.seconds += timer() - t0
 

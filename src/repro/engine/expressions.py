@@ -3,26 +3,17 @@
 Operators exchange plain tuples; a :class:`RowBinding` describes which
 (qualifier, name) pair each tuple position holds, so :func:`compile_expr`
 can resolve column references to positions once, at plan build time, rather
-than per row.
+than per row.  Every compiled expression is a plain ``fn(row) -> value``
+over the bare tuple; a bare column reference also exposes
+``fn.column_pos``, so projections can collapse to tuple re-ordering.
 
-Compilation is dual-mode, in service of the batch execution engine:
-
-* **row mode** — when an expression only references local columns (no
-  correlated outer references, no subqueries), it compiles to a closure
-  ``fn(row) -> value`` over the bare tuple.  Batch operators evaluate
-  these over whole chunks without allocating a per-row environment; the
-  compiled callable exposes the variant as ``fn.row_fn``.  A bare local
-  column reference additionally exposes ``fn.column_pos`` so projections
-  can collapse to tuple re-ordering.
-* **env mode** — correlated or subquery-bearing expressions compile to
-  ``fn(env)`` over an :class:`_Env` (the local row plus the outer row
-  chain), exactly as the row-at-a-time engine always worked.
-
-Correlated subqueries (EXISTS / IN (SELECT …)) are supported through the
-:class:`ExpressionContext`'s ``subquery_runner`` callback: the engine that
-owns the plan supplies a function that executes a Select AST given the
-current outer row environment.  This keeps the expression layer independent
-of the planner.
+A subquery (``EXISTS``, ``IN (SELECT …)``, a scalar ``(SELECT …)``)
+compiles through the :class:`ExpressionContext`'s ``subqueries`` hook:
+the planner hands back the block compiled once, its correlated outer
+references rewritten into the slots of a :class:`~repro.sql.ast.Params`
+cell.  Per row, the expression evaluates those references against the
+row, and the compiled block runs with them bound.  This keeps the
+expression layer independent of the planner.
 """
 
 from repro.common.errors import ExecutionError
@@ -64,11 +55,8 @@ class RowBinding:
     be quadratic in column count for wide join bindings.
     """
 
-    def __init__(self, columns, outer=None):
+    def __init__(self, columns):
         self.columns = list(columns)
-        #: Optional enclosing binding for correlated subqueries.  Positions
-        #: resolved against the outer binding are returned as ("outer", pos).
-        self.outer = outer
         self._index = None  # lazily built lookup tables
 
     def __len__(self):
@@ -84,36 +72,36 @@ class RowBinding:
         return self._index
 
     def resolve(self, ref):
-        """Return ("local", position) or ("outer", locator) for a ColumnRef."""
+        """The row position a ColumnRef reads."""
         by_qualified, by_name = self._index or self._build_index()
         if ref.qualifier is None:
             matches = by_name.get(ref.name, ())
         else:
             matches = by_qualified.get((ref.qualifier, ref.name), ())
         if len(matches) == 1:
-            return ("local", matches[0])
+            return matches[0]
         if len(matches) > 1:
             raise ExecutionError(f"ambiguous column reference: {ref.to_sql()}")
-        if self.outer is not None:
-            return ("outer", self.outer.resolve(ref))
         raise ExecutionError(
             f"unresolved column reference: {ref.to_sql()} (have {self.columns})"
         )
 
     def concat(self, other):
         """Binding for the concatenation of two rows (joins)."""
-        return RowBinding(self.columns + other.columns, outer=self.outer)
+        return RowBinding(self.columns + other.columns)
 
     def __repr__(self):
         return f"RowBinding({self.columns})"
 
 
 class ExpressionContext:
-    """Run-time services expressions may need."""
+    """Plan-time services expressions may need: the clock GETDATE()
+    reads, and ``subqueries(select)``, the planner's hook that compiles a
+    nested block (None where subqueries are not available)."""
 
-    def __init__(self, clock=None, subquery_runner=None):
+    def __init__(self, clock=None, subqueries=None):
         self.clock = clock
-        self.subquery_runner = subquery_runner
+        self.subqueries = subqueries
 
     def now(self):
         if self.clock is None:
@@ -121,46 +109,14 @@ class ExpressionContext:
         return self.clock.now()
 
 
-class _Env:
-    """Run-time row environment: the local row plus optional outer env."""
-
-    __slots__ = ("row", "outer")
-
-    def __init__(self, row, outer=None):
-        self.row = row
-        self.outer = outer
-
-    def fetch(self, locator):
-        scope, pos = locator
-        if scope == "local":
-            return self.row[pos]
-        if self.outer is None:
-            raise ExecutionError("correlated reference with no outer row")
-        return self.outer.fetch(pos)
-
-
 def compile_expr(expr, binding, ctx=None):
-    """Compile ``expr`` into a callable ``fn(env) -> value``.
+    """Compile ``expr`` into a callable ``fn(row) -> value``.
 
-    ``env`` is an :class:`_Env`; most callers use :func:`evaluator`, which
-    wraps the closure to accept a bare row tuple.  When the expression is
-    non-correlated and subquery-free, the returned callable carries a
-    ``row_fn`` attribute — the row-mode variant ``fn(row) -> value`` the
-    engine evaluates without building environments.
+    The callable carries ``ir`` — its serializable IR, None for an
+    expression without one (a subquery) — and, when it reads bindable
+    literals, ``params``, the cell they read.
     """
-    ctx = ctx or ExpressionContext()
-    row_fn = _compile(expr, binding, ctx, row_mode=True)
-    if row_fn is not None:
-
-        def fn(env, _fn=row_fn):
-            return _fn(env.row)
-
-        fn.row_fn = row_fn
-        pos = getattr(row_fn, "column_pos", None)
-        if pos is not None:
-            fn.column_pos = pos
-    else:
-        fn = _compile(expr, binding, ctx, row_mode=False)
+    fn = _compile(expr, binding, ctx or ExpressionContext())
     fn.ir = _ir_of(expr, binding)
     params = ast.params_of(expr)
     if params is not None:
@@ -180,27 +136,8 @@ def _ir_of(expr, binding):
         return None
 
 
-def row_fn_of(fn):
-    """The row-mode variant of a compiled expression, or None."""
-    return getattr(fn, "row_fn", None)
-
-
-def row_fns_of(fns):
-    """Row-mode variants for a list of compiled fns, or None if any is
-    env-only (the caller then falls back to the environment path)."""
-    out = [getattr(fn, "row_fn", None) for fn in fns]
-    if all(f is not None for f in out):
-        return out
-    return None
-
-
-def _compile(expr, binding, ctx, row_mode):
-    """Recursive compiler shared by both modes.
-
-    In row mode the produced closures take a bare row tuple and the
-    function returns None whenever the expression needs an environment
-    (outer references, subqueries); in env mode it always succeeds.
-    """
+def _compile(expr, binding, ctx):
+    """Recursive compiler: every closure takes the bare row tuple."""
 
     if isinstance(expr, ast.Literal):
         value = expr.value
@@ -211,58 +148,45 @@ def _compile(expr, binding, ctx, row_mode):
         return lambda _: params[slot]
 
     if isinstance(expr, ast.ColumnRef):
-        locator = binding.resolve(expr)
-        if row_mode:
-            scope, pos = locator
-            if scope != "local":
-                return None
+        pos = binding.resolve(expr)
 
-            def column(row, _pos=pos):
-                return row[_pos]
+        def column(row, _pos=pos):
+            return row[_pos]
 
-            column.column_pos = pos
-            return column
-        return lambda env: env.fetch(locator)
+        column.column_pos = pos
+        return column
 
     if isinstance(expr, ast.BinaryOp):
-        left = _compile(expr.left, binding, ctx, row_mode)
-        right = _compile(expr.right, binding, ctx, row_mode)
-        if left is None or right is None:
-            return None
-        return _binary(expr.op, left, right)
+        return _binary(
+            expr.op, _compile(expr.left, binding, ctx), _compile(expr.right, binding, ctx)
+        )
 
     if isinstance(expr, ast.UnaryOp):
-        operand = _compile(expr.operand, binding, ctx, row_mode)
-        if operand is None:
-            return None
+        operand = _compile(expr.operand, binding, ctx)
         if expr.op == "not":
-            def _not(arg):
-                v = operand(arg)
+            def _not(row):
+                v = operand(row)
                 return None if v is None else (not v)
 
             return _not
-        return lambda arg: None if operand(arg) is None else -operand(arg)
+        return lambda row: None if (v := operand(row)) is None else -v
 
     if isinstance(expr, ast.IsNull):
-        operand = _compile(expr.operand, binding, ctx, row_mode)
-        if operand is None:
-            return None
+        operand = _compile(expr.operand, binding, ctx)
         if expr.negated:
-            return lambda arg: operand(arg) is not None
-        return lambda arg: operand(arg) is None
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
 
     if isinstance(expr, ast.Between):
-        operand = _compile(expr.operand, binding, ctx, row_mode)
-        low = _compile(expr.low, binding, ctx, row_mode)
-        high = _compile(expr.high, binding, ctx, row_mode)
-        if operand is None or low is None or high is None:
-            return None
+        operand = _compile(expr.operand, binding, ctx)
+        low = _compile(expr.low, binding, ctx)
+        high = _compile(expr.high, binding, ctx)
         negated = expr.negated
 
-        def _between(arg):
-            v = operand(arg)
-            lo = low(arg)
-            hi = high(arg)
+        def _between(row):
+            v = operand(row)
+            lo = low(row)
+            hi = high(row)
             if v is None or lo is None or hi is None:
                 return None
             result = lo <= v <= hi
@@ -271,68 +195,65 @@ def _compile(expr, binding, ctx, row_mode):
         return _between
 
     if isinstance(expr, ast.InList):
-        operand = _compile(expr.operand, binding, ctx, row_mode)
-        items = [_compile(i, binding, ctx, row_mode) for i in expr.items]
-        if operand is None or any(i is None for i in items):
-            return None
+        operand = _compile(expr.operand, binding, ctx)
+        items = [_compile(i, binding, ctx) for i in expr.items]
         return _in_list(operand, items, expr.negated)
 
     if isinstance(expr, ast.FuncCall):
         return _compile_func(expr, ctx)
 
-    if isinstance(expr, ast.ExistsSubquery):
-        if row_mode:
-            return None  # subqueries need the environment chain
-        if ctx.subquery_runner is None:
-            raise ExecutionError("subqueries are not available in this context")
-        select = expr.select
-        negated = expr.negated
-        runner = ctx.subquery_runner
-
-        def _exists(env):
-            # The runner receives the outer binding so correlated references
-            # inside the subquery can be compiled against it.
-            rows = runner(select, binding, env)
-            found = any(True for _ in rows)
-            return (not found) if negated else found
-
-        return _exists
-
-    if isinstance(expr, ast.InSubquery):
-        if row_mode:
-            return None
-        if ctx.subquery_runner is None:
-            raise ExecutionError("subqueries are not available in this context")
-        operand = _compile(expr.operand, binding, ctx, row_mode=False)
-        select = expr.select
-        negated = expr.negated
-        runner = ctx.subquery_runner
-
-        def _in_subquery(env):
-            v = operand(env)
-            rows = runner(select, binding, env)
-            if v is None:
-                # NULL [NOT] IN (<empty>) is FALSE [TRUE]; else unknown.
-                if next(iter(rows), None) is None:
-                    return bool(negated)
-                return None
-            found = False
-            saw_null = False
-            for row in rows:
-                if row[0] is None:
-                    saw_null = True
-                elif row[0] == v:
-                    found = True
-                    break
-            if found:
-                return False if negated else True
-            if saw_null:
-                return None  # three-valued IN: unknown, filtered by WHERE
-            return True if negated else False
-
-        return _in_subquery
+    if isinstance(expr, ast.Subquery):
+        return _compile_subquery(expr, binding, ctx)
 
     raise ExecutionError(f"cannot compile expression: {expr!r}")
+
+
+def _compile_subquery(expr, binding, ctx):
+    """A subquery over the block the planner compiled once: per row, its
+    correlated outer references are read from ``row`` and the block runs
+    with them bound (``block.rows(values, limit)``)."""
+    if ctx.subqueries is None:
+        raise ExecutionError("subqueries are not available in this context")
+    block = ctx.subqueries(expr.select)
+    outer = [_compile(ref, binding, ctx) for ref in block.outer_refs]
+    run = block.rows
+
+    def values(row):
+        return [fn(row) for fn in outer]
+
+    if isinstance(expr, ast.ExistsSubquery):
+        negated = expr.negated
+        return lambda row: bool(run(values(row), 1)) != negated
+
+    if isinstance(expr, ast.ScalarSubquery):
+        def _scalar(row):
+            rows = run(values(row), 2)
+            if len(rows) > 1:
+                raise ExecutionError("scalar subquery returned more than one row")
+            return rows[0][0] if rows else None
+
+        return _scalar
+
+    operand = _compile(expr.operand, binding, ctx)
+    negated = expr.negated
+
+    def _in_subquery(row):
+        v = operand(row)
+        rows = run(values(row))
+        if v is None:
+            # NULL [NOT] IN (<empty>) is FALSE [TRUE]; else unknown.
+            return bool(negated) if not rows else None
+        saw_null = False
+        for inner in rows:
+            if inner[0] is None:
+                saw_null = True
+            elif inner[0] == v:
+                return not negated
+        if saw_null:
+            return None  # three-valued IN: unknown, filtered by WHERE
+        return bool(negated)
+
+    return _in_subquery
 
 
 def _in_list(operand, items, negated):
@@ -376,8 +297,8 @@ def _sql_mod(l, r):
 
 
 def _binary(op, left, right):
-    """Combinators are mode-agnostic: they only ever call their children
-    with whatever single argument (env or row) the mode supplies."""
+    """The closure for ``left <op> right`` under SQL nulls; ``left`` and
+    ``right`` are compiled operands of one argument."""
     if op == "and":
         def _and(arg):
             l = left(arg)
@@ -443,18 +364,3 @@ def _compile_func(expr, ctx):
             f"aggregate {name.upper()} outside of an aggregation operator"
         )
     raise ExecutionError(f"unknown function: {name}")
-
-
-def evaluator(expr, binding, ctx=None):
-    """Compile ``expr`` and wrap it to accept a bare row tuple."""
-    fn = compile_expr(expr, binding, ctx)
-    row_fn = getattr(fn, "row_fn", None)
-    if row_fn is not None:
-        return row_fn
-    return lambda row: fn(_Env(row))
-
-
-def make_env(row, outer=None):
-    """Public constructor for row environments (used by join operators and
-    subquery runners)."""
-    return _Env(row, outer)

@@ -4,8 +4,8 @@
 shipped.  Plan snapshots (``repro.plan``) need the opposite — a compact,
 versioned description of every compiled predicate that any fleet node can
 re-compile locally without re-parsing SQL.  This module defines that
-form: a tree of plain tuples whose leaves are positional column loads,
-constants, and outer-row locators.
+form: a tree of plain tuples whose leaves are positional column loads
+and constants.
 
 The IR is deliberately *restricted*: subqueries are not expressible (a
 plan containing one ships whole as a RemoteQuery, which serializes as
@@ -28,8 +28,7 @@ Three consumers:
 Node forms (plain tuples, JSON-serializable via to_obj/from_obj)::
 
     ("const", value)                 ("col", position)
-    ("outer", locator)               ("now",)
-    ("param", slot)                  a plan template's bindable literal
+    ("now",)                         ("param", slot)  a bindable literal
     ("bin", op, left, right)         op: and or = <> < <= > >= + - * / %
     ("not", x)                       ("neg", x)
     ("isnull", x, negated)           ("between", x, lo, hi, negated)
@@ -65,11 +64,7 @@ def from_ast(expr, binding):
     if isinstance(expr, ast.Param):
         return ("param", expr.slot)
     if isinstance(expr, ast.ColumnRef):
-        locator = binding.resolve(expr)
-        scope, pos = locator
-        if scope == "local":
-            return ("col", pos)
-        return ("outer", pos)
+        return ("col", binding.resolve(expr))
     if isinstance(expr, ast.BinaryOp):
         if expr.op not in _BIN_OPS:
             raise IRUnsupported(f"binary operator {expr.op!r}")
@@ -124,8 +119,6 @@ def to_obj(node, params=None):
         return ["const", params[node[1]]]
     if tag == "col":
         return ["col", node[1]]
-    if tag == "outer":
-        return ["outer", _locator_obj(node[1])]
     if tag == "now":
         return ["now"]
     if tag == "inlist":
@@ -144,8 +137,6 @@ def from_obj(obj):
     tag = obj[0]
     if tag in ("const", "col"):
         return (tag, obj[1])
-    if tag == "outer":
-        return ("outer", _locator_tuple(obj[1]))
     if tag == "now":
         return ("now",)
     if tag == "inlist":
@@ -156,45 +147,23 @@ def from_obj(obj):
     return tuple(parts)
 
 
-def _locator_obj(locator):
-    scope, pos = locator
-    return [scope, pos if scope == "local" else _locator_obj(pos)]
-
-
-def _locator_tuple(obj):
-    scope, pos = obj
-    return (scope, pos if scope == "local" else _locator_tuple(pos))
-
-
 # ----------------------------------------------------------------------
-# IR -> closure (same dual-mode contract as compile_expr)
+# IR -> closure (the contract of compile_expr)
 # ----------------------------------------------------------------------
 def compile_ir(node, ctx=None, params=None):
-    """Re-compile an IR tree into the ``fn(env)`` closure contract of
-    :func:`repro.engine.expressions.compile_expr` (with ``row_fn`` /
-    ``column_pos`` attached when the expression is local-only).  The
-    rebuilt closure carries the IR back as ``fn.ir``, so a re-serialized
-    snapshot round-trips bit-identically.  ``params`` is the cell that
-    ``("param", slot)`` nodes read."""
-    row_fn = _build(node, ctx, True, params)
-    if row_fn is not None:
-
-        def fn(env, _fn=row_fn):
-            return _fn(env.row)
-
-        fn.row_fn = row_fn
-        pos = getattr(row_fn, "column_pos", None)
-        if pos is not None:
-            fn.column_pos = pos
-    else:
-        fn = _build(node, ctx, False, params)
+    """Re-compile an IR tree into the ``fn(row)`` closure contract of
+    :func:`repro.engine.expressions.compile_expr` (``column_pos`` attached
+    to a bare column).  The rebuilt closure carries the IR back as
+    ``fn.ir``, so a re-serialized snapshot round-trips bit-identically.
+    ``params`` is the cell that ``("param", slot)`` nodes read."""
+    fn = _build(node, ctx, params)
     fn.ir = node
     if params is not None:
         fn.params = params
     return fn
 
 
-def _build(node, ctx, row_mode, params):
+def _build(node, ctx, params):
     tag = node[0]
     if tag == "const":
         value = node[1]
@@ -208,29 +177,18 @@ def _build(node, ctx, row_mode, params):
         def column(row, _pos=pos):
             return row[_pos]
 
-        if not row_mode:
-            return lambda env: env.row[pos]
         column.column_pos = pos
         return column
-    if tag == "outer":
-        if row_mode:
-            return None
-        locator = ("outer", node[1])
-        return lambda env: env.fetch(locator)
     if tag == "now":
         if ctx is None:
             raise ExecutionError("GETDATE() in IR without an expression context")
         return lambda _: ctx.now()
     if tag == "bin":
-        left = _build(node[2], ctx, row_mode, params)
-        right = _build(node[3], ctx, row_mode, params)
-        if left is None or right is None:
-            return None
+        left = _build(node[2], ctx, params)
+        right = _build(node[3], ctx, params)
         return _binary(node[1], left, right)
     if tag == "not":
-        inner = _build(node[1], ctx, row_mode, params)
-        if inner is None:
-            return None
+        inner = _build(node[1], ctx, params)
 
         def _not(arg):
             v = inner(arg)
@@ -238,23 +196,17 @@ def _build(node, ctx, row_mode, params):
 
         return _not
     if tag == "neg":
-        inner = _build(node[1], ctx, row_mode, params)
-        if inner is None:
-            return None
+        inner = _build(node[1], ctx, params)
         return lambda arg: None if (v := inner(arg)) is None else -v
     if tag == "isnull":
-        inner = _build(node[1], ctx, row_mode, params)
-        if inner is None:
-            return None
+        inner = _build(node[1], ctx, params)
         if node[2]:
             return lambda arg: inner(arg) is not None
         return lambda arg: inner(arg) is None
     if tag == "between":
-        operand = _build(node[1], ctx, row_mode, params)
-        low = _build(node[2], ctx, row_mode, params)
-        high = _build(node[3], ctx, row_mode, params)
-        if operand is None or low is None or high is None:
-            return None
+        operand = _build(node[1], ctx, params)
+        low = _build(node[2], ctx, params)
+        high = _build(node[3], ctx, params)
         negated = node[4]
 
         def _between(arg):
@@ -268,10 +220,8 @@ def _build(node, ctx, row_mode, params):
 
         return _between
     if tag == "inlist":
-        operand = _build(node[1], ctx, row_mode, params)
-        items = [_build(i, ctx, row_mode, params) for i in node[2]]
-        if operand is None or any(i is None for i in items):
-            return None
+        operand = _build(node[1], ctx, params)
+        items = [_build(i, ctx, params) for i in node[2]]
         return _in_list(operand, items, node[3])
     raise ExecutionError(f"unknown IR node: {tag!r}")
 

@@ -4,14 +4,13 @@ Every operator follows the classic iterator protocol, split into explicit
 phases so the executor can time them (the paper's Table 4.5 profiles
 *setup plan*, *run plan* and *shutdown plan*):
 
-* ``open(ctx, outer_env=None)`` — bind resources, evaluate SwitchUnion
-  selectors, issue remote queries;
+* ``open(ctx)`` — bind resources, evaluate SwitchUnion selectors, issue
+  remote queries;
 * ``col_batches(size)`` — a generator of
   :class:`~repro.engine.columnar.ColumnBatch` objects, the streaming
   protocol the executor drives for every plan that is not tiny;
-* ``rows()`` — a generator of result tuples: correlated evaluation
-  (IndexNLJoin inners, subquery runners), the row-only operators'
-  inputs and the default ``all_rows()`` speak it;
+* ``rows()`` — a generator of result tuples: compiled subqueries, the
+  row-only operators' inputs and the default ``all_rows()`` speak it;
 * ``all_rows()`` — the whole result as one list, the executor's path for
   tiny plans (guarded point lookups): one list in, one list out;
 * ``close()`` — release state.
@@ -25,9 +24,8 @@ operator gets ``col_batches`` from the base class, which columnarizes its
 ``rows()``.  The row-only operators (Sort, HashAggregate, Distinct and the
 row build of the hash operators) read their input through
 :func:`_input_rows`, so a columnar child stays columnar beneath them.
-Row-at-a-time expressions run in *row mode* (position-resolved closures
-over bare tuples, no per-row environment — see
-:mod:`repro.engine.expressions`).
+Row-at-a-time expressions are position-resolved closures over bare tuples
+(:mod:`repro.engine.expressions`).
 
 Operators expose ``output`` — a :class:`~repro.engine.expressions.RowBinding`
 describing their result columns — which parent operators use to compile
@@ -39,7 +37,6 @@ from operator import itemgetter
 
 from repro.common.errors import ExecutionError
 from repro.engine.columnar import ColumnBatch, column_store, store_positions
-from repro.engine.expressions import make_env, row_fn_of, row_fns_of
 from repro.engine.ir import selection_fn
 from repro.sql.ast import render_params
 
@@ -47,9 +44,9 @@ from repro.sql.ast import render_params
 #: batch is its whole column store instead).
 DEFAULT_BATCH_SIZE = 256
 
-#: Shared rowless environment for evaluating uncorrelated key expressions
-#: (expressions only ever read an env, so one instance serves all opens).
-_EMPTY_ENV = make_env(())
+#: The row a seek's key expressions are evaluated over: they read
+#: constants and parameter cells, never a column.
+_NO_ROW = ()
 
 
 class PhysicalOperator:
@@ -68,7 +65,7 @@ class PhysicalOperator:
     #: tiny-plan test (None until the tree first runs).
     scanned_tables = None
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         raise NotImplementedError
 
     def rows(self):
@@ -161,30 +158,21 @@ class SeqScan(PhysicalOperator):
     def __init__(self, table, output, predicate=None):
         self.table = table
         self.output = output
-        self.predicate = predicate  # compiled fn(env) or None
-        self._outer_env = None
+        self.predicate = predicate  # compiled fn(row) or None
         self._ctx = None
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
 
     def rows(self):
         predicate = self.predicate
-        outer = self._outer_env
         if predicate is None:
             for _, values in self.table.scan():
                 yield values
             return
-        row_pred = row_fn_of(predicate)
-        if row_pred is not None:
-            for _, values in self.table.scan():
-                if row_pred(values) is True:
-                    yield values
-        else:
-            for _, values in self.table.scan():
-                if predicate(make_env(values, outer)) is True:
-                    yield values
+        for _, values in self.table.scan():
+            if predicate(values) is True:
+                yield values
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         """Zero-copy columnar scan: one batch referencing the table's
@@ -230,11 +218,10 @@ class IndexSeek(PhysicalOperator):
     def __init__(self, table, index, key_fns, output, predicate=None, in_fns=None):
         self.table = table
         self.index = index
-        self.key_fns = list(key_fns)  # fn(env of outer) -> key component
+        self.key_fns = list(key_fns)  # fn(row) -> key component, row unused
         self.output = output
         self.predicate = predicate
         self.in_fns = None if in_fns is None else list(in_fns)
-        self._outer_env = None
         self._ctx = None
         self._key = None
         # Single-component keys (the common point lookup) skip the
@@ -247,26 +234,31 @@ class IndexSeek(PhysicalOperator):
             self._keys = ()
             self._rid_iter = self._rid_list = self._in_rid_list
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
-        env = _EMPTY_ENV if outer_env is None else make_env((), outer_env)
         single = self._single_key_fn
         if single is not None:
-            self._key = (single(env),)
+            self._key = (single(_NO_ROW),)
         else:
-            self._key = tuple([fn(env) for fn in self.key_fns])
+            self._key = tuple([fn(_NO_ROW) for fn in self.key_fns])
             if self.in_fns is not None:
-                self._keys = self._in_keys(env)
+                self._keys = self._in_keys()
 
-    def _in_keys(self, env):
+    def rows_at(self, key):
+        """The rows under ``key``, an index-prefix tuple: the probe an
+        index nested-loops join makes per outer row (its inner seek has
+        no key expressions of its own)."""
+        self._key = key
+        return self.rows()
+
+    def _in_keys(self):
         prefix = self._key
         if None in prefix:
             return []  # a NULL equality component matches no row
         seen = set()
         keys = []
         for fn in self.in_fns:
-            value = fn(env)
+            value = fn(_NO_ROW)
             if value is None or value in seen:
                 continue
             seen.add(value)
@@ -306,23 +298,15 @@ class IndexSeek(PhysicalOperator):
 
     def rows(self):
         predicate = self.predicate
-        outer = self._outer_env
         table_row = self.table.row
         if predicate is None:
             for rid in self._rid_iter():
                 yield table_row(rid)
             return
-        row_pred = row_fn_of(predicate)
-        if row_pred is not None:
-            for rid in self._rid_iter():
-                values = table_row(rid)
-                if row_pred(values) is True:
-                    yield values
-        else:
-            for rid in self._rid_iter():
-                values = table_row(rid)
-                if predicate(make_env(values, outer)) is True:
-                    yield values
+        for rid in self._rid_iter():
+            values = table_row(rid)
+            if predicate(values) is True:
+                yield values
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         # Seek results are small (one key's duplicates, or an IN list's),
@@ -332,17 +316,13 @@ class IndexSeek(PhysicalOperator):
     def all_rows(self):
         predicate = self.predicate
         table_row = self.table.row
-        if predicate is None:
-            self._record_fused(self._ctx)
-            return list(map(table_row, self._rid_list()))
-        row_pred = row_fn_of(predicate)
-        if row_pred is None:
-            return list(self.rows())
         self._record_fused(self._ctx)
+        if predicate is None:
+            return list(map(table_row, self._rid_list()))
         return [
             values
             for values in map(table_row, self._rid_list())
-            if row_pred(values) is True
+            if predicate(values) is True
         ]
 
     def describe(self):
@@ -373,12 +353,10 @@ class IndexRangeScan(PhysicalOperator):
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
         self.predicate = predicate
-        self._outer_env = None
         self._ctx = None
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
 
     def _range(self):
         return self.index.range(
@@ -390,38 +368,20 @@ class IndexRangeScan(PhysicalOperator):
 
     def rows(self):
         predicate = self.predicate
-        outer = self._outer_env
         table_row = self.table.row
         if predicate is None:
             for _, rid in self._range():
                 yield table_row(rid)
             return
-        row_pred = row_fn_of(predicate)
-        if row_pred is not None:
-            for _, rid in self._range():
-                values = table_row(rid)
-                if row_pred(values) is True:
-                    yield values
-        else:
-            for _, rid in self._range():
-                values = table_row(rid)
-                if predicate(make_env(values, outer)) is True:
-                    yield values
+        for _, rid in self._range():
+            values = table_row(rid)
+            if predicate(values) is True:
+                yield values
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
-        """Fused range scan + filter, columnarized ``size`` rows a batch;
-        a predicate without a row form columnarizes ``rows()``."""
-        predicate = self.predicate
-        row_pred = None if predicate is None else row_fn_of(predicate)
-        if predicate is not None and row_pred is None:
-            yield from PhysicalOperator.col_batches(self, size)
-            return
+        """Fused range scan + filter, columnarized ``size`` rows a batch."""
         self._record_fused(self._ctx)
-        table_row = self.table.row
-        rows = (table_row(rid) for _, rid in self._range())
-        if row_pred is not None:
-            rows = (values for values in rows if row_pred(values) is True)
-        yield from _columnarize(rows, self.output, size)
+        yield from _columnarize(self.rows(), self.output, size)
 
     def describe(self):
         return (
@@ -435,47 +395,30 @@ class Filter(PhysicalOperator):
         self.child = child
         self.predicate = predicate
         self.output = output or child.output
-        self._outer_env = None
         self._ctx = None
 
     def children(self):
         return (self.child,)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
-        self.child.open(ctx, outer_env)
+        self.child.open(ctx)
 
     def rows(self):
         predicate = self.predicate
-        row_pred = row_fn_of(predicate)
-        if row_pred is not None:
-            for row in self.child.rows():
-                if row_pred(row) is True:
-                    yield row
-            return
-        outer = self._outer_env
         for row in self.child.rows():
-            if predicate(make_env(row, outer)) is True:
+            if predicate(row) is True:
                 yield row
 
     def all_rows(self):
         predicate = self.predicate
-        row_pred = row_fn_of(predicate)
-        if row_pred is not None:
-            self._record_fused(self._ctx)
-            return [row for row in self.child.all_rows() if row_pred(row) is True]
-        outer = self._outer_env
-        return [
-            row
-            for row in self.child.all_rows()
-            if predicate(make_env(row, outer)) is True
-        ]
+        self._record_fused(self._ctx)
+        return [row for row in self.child.all_rows() if predicate(row) is True]
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         """Columnar filter: shrink the selection vector in place (no row
-        materialization).  Predicates without a columnar kernel apply
-        their row form to the live rows of each incoming batch."""
+        materialization).  Predicates without a columnar kernel (a
+        subquery) apply to the live rows of each incoming batch."""
         sel_fn = selection_fn(getattr(self.predicate, "ir", None))
         if sel_fn is not None:
             self._record_fused(self._ctx)
@@ -485,15 +428,12 @@ class Filter(PhysicalOperator):
                 if sel:
                     yield ColumnBatch(batch.columns, batch.length, sel)
             return
-        row_pred = row_fn_of(self.predicate)
-        if row_pred is not None:
-            width = len(self.output)
-            for batch in self.child.col_batches(size):
-                out = [row for row in batch.to_rows() if row_pred(row) is True]
-                if out:
-                    yield ColumnBatch.from_rows(out, width)
-            return
-        yield from PhysicalOperator.col_batches(self, size)
+        predicate = self.predicate
+        width = len(self.output)
+        for batch in self.child.col_batches(size):
+            out = [row for row in batch.to_rows() if predicate(row) is True]
+            if out:
+                yield ColumnBatch.from_rows(out, width)
 
     def close(self):
         self.child.close()
@@ -505,19 +445,16 @@ class Filter(PhysicalOperator):
 class Project(PhysicalOperator):
     """Projection.
 
-    Fast paths, in decreasing order of specialization: when every output
-    expression is a plain local column the projection picks columns (or
-    re-orders tuples); when all expressions are row-mode it evaluates them
-    over the bare tuples; otherwise it falls back to per-row environments.
+    When every output expression is a plain column the projection picks
+    columns (or re-orders tuples); otherwise it evaluates the expressions
+    over each row.
     """
 
     def __init__(self, child, exprs, output):
         self.child = child
         self.exprs = list(exprs)  # compiled fns
         self.output = output
-        self._outer_env = None
         self._ctx = None
-        self._row_exprs = row_fns_of(self.exprs)
         positions = [getattr(fn, "column_pos", None) for fn in self.exprs]
         self._positions = positions if all(p is not None for p in positions) else None
         # C-speed row picker for the positional case: itemgetter builds the
@@ -534,22 +471,14 @@ class Project(PhysicalOperator):
     def children(self):
         return (self.child,)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
-        self.child.open(ctx, outer_env)
+        self.child.open(ctx)
 
     def rows(self):
-        row_exprs = self._row_exprs
-        if row_exprs is not None:
-            for row in self.child.rows():
-                yield tuple(fn(row) for fn in row_exprs)
-            return
         exprs = self.exprs
-        outer = self._outer_env
         for row in self.child.rows():
-            env = make_env(row, outer)
-            yield tuple(fn(env) for fn in exprs)
+            yield tuple(fn(row) for fn in exprs)
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         """Columnar projection: pure column picking when every output is
@@ -564,22 +493,11 @@ class Project(PhysicalOperator):
 
     def all_rows(self):
         picker = self._picker
+        self._record_fused(self._ctx)
         if picker is not None:
-            self._record_fused(self._ctx)
             return list(map(picker, self.child.all_rows()))
-        row_exprs = self._row_exprs
-        if row_exprs is not None:
-            self._record_fused(self._ctx)
-            return [
-                tuple(fn(row) for fn in row_exprs)
-                for row in self.child.all_rows()
-            ]
         exprs = self.exprs
-        outer = self._outer_env
-        return [
-            tuple(fn(make_env(row, outer)) for fn in exprs)
-            for row in self.child.all_rows()
-        ]
+        return [tuple(fn(row) for fn in exprs) for row in self.child.all_rows()]
 
     def close(self):
         self.child.close()
@@ -600,17 +518,14 @@ def _null_free(key):
     return None if None in key else key
 
 
-def _row_keyer(key_fns, outer):
+def _row_keyer(key_fns):
     """``row -> join key`` for the row protocol: the bare value of a single
     key, a tuple of several (``()`` for none); None when any component is
     NULL, since a NULL key matches nothing.  :func:`_batch_keys` yields the
     same form, so one build serves both protocols."""
-    row_fns = row_fns_of(key_fns)
-    if row_fns is None:  # keys that need an environment (outer references)
-        row_fns = [lambda row, fn=fn: fn(make_env(row, outer)) for fn in key_fns]
-    if len(row_fns) == 1:
-        return row_fns[0]
-    return lambda row: _null_free(tuple([fn(row) for fn in row_fns]))
+    if len(key_fns) == 1:
+        return key_fns[0]
+    return lambda row: _null_free(tuple([fn(row) for fn in key_fns]))
 
 
 def _batch_keys(batch, positions):
@@ -646,14 +561,7 @@ def _gather(columns, indexes):
     return [pick(col) for col in columns]
 
 
-def _row_predicate(predicate, outer):
-    """A join residual as ``row -> truth value`` (None without one)."""
-    if predicate is None:
-        return None
-    return row_fn_of(predicate) or (lambda row: predicate(make_env(row, outer)))
-
-
-def _batch_selector(predicate, outer):
+def _batch_selector(predicate):
     """``fn(batch) -> live indexes`` for a join residual over a batch's
     live rows — its IR selection kernel when it has one, else its row
     form over the rows — or None without a residual."""
@@ -663,11 +571,10 @@ def _batch_selector(predicate, outer):
     if kernel is not None:
         params = getattr(predicate, "params", None)
         return lambda batch: kernel(batch.columns, batch.sel, batch.length, params)
-    keep = _row_predicate(predicate, outer)
 
     def select(batch):
         live = range(batch.length) if batch.sel is None else batch.sel
-        return [i for i, row in zip(live, batch.to_rows()) if keep(row) is True]
+        return [i for i, row in zip(live, batch.to_rows()) if predicate(row) is True]
 
     return select
 
@@ -694,7 +601,6 @@ class HashJoin(PhysicalOperator):
         self.right_key_fns = list(right_key_fns)
         self.output = output
         self.residual = residual
-        self._outer_env = None
         self._index = None
         self._build_rows = None
         self._build_cols = None
@@ -702,10 +608,9 @@ class HashJoin(PhysicalOperator):
     def children(self):
         return (self.left, self.right)
 
-    def open(self, ctx, outer_env=None):
-        self._outer_env = outer_env
-        self.left.open(ctx, outer_env)
-        self.right.open(ctx, outer_env)
+    def open(self, ctx):
+        self.left.open(ctx)
+        self.right.open(ctx)
         self._index = index = {}
         self._build_rows = self._build_cols = None
         positions = _key_positions(self.right_key_fns)
@@ -715,7 +620,7 @@ class HashJoin(PhysicalOperator):
             _index_keys(index, _batch_keys(build, positions)[1], 0)
             return
         self._build_rows = rows = list(_input_rows(self.right, ctx))
-        _index_keys(index, map(_row_keyer(self.right_key_fns, outer_env), rows), 0)
+        _index_keys(index, map(_row_keyer(self.right_key_fns), rows), 0)
 
     def _build_row_list(self):
         if self._build_rows is None:
@@ -730,8 +635,8 @@ class HashJoin(PhysicalOperator):
     def _probe(self, left_rows):
         get = self._index.get
         build = self._build_row_list()
-        keyer = _row_keyer(self.left_key_fns, self._outer_env)
-        keep = _row_predicate(self.residual, self._outer_env)
+        keyer = _row_keyer(self.left_key_fns)
+        keep = self.residual
         for left_row in left_rows:
             hits = get(keyer(left_row))
             if hits is None:
@@ -754,7 +659,7 @@ class HashJoin(PhysicalOperator):
             return
         get = self._index.get
         build = self._build_columns()
-        residual_sel = _batch_selector(self.residual, self._outer_env)
+        residual_sel = _batch_selector(self.residual)
         for batch in self.left.col_batches(size):
             indexes, keys = _batch_keys(batch, positions)
             # Every step is one C-level pass: look each key up, keep the
@@ -806,22 +711,19 @@ class MergeJoin(PhysicalOperator):
         self.right_key_fns = list(right_key_fns)
         self.output = output
         self.residual = residual
-        self._outer_env = None
 
     def children(self):
         return (self.left, self.right)
 
-    def open(self, ctx, outer_env=None):
-        self._outer_env = outer_env
-        self.left.open(ctx, outer_env)
-        self.right.open(ctx, outer_env)
+    def open(self, ctx):
+        self.left.open(ctx)
+        self.right.open(ctx)
 
-    def _key(self, fns, row):
-        env = make_env(row, self._outer_env)
-        return tuple(fn(env) for fn in fns)
+    @staticmethod
+    def _key(fns, row):
+        return tuple(fn(row) for fn in fns)
 
     def rows(self):
-        outer = self._outer_env
         residual = self.residual
         left_iter = iter(self.left.rows())
         right_iter = iter(self.right.rows())
@@ -844,7 +746,7 @@ class MergeJoin(PhysicalOperator):
                 while left_row is not None and self._key(self.left_key_fns, left_row) == lk:
                     for r in block:
                         combined = left_row + r
-                        if residual is None or residual(make_env(combined, outer)) is True:
+                        if residual is None or residual(combined) is True:
                             yield combined
                     left_row = next(left_iter, None)
 
@@ -869,25 +771,22 @@ class _HashKeyFilter(PhysicalOperator):
         self.left_key_fns = list(left_key_fns)
         self.right_key_fns = list(right_key_fns)
         self.output = output or left.output
-        self._outer_env = None
         self._keys = None
         self._right_had_null = False
 
     def children(self):
         return (self.left, self.right)
 
-    def open(self, ctx, outer_env=None):
-        self._outer_env = outer_env
-        self.left.open(ctx, outer_env)
-        self.right.open(ctx, outer_env)
+    def open(self, ctx):
+        self.left.open(ctx)
+        self.right.open(ctx)
         self._keys = keys = set()
         positions = _key_positions(self.right_key_fns)
         if positions is not None and getattr(ctx, "engine", None) == "columnar":
             for batch in self.right.col_batches():
                 keys.update(_batch_keys(batch, positions)[1])
         else:
-            keys.update(map(_row_keyer(self.right_key_fns, outer_env),
-                            _input_rows(self.right, ctx)))
+            keys.update(map(_row_keyer(self.right_key_fns), _input_rows(self.right, ctx)))
         self._right_had_null = None in keys
         keys.discard(None)
 
@@ -900,7 +799,7 @@ class _HashKeyFilter(PhysicalOperator):
         test = self._key_test()
         if test is None:
             return iter(())
-        keyer = _row_keyer(self.left_key_fns, self._outer_env)
+        keyer = _row_keyer(self.left_key_fns)
         return (row for row in self.left.rows() if test(keyer(row)))
 
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
@@ -961,59 +860,47 @@ class HashAntiJoin(_HashKeyFilter):
 class IndexNLJoin(PhysicalOperator):
     """Index nested-loops join: for each outer row, seek the inner index.
 
-    The inner side is an operator subtree (usually an IndexSeek) whose key
-    functions reference the outer row through the correlated environment;
-    ``rows()`` re-opens it per outer row.
-
-    ``outer_keys`` — the outer-row positions of the inner seek's key parts,
-    resolved by the optimizer — enables the columnar probe: when the inner
-    is an equality :class:`IndexSeek` (no IN list, no inner predicate or
-    one with a selection kernel), :meth:`col_batches` reads each outer
-    batch's key columns, probes the index once per key and gathers the
-    outer columns and the inner table's column store at the matches.  The
+    The inner side is an equality :class:`IndexSeek` with no key
+    expressions of its own: ``outer_keys``, the outer-row positions of its
+    key parts (resolved by the optimizer), form each probe's key
+    (:meth:`IndexSeek.rows_at`).  When the inner predicate is absent or
+    has a selection kernel, :meth:`col_batches` reads each outer batch's
+    key columns, probes the index once per key and gathers the outer
+    columns and the inner table's column store at the matches.  The
     output order is the row protocol's: outer order, then index order
     within a key.
     """
 
-    def __init__(self, outer, inner, output, residual=None, outer_keys=None):
+    def __init__(self, outer, inner, output, residual=None, outer_keys=()):
         self.outer = outer
         self.inner = inner
         self.output = output
         self.residual = residual
-        self.outer_keys = None if outer_keys is None else list(outer_keys)
+        self.outer_keys = list(outer_keys)
         self._ctx = None
-        self._outer_env = None
 
     def children(self):
         return (self.outer, self.inner)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
-        self.outer.open(ctx, outer_env)
+        self.outer.open(ctx)
+        self.inner.open(ctx)
 
     def rows(self):
-        ctx = self._ctx
         residual = self.residual
+        probe = self.inner.rows_at
+        keys_at = self.outer_keys
         for outer_row in self.outer.rows():
-            env = make_env(outer_row, self._outer_env)
-            self.inner.open(ctx, env)
-            try:
-                for inner_row in self.inner.rows():
-                    combined = outer_row + inner_row
-                    if residual is None or residual(make_env(combined, self._outer_env)) is True:
-                        yield combined
-            finally:
-                self.inner.close()
+            for inner_row in probe(tuple([outer_row[p] for p in keys_at])):
+                combined = outer_row + inner_row
+                if residual is None or residual(combined) is True:
+                    yield combined
 
     def _inner_kernel(self):
         """The inner seek's selection kernel (``False`` without an inner
         predicate), or None when the columnar probe does not apply."""
         inner = self.inner
-        if (self.outer_keys is None or type(inner) is not IndexSeek
-                or inner.in_fns is not None
-                or len(self.outer_keys) != len(inner.key_fns)):
-            return None
         if inner.predicate is None:
             return False
         return selection_fn(getattr(inner.predicate, "ir", None))
@@ -1032,7 +919,7 @@ class IndexNLJoin(PhysicalOperator):
         rid_at = store_positions(table)  # None: rids are store positions
         seek_keys = self.inner.index.seek_keys
         keys_at = self.outer_keys
-        residual_sel = _batch_selector(self.residual, self._outer_env)
+        residual_sel = _batch_selector(self.residual)
         for batch in self.outer.col_batches(size):
             sel = batch.sel
             indexes = range(batch.length) if sel is None else sel
@@ -1060,6 +947,7 @@ class IndexNLJoin(PhysicalOperator):
 
     def close(self):
         self.outer.close()
+        self.inner.close()
 
     def describe(self):
         return "IndexNLJoin"
@@ -1073,36 +961,25 @@ class Sort(PhysicalOperator):
         self.key_fns = list(key_fns)
         self.descending = list(descending)
         self.output = output or child.output
-        self._outer_env = None
         self._ctx = None
 
     def children(self):
         return (self.child,)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
-        self.child.open(ctx, outer_env)
+        self.child.open(ctx)
 
     def _sorted(self, buffered):
-        outer = self._outer_env
         # Stable multi-key sort with mixed ASC/DESC: sort by each key from
         # the least significant to the most significant.
         for pos in range(len(self.key_fns) - 1, -1, -1):
-            fn = self.key_fns[pos]
-            desc = self.descending[pos]
-            row_fn = row_fn_of(fn)
-            if row_fn is not None:
-                def one_key(row, fn=row_fn):
-                    v = fn(row)
-                    # Sort NULLs first (before any value).
-                    return (v is not None, v)
-            else:
-                def one_key(row, fn=fn):
-                    v = fn(make_env(row, outer))
-                    return (v is not None, v)
+            def one_key(row, fn=self.key_fns[pos]):
+                v = fn(row)
+                # Sort NULLs first (before any value).
+                return (v is not None, v)
 
-            buffered.sort(key=one_key, reverse=desc)
+            buffered.sort(key=one_key, reverse=self.descending[pos])
         return buffered
 
     def rows(self):
@@ -1183,66 +1060,38 @@ class HashAggregate(PhysicalOperator):
         self.agg_specs = list(agg_specs)
         self.output = output
         self.having = having
-        self._outer_env = None
         self._ctx = None
 
     def children(self):
         return (self.child,)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self._outer_env = outer_env
-        self.child.open(ctx, outer_env)
+        self.child.open(ctx)
 
     def _accumulate(self):
-        outer = self._outer_env
         groups = {}
         group_fns = self.group_fns
         agg_specs = self.agg_specs
-        row_groups = row_fns_of(group_fns)
+        # COUNT(*) slots keep None -> sentinel value 1.
         arg_fns = [s.arg_fn for s in agg_specs]
-        row_args = row_fns_of([fn for fn in arg_fns if fn is not None])
-        row_mode = row_groups is not None and row_args is not None
-        if row_mode:
-            # Thread the row-mode arg evaluators back into spec order
-            # (COUNT(*) slots keep None -> sentinel value 1).
-            it = iter(row_args)
-            per_spec = [None if fn is None else next(it) for fn in arg_fns]
-            for row in _input_rows(self.child, self._ctx):
-                key = tuple(fn(row) for fn in row_groups)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = [_Accumulator(s.func) for s in agg_specs]
-                    groups[key] = accs
-                for arg_fn, acc in zip(per_spec, accs):
-                    acc.add(1 if arg_fn is None else arg_fn(row))
-        else:
-            for row in _input_rows(self.child, self._ctx):
-                env = make_env(row, outer)
-                key = tuple(fn(env) for fn in group_fns)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = [_Accumulator(s.func) for s in agg_specs]
-                    groups[key] = accs
-                for spec, acc in zip(agg_specs, accs):
-                    value = 1 if spec.arg_fn is None else spec.arg_fn(env)
-                    acc.add(value)
+        for row in _input_rows(self.child, self._ctx):
+            key = tuple(fn(row) for fn in group_fns)
+            accs = groups.get(key)
+            if accs is None:
+                accs = [_Accumulator(s.func) for s in agg_specs]
+                groups[key] = accs
+            for arg_fn, acc in zip(arg_fns, accs):
+                acc.add(1 if arg_fn is None else arg_fn(row))
         if not groups and not self.group_fns:
             groups[()] = [_Accumulator(s.func) for s in agg_specs]
         return groups
 
     def _emit(self, groups):
         having = self.having
-        row_having = None if having is None else row_fn_of(having)
-        outer = self._outer_env
         for key, accs in groups.items():
             out = key + tuple(acc.result() for acc in accs)
-            if having is None:
-                yield out
-            elif row_having is not None:
-                if row_having(out) is True:
-                    yield out
-            elif having(make_env(out, outer)) is True:
+            if having is None or having(out) is True:
                 yield out
 
     def rows(self):
@@ -1265,9 +1114,9 @@ class Distinct(PhysicalOperator):
     def children(self):
         return (self.child,)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         self._ctx = ctx
-        self.child.open(ctx, outer_env)
+        self.child.open(ctx)
 
     def rows(self):
         seen = set()
@@ -1293,8 +1142,8 @@ class Limit(PhysicalOperator):
     def children(self):
         return (self.child,)
 
-    def open(self, ctx, outer_env=None):
-        self.child.open(ctx, outer_env)
+    def open(self, ctx):
+        self.child.open(ctx)
 
     def rows(self):
         remaining = self.limit
@@ -1326,13 +1175,13 @@ class Limit(PhysicalOperator):
 
 
 class Materialized(PhysicalOperator):
-    """A buffered row set used as a plan source (derived tables, tests)."""
+    """A buffered row set used as a plan source (tests)."""
 
     def __init__(self, rows, output):
         self._rows = list(rows)
         self.output = output
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         pass
 
     def rows(self):
@@ -1373,14 +1222,14 @@ class SwitchUnion(PhysicalOperator):
     def children(self):
         return tuple(self.inputs)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         index = self.selector(ctx)
         if not 0 <= index < len(self.inputs):
             raise ExecutionError(f"SwitchUnion selector returned {index}")
         self.chosen = index
         self.last_chosen = index
         ctx.record_branch(self.label or "switchunion", index)
-        self.inputs[index].open(ctx, outer_env)
+        self.inputs[index].open(ctx)
 
     def rows(self):
         return self.inputs[self.chosen].rows()
@@ -1431,7 +1280,7 @@ class RemoteQuery(PhysicalOperator):
             return self._sql
         return render_params(self._sql, self._params)
 
-    def open(self, ctx, outer_env=None):
+    def open(self, ctx):
         sql = self.sql
         batch = self.remote_executor(sql)
         self._buffered = batch

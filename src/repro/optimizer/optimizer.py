@@ -12,18 +12,29 @@ Pruning uses the consistency *violation* rule on partial plans and the
 *satisfaction* rule on complete plans, exactly as in the paper; candidates
 whose guarded view can never meet the currency bound (bound < region delay)
 are never generated in the first place.
+
+Every SELECT block goes through this one search.  A FROM-subquery is a
+derived operand whose one access candidate is its own plan; a subquery in
+an expression is compiled once per statement (:meth:`Optimizer.plan_subquery`)
+into a :class:`Subplan` that runs per outer row with its correlated
+references bound, and the filter that evaluates it delivers the merge of
+the outer and inner blocks' consistency properties.
 """
 
 import itertools
+from itertools import islice
 
+from repro.catalog.statistics import TableStats
 from repro.common.errors import OptimizerError
 from repro.cc.properties import satisfies, violates
 from repro.obs.metrics import NULL_REGISTRY
 from repro.engine import operators as ops
-from repro.engine.expressions import OutputCol, RowBinding, compile_expr
+from repro.engine.executor import ExecutionContext
+from repro.engine.expressions import ExpressionContext, OutputCol, RowBinding, compile_expr
+from repro.engine.ir import compile_ir
 from repro.optimizer.candidates import Candidate, stamp_estimates
-from repro.optimizer.placement import combine_conjuncts
-from repro.optimizer.query_info import analyze_select
+from repro.optimizer.placement import combine_conjuncts, estimate_selectivity
+from repro.optimizer.query_info import analyze_select, correlate
 from repro.sql import ast
 
 
@@ -100,8 +111,34 @@ def _summarize(op):
     return op.describe()
 
 
+class Subplan:
+    """A subquery block compiled once per statement: its plan, the
+    :class:`~repro.sql.ast.Params` cell its correlated references were
+    rewritten into, and those references (``outer_refs[slot]``), which the
+    enclosing expression evaluates against its row."""
+
+    __slots__ = ("plan", "params", "outer_refs", "clock")
+
+    def __init__(self, plan, params, outer_refs, clock):
+        self.plan = plan
+        self.params = params
+        self.outer_refs = outer_refs
+        self.clock = clock
+
+    def rows(self, values, limit=None):
+        """The block's rows, at most ``limit`` of them, with its outer
+        references bound to ``values``: the compiled root re-runs."""
+        self.params[:] = values
+        root = self.plan.root()
+        root.open(ExecutionContext(clock=self.clock))
+        try:
+            return list(islice(root.rows(), limit))
+        finally:
+            root.close()
+
+
 class Optimizer:
-    """Optimizes single-block queries against a placement provider.
+    """Optimizes SELECT blocks against a placement provider.
 
     ``early_pruning`` applies the consistency *violation* rule to partial
     plans (the paper's early-discard optimization).  Disabling it only
@@ -127,43 +164,84 @@ class Optimizer:
     def optimize(self, select, catalog):
         """Optimize a Select AST; returns an OptimizedPlan.
 
-        Raises OptimizerError for complex (multi-block) queries — callers
-        fall back to their engine-specific paths (naive recursive planning
-        on the back-end, whole-query shipping on the cache).
+        Nested blocks are planned within the same call: each derived
+        table once, each subquery in an expression once (not once per
+        outer row).  Raises OptimizerError for constructs outside the
+        supported subset.
         """
-        query_info = analyze_select(select, catalog)
-        if query_info.complex:
-            raise OptimizerError("complex query: not optimizable by DP search")
-        return self.optimize_info(query_info)
-
-    def estimate(self, select, catalog):
-        """Cost/cardinality estimate without caring about the plan."""
-        plan = self.optimize(select, catalog)
-        return plan.cost, plan.est_rows, plan.est_width
+        return self.optimize_info(analyze_select(select, catalog))
 
     def optimize_info(self, query_info):
-        required = query_info.constraint
+        """Optimize an analyzed statement; the candidate counters cover
+        all of its blocks."""
         self.stats = {"considered": 0, "admitted": 0, "pruned": 0}
-        registry = self.registry
-        with registry.span("enumerate_joins"):
+        try:
+            return self._plan(query_info)
+        finally:
+            for outcome in ("considered", "admitted", "pruned"):
+                self.registry.counter(
+                    "optimizer_candidates_total", labels={"outcome": outcome},
+                    help="DP-search candidates by outcome",
+                ).inc(self.stats[outcome])
+
+    def plan_subquery(self, select, catalog):
+        """Compile a subquery block once, as a :class:`Subplan`.
+
+        Its references to the enclosing row become Param slots
+        (:func:`~repro.optimizer.query_info.correlate`), so an inner
+        ``o.o_custkey = <outer column>`` is an index seek on a parameter,
+        as in a plan template.  Plan-time code that reads such a slot's
+        value marks it opaque — the conjunct reading it is then planned
+        as a plain residual — and the block is planned again: a
+        correlated slot is never pinned.
+        """
+        rewritten, params, outer_refs = correlate(select, catalog)
+        while True:
+            try:
+                plan = self._plan(analyze_select(rewritten, catalog))
+                plan.root()  # a late value read stays inside the try
+                break
+            except ast.ParamRead as read:
+                if read.params is not params:
+                    raise  # an enclosing block's slot, or a template's
+                if read.slot in params.opaque:
+                    raise OptimizerError(
+                        f"subquery reads its outer reference ?{read.slot} at plan time"
+                    ) from None
+                params.opaque.add(read.slot)
+        return Subplan(plan, params, outer_refs, self.placement.expr_ctx.clock)
+
+    def _plan(self, query_info):
+        required = query_info.constraint
+        for operand in query_info.operands.values():
+            derived = operand.derived
+            if derived is not None:
+                derived.plan = self._plan(analyze_select(derived.select, query_info.catalog))
+                derived.stats = TableStats(row_count=derived.plan.est_rows)
+        with self.registry.span("enumerate_joins"):
             best_by_subset = self._enumerate_joins(query_info, required)
 
+        # Subqueries compile once per statement, against this statement's
+        # catalog; every build of this plan reads the same compiled blocks.
+        subplans = {}
+        catalog = query_info.catalog
+
+        def subplan(select):
+            block = subplans.get(id(select))
+            if block is None:
+                block = subplans[id(select)] = self.plan_subquery(select, catalog)
+            return block
+
+        expr_ctx = ExpressionContext(self.placement.expr_ctx.clock, subplan)
         all_aliases = frozenset(query_info.aliases())
-        finalists = []
-        for candidate in best_by_subset.get(all_aliases, {}).values():
-            finished = self._finish(candidate, query_info)
-            if finished is not None:
-                finalists.append(finished)
+        finalists = [
+            self._finish(candidate, query_info, expr_ctx)
+            for candidate in best_by_subset.get(all_aliases, {}).values()
+        ]
 
         whole = self.placement.whole_query_candidate(query_info)
         if whole is not None and not violates(whole.delivered, required):
             finalists.append(whole)
-
-        for outcome in ("considered", "admitted", "pruned"):
-            registry.counter(
-                "optimizer_candidates_total", labels={"outcome": outcome},
-                help="DP-search candidates by outcome",
-            ).inc(self.stats[outcome])
 
         valid = [c for c in finalists if satisfies(c.delivered, required)]
         if not valid:
@@ -196,7 +274,11 @@ class Optimizer:
         for alias in aliases:
             operand = query_info.operand(alias)
             subset = frozenset([alias])
-            for candidate in self.placement.access_candidates(operand, query_info):
+            if operand.derived is not None:
+                candidates = [self._derived_candidate(operand)]
+            else:
+                candidates = self.placement.access_candidates(operand, query_info)
+            for candidate in candidates:
                 admit(subset, candidate)
             remote = self.placement.subset_remote_candidate(subset, query_info)
             if remote is not None:
@@ -227,6 +309,30 @@ class Optimizer:
                     admit(subset, remote)
         return table
 
+    def _derived_candidate(self, operand):
+        """A derived table's one access candidate: its own plan, with that
+        plan's cost, rows and delivered properties, its output relabelled
+        to the operand's alias and its conjuncts applied above it."""
+        plan = operand.derived.plan
+        binding = RowBinding([OutputCol(name, operand.alias) for name in plan.column_names])
+        conjuncts = operand.conjuncts
+        predicate_expr = combine_conjuncts(conjuncts)
+        rows = plan.est_rows * estimate_selectivity(operand.stats, conjuncts, ())
+        cost = plan.cost + (self.cost_model.filter(plan.est_rows) if conjuncts else 0.0)
+
+        def build():
+            relabel = ops.Project(
+                plan.root(), [compile_ir(("col", i)) for i in range(len(binding))], binding
+            )
+            if predicate_expr is None:
+                return relabel
+            predicate = compile_expr(predicate_expr, binding, self.placement.expr_ctx)
+            return ops.Filter(stamp_estimates(relabel, plan.est_rows), predicate)
+
+        return Candidate(build, cost, rows, plan.est_width, binding,
+                         plan.candidate.delivered, [operand.alias], "derived",
+                         detail=operand.alias)
+
     def _join_candidates(self, left, right, join_conjuncts, subset, query_info):
         """Physical join alternatives for one (left, right) candidate pair."""
         cm = self.cost_model
@@ -252,14 +358,9 @@ class Optimizer:
         ]
         width = left.width + right.width
 
-        def make_key_fns(candidate_binding, refs):
-            def build():
-                return [
-                    compile_expr(ref, candidate_binding, self.placement.expr_ctx)
-                    for ref in refs
-                ]
-
-            return build
+        def key_fns(candidate_binding, refs):
+            return [compile_expr(ref, candidate_binding, self.placement.expr_ctx)
+                    for ref in refs]
 
         left_refs = []
         right_refs = []
@@ -282,8 +383,8 @@ class Optimizer:
             return ops.HashJoin(
                 left.operator(),
                 right.operator(),
-                make_key_fns(left.binding, left_refs)(),
-                make_key_fns(right.binding, right_refs)(),
+                key_fns(left.binding, left_refs),
+                key_fns(right.binding, right_refs),
                 binding,
                 residual=residual,
             )
@@ -323,14 +424,8 @@ class Optimizer:
                 return ops.MergeJoin(
                     left.operator(),
                     right.operator(),
-                    [
-                        compile_expr(ref, left.binding, self.placement.expr_ctx)
-                        for ref in merge_left_refs
-                    ],
-                    [
-                        compile_expr(ref, right.binding, self.placement.expr_ctx)
-                        for ref in merge_right_refs
-                    ],
+                    key_fns(left.binding, merge_left_refs),
+                    key_fns(right.binding, merge_right_refs),
                     binding,
                     residual=residual,
                 )
@@ -365,7 +460,9 @@ class Optimizer:
             for (jc, swapped), outer_ref in zip(join_conjuncts, left_refs):
                 inner_col = jc.right_column if not swapped else jc.left_column
                 col_to_outer.setdefault(inner_col, outer_ref)
-            for source in self.placement.nl_inner_sources(inner_operand, set(col_to_outer)):
+            sources = () if inner_operand.derived is not None else (
+                self.placement.nl_inner_sources(inner_operand, set(col_to_outer)))
+            for source in sources:
                 table, index, inner_binding, inner_delivered, skip = source
                 # Key columns must form a prefix of the index key, in index
                 # order; require the full join-column set to be used.
@@ -394,22 +491,15 @@ class Optimizer:
                     residual_all=residual_all,
                     rows_per_probe=rows_per_probe,
                 ):
-                    # Key fns resolve outer columns through the correlated
-                    # environment (local binding is empty).
-                    key_binding = RowBinding([], outer=left.binding)
-                    key_fns = [
-                        compile_expr(ref, key_binding, self.placement.expr_ctx)
-                        for ref in ordered_outer_refs
-                    ]
                     inner_pred_expr = combine_conjuncts(list(inner_conjuncts))
                     inner_pred = (
                         compile_expr(inner_pred_expr, inner_binding, self.placement.expr_ctx)
                         if inner_pred_expr is not None
                         else None
                     )
+                    # The seek's key is each outer row's key columns.
                     inner = stamp_estimates(
-                        ops.IndexSeek(table, index, key_fns, inner_binding,
-                                      predicate=inner_pred),
+                        ops.IndexSeek(table, index, (), inner_binding, predicate=inner_pred),
                         rows_per_probe,
                     )
                     residual = (
@@ -417,11 +507,7 @@ class Optimizer:
                         if residual_all is not None
                         else None
                     )
-                    # The same key columns as outer-row positions, for the
-                    # columnar probe (None when one lives further out).
-                    resolved = [left.binding.resolve(ref) for ref in ordered_outer_refs]
-                    outer_keys = ([pos for _, pos in resolved]
-                                  if all(kind == "local" for kind, _ in resolved) else None)
+                    outer_keys = [left.binding.resolve(ref) for ref in ordered_outer_refs]
                     return ops.IndexNLJoin(left.operator(), inner, nl_binding,
                                            residual=residual, outer_keys=outer_keys)
 
@@ -447,21 +533,37 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Finishing: projection, aggregation, order, distinct, limit
     # ------------------------------------------------------------------
-    def _finish(self, candidate, query_info):
+    def _finish(self, candidate, query_info, expr_ctx):
         cm = self.cost_model
-        expr_ctx = self.placement.expr_ctx
         binding = candidate.binding
         cost = candidate.cost
         rows = candidate.rows
+        delivered = candidate.delivered
 
-        # Subquery conjuncts run as a filter above the join; they need a
-        # subquery runner in the expression context (back-end only).
-        if query_info.post_conjuncts:
-            if expr_ctx.subquery_runner is None:
-                return None
-            post_expr = combine_conjuncts(query_info.post_conjuncts)
+        # Uncorrelated IN-subqueries become hash semi joins when the
+        # placement can supply the inner relation; every other subquery
+        # conjunct runs in one filter above the join, its block compiled
+        # once and re-run per row.  The plan delivers the merge of the
+        # outer and the inner blocks' properties.
+        semis = []
+        post = list(query_info.post_conjuncts)
+        nested = list(query_info.subqueries)
+        for semi in query_info.semi_joins:
+            source = self.placement.semi_inner_source(semi)
+            if source is None:
+                post.append(semi.conjunct)
+                nested.append(semi.conjunct)
+            else:
+                semis.append((semi, source))
+        for node in nested:
+            block = expr_ctx.subqueries(node.select).plan
+            delivered = delivered.join(block.candidate.delivered)
+            cost += rows * block.cost
+
+        if post:
+            post_expr = combine_conjuncts(post)
             prev_candidate = candidate
-            cost += cm.filter(rows) * 4.0  # subqueries are expensive per row
+            cost += cm.filter(rows)
             rows = max(1.0, rows * 0.25)
 
             def build_post(prev_candidate=prev_candidate, post_expr=post_expr,
@@ -476,41 +578,18 @@ class Optimizer:
                 rows,
                 prev_candidate.width,
                 binding,
-                prev_candidate.delivered,
+                delivered,
                 prev_candidate.aliases,
                 prev_candidate.kind,
                 detail=prev_candidate.detail,
             )
 
-        # Uncorrelated IN-subqueries become hash semi joins when the
-        # placement can supply the inner relation; otherwise they fall
-        # back to naive per-row evaluation through the subquery runner.
-        for semi in query_info.semi_joins:
-            source = self.placement.semi_inner_source(semi)
+        for semi, source in semis:
             prev_candidate = candidate
-            if source is None:
-                if expr_ctx.subquery_runner is None:
-                    return None
-                cost += cm.filter(rows) * 4.0
-                rows = max(1.0, rows * 0.5)
-
-                def build_fallback(prev_candidate=prev_candidate, semi=semi,
-                                   binding=binding, est=(rows, cost)):
-                    predicate = compile_expr(semi.conjunct, binding, expr_ctx)
-                    return stamp_estimates(
-                        ops.Filter(prev_candidate.operator(), predicate, output=binding),
-                        *est,
-                    )
-
-                candidate = Candidate(
-                    build_fallback, cost, rows, prev_candidate.width, binding,
-                    prev_candidate.delivered, prev_candidate.aliases,
-                    prev_candidate.kind, detail=prev_candidate.detail,
-                )
-                continue
             build_inner, inner_binding, inner_cost, inner_rows, inner_delivered = source
             cost += inner_cost + cm.hash_join(rows, inner_rows, rows * 0.5)
             rows = max(1.0, rows * 0.5)
+            delivered = delivered.join(inner_delivered)
 
             def build_semi(prev_candidate=prev_candidate, semi=semi, binding=binding,
                            build_inner=build_inner, inner_binding=inner_binding,
@@ -531,7 +610,7 @@ class Optimizer:
                 rows,
                 prev_candidate.width,
                 binding,
-                prev_candidate.delivered.join(inner_delivered),
+                delivered,
                 prev_candidate.aliases,
                 prev_candidate.kind,
                 detail=prev_candidate.detail,
@@ -542,7 +621,6 @@ class Optimizer:
             group_refs = query_info.group_refs
             agg_items = query_info.agg_items
             agg_specs_info = [item for item in agg_items if item.kind == "agg"]
-            group_items = [item for item in agg_items if item.kind == "group"]
 
             # Aggregate output: group columns (in GROUP BY order) then
             # aggregates (in select-list order).
@@ -676,7 +754,7 @@ class Optimizer:
             rows,
             candidate.width,
             out_binding,
-            candidate.delivered,
+            delivered,
             candidate.aliases,
             candidate.kind,
             detail=candidate.detail,

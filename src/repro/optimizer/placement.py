@@ -28,7 +28,7 @@ def _const_key_fns(values):
         try:
             out.append(compile_ir(const_ir(v)))
         except IRUnsupported:
-            out.append(lambda env, v=v: v)
+            out.append(lambda _, v=v: v)
     return out
 
 
@@ -138,7 +138,7 @@ class PlacementProvider:
 
         Returns ``(build_fn, key_expr_binding, cost, rows, delivered)`` or
         None when this placement cannot supply the inner relation (the
-        caller then falls back to naive subquery evaluation).
+        caller then runs the conjunct as a compiled subquery).
         """
         return None
 
@@ -358,14 +358,15 @@ def _match_index(index, sargs):
             in_values = shortest.value
             used_exprs.add(shortest.expr)
         else:
+            # The tighter bound wins; at a tie, the exclusive one.
             for s in column_sargs:
                 if s.op in (">", ">="):
-                    if range_low is None or s.value > range_low:
+                    if range_low is None or (s.value, s.op == ">") > (range_low, not low_inc):
                         range_low = s.value
                         low_inc = s.op == ">="
                     used_exprs.add(s.expr)
                 elif s.op in ("<", "<="):
-                    if range_high is None or s.value < range_high:
+                    if range_high is None or (s.value, s.op == "<=") < (range_high, high_inc):
                         range_high = s.value
                         high_inc = s.op == "<="
                     used_exprs.add(s.expr)

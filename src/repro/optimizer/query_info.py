@@ -5,15 +5,18 @@ into per-operand conjuncts / equijoin conjuncts / residuals, extracts
 sargable predicates for index selection, expands ``*`` items, classifies
 aggregation, and computes the normalized C&C constraint.
 
-Single-block SPJ(+aggregate/order/distinct/limit) queries go through the
-full cost-based search; blocks with FROM-subqueries or WHERE-subqueries are
-flagged ``complex`` and are planned by the naive recursive path (on the
-back-end) or shipped whole (on the cache).
+Every SELECT block goes through the one cost-based search.  A
+FROM-subquery is a :class:`DerivedTable` operand, which the optimizer
+plans as a block of its own; a subquery in an expression is compiled by
+the optimizer once per statement, after :func:`correlate` has rewritten
+its references to the enclosing row into parameter slots.
 """
 
+from repro.catalog.statistics import TableStats
 from repro.common.errors import CatalogError, OptimizerError
 from repro.cc.constraint import constraint_from_select
 from repro.sql import ast
+from repro.storage.schema import Column, DataType, Schema
 
 
 class Sarg:
@@ -37,8 +40,23 @@ class Sarg:
         return f"Sarg({self.column} {self.op} {self.value!r})"
 
 
+class DerivedTable:
+    """A FROM-subquery standing as an operand: its block and output schema;
+    the optimizer plans the block and sets ``stats`` from the plan's
+    estimated cardinality."""
+
+    def __init__(self, select, names):
+        self.select = select
+        self.schema = Schema([Column(name, DataType.STRING) for name in names])
+        self.stats = TableStats()
+        self.plan = None
+
+
 class OperandInfo:
-    """One base-table instance in the FROM clause."""
+    """One FROM-clause operand: a base-table instance, or a derived table
+    (``entry`` and ``derived`` are then its :class:`DerivedTable`)."""
+
+    derived = None
 
     def __init__(self, alias, table_name, entry):
         self.alias = alias
@@ -65,9 +83,8 @@ class SemiJoinInfo:
     conjunct (or its NOT IN counterpart), eligible for a hash semi/anti
     join.
 
-    ``conjunct`` keeps the original expression for the fallback path
-    (naive subquery evaluation) when a placement cannot supply the inner
-    side.
+    ``conjunct`` keeps the original expression: it runs as a compiled
+    subquery filter when a placement cannot supply the inner side.
     """
 
     __slots__ = ("outer_ref", "inner_table", "inner_alias", "inner_ref",
@@ -95,8 +112,8 @@ class SemiJoinInfo:
 def _try_semi_join(conjunct, catalog):
     """Recognize an eligible IN-subquery conjunct; returns SemiJoinInfo or
     None.  Eligible: outer operand a plain column, inner a single-block
-    single-table projection of one plain column, uncorrelated (every inner
-    reference resolves against the inner table).  Negated conjuncts
+    single-table projection of one plain column, uncorrelated
+    (:func:`correlate` finds no outer reference).  Negated conjuncts
     (NOT IN) become anti joins.  An inner CURRENCY clause does not stand
     in the way: the statement's normalised constraint already carries
     it."""
@@ -117,21 +134,13 @@ def _try_semi_join(conjunct, catalog):
     from_item = select.from_items[0]
     if not catalog.has_table(from_item.name):
         return None
-    schema = catalog.table(from_item.name).schema
     if len(select.items) != 1 or select.items[0].star:
         return None
     inner_ref = select.items[0].expr
     if not isinstance(inner_ref, ast.ColumnRef):
         return None
-    inner_exprs = [inner_ref] + ([select.where] if select.where is not None else [])
-    for expr in inner_exprs:
-        if _has_subquery(expr):
-            return None
-        for ref in expr.column_refs():
-            if ref.qualifier is not None and ref.qualifier != from_item.alias:
-                return None  # correlated
-            if not schema.has_column(ref.name):
-                return None  # correlated via unqualified outer column
+    if select.nested or correlate(select, catalog)[2]:
+        return None  # a nested block, or correlated
     return SemiJoinInfo(
         conjunct.operand,
         from_item.name,
@@ -181,8 +190,9 @@ class AggregateItem:
 class QueryInfo:
     """Everything the planner needs about a single-block query."""
 
-    def __init__(self, select):
+    def __init__(self, select, catalog=None):
         self.select = select
+        self.catalog = catalog  # the catalog names resolved against
         self.operands = {}  # alias -> OperandInfo
         self.from_order = []  # aliases in FROM order
         self.join_conjuncts = []
@@ -196,12 +206,14 @@ class QueryInfo:
         self.distinct = False
         self.limit = None
         self.constraint = None
-        self.complex = False  # FROM-subqueries: excluded from DP search
         #: WHERE conjuncts containing subqueries; applied as a filter above
-        #: the join (requires a subquery runner — back-end only).
+        #: the join, before aggregation.
         self.post_conjuncts = []
         #: Uncorrelated IN-subqueries eligible for hash semi joins.
         self.semi_joins = []
+        #: Every other subquery of this block (post conjuncts, select list,
+        #: HAVING, ORDER BY): each compiles to a block run per row.
+        self.subqueries = []
 
     def operand(self, alias):
         return self.operands[alias]
@@ -233,11 +245,103 @@ def _split_conjuncts(expr):
 
 
 def _has_subquery(expr):
-    if expr is None:
-        return False
-    return any(
-        isinstance(node, (ast.ExistsSubquery, ast.InSubquery)) for node in expr.walk()
-    )
+    return any(isinstance(node, ast.Subquery) for node in expr.walk())
+
+
+def output_names(select, catalog):
+    """The column names a block produces, ``*`` expanded."""
+    names = []
+    for item in select.items:
+        if not item.star:
+            names.append(item.output_name())
+            continue
+        for source in select.from_items:
+            if item.star_qualifier not in (None, source.alias):
+                continue
+            if isinstance(source, ast.FromSubquery):
+                names.extend(output_names(source.select, catalog))
+            else:
+                names.extend(catalog.table(source.name).schema.names())
+    return names
+
+
+def _scope(select, catalog):
+    """alias -> column names of one block's FROM items."""
+    scope = {}
+    for item in select.from_items:
+        if isinstance(item, ast.FromSubquery):
+            scope[item.alias] = set(output_names(item.select, catalog))
+        elif catalog.has_table(item.name):
+            scope[item.alias] = set(catalog.table(item.name).schema.names())
+        else:
+            scope[item.alias] = set()
+    return scope
+
+
+def correlate(select, catalog):
+    """Rewrite a subquery block so it can be planned on its own.
+
+    Every column reference that neither ``select`` nor a block nested in
+    it resolves reads the enclosing row: it becomes a
+    :class:`~repro.sql.ast.Param` over one fresh cell, one slot per
+    distinct reference.  Returns ``(select', params, outer_refs)``, where
+    ``outer_refs[slot]`` is the reference that slot stands for, as written
+    (the caller compiles it against the enclosing row).
+    """
+    params = ast.Params()
+    params.opaque = set()
+    outer_refs = []
+    slots = {}
+
+    def outer(ref):
+        key = (ref.qualifier, ref.name)
+        if key not in slots:
+            slots[key] = len(outer_refs)
+            outer_refs.append(ref)
+            params.append(None)
+        return ast.Param(slots[key], params)
+
+    def block(sel, chain):
+        inner = chain + [_scope(sel, catalog)]
+        own = set(output_names(sel, catalog))
+
+        def expr(node, aliases=()):
+            if node is None:
+                return None
+            if isinstance(node, ast.ColumnRef):
+                # Local: a select-list output (HAVING, ORDER BY), or a FROM
+                # item of this block or of one between it and ``select``.
+                if (node.qualifier is None and node.name in aliases) or any(
+                    node.qualifier in scope if node.qualifier is not None
+                    else any(node.name in names for names in scope.values())
+                    for scope in inner
+                ):
+                    return node
+                return outer(node)
+            copy = node.map(lambda child: expr(child, aliases))
+            if isinstance(node, ast.Subquery):
+                copy.select = block(node.select, inner)
+            return copy
+
+        return sel.replace(
+            items=[
+                item if item.star
+                else ast.SelectItem(expr(item.expr), item.alias or item.output_name())
+                for item in sel.items
+            ],
+            from_items=[
+                ast.FromSubquery(block(item.select, chain), item.alias)
+                if isinstance(item, ast.FromSubquery) else item
+                for item in sel.from_items
+            ],
+            where=expr(sel.where),
+            group_by=[expr(g) for g in sel.group_by],
+            # HAVING and ORDER BY may name select-list outputs.
+            having=expr(sel.having, own),
+            order_by=[ast.OrderItem(expr(o.expr, own), o.descending) for o in sel.order_by],
+        )
+
+    return block(select, []), params, outer_refs
 
 
 class _Resolver:
@@ -275,10 +379,12 @@ def _constant_value(expr):
     """Evaluate a constant literal expression, or return (False, None).
     A bindable literal (:class:`~repro.sql.ast.Param`) is its own, opaque,
     value: sargs carry it to the index-key and shard-pin code that knows
-    how to consume one."""
+    how to consume one — unless its slot is one no plan may read."""
     if isinstance(expr, ast.Literal):
         return True, expr.value
     if isinstance(expr, ast.Param):
+        if expr.slot in expr.params.opaque:
+            return False, None
         return True, expr
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         ok, value = _constant_value(expr.operand)
@@ -291,7 +397,9 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
 def _extract_sargs(conjunct, resolver, alias):
-    """Extract Sargs from a single-operand conjunct, if it is sargable."""
+    """Extract Sargs from a single-operand conjunct, if it is sargable.  A
+    range bound is baked into its index range scan, so it must be a
+    literal: a Param is a sarg value for ``=`` and ``in`` only."""
     out = []
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op in ("=", "<", "<=", ">", ">="):
         left, right, op = conjunct.left, conjunct.right, conjunct.op
@@ -299,13 +407,14 @@ def _extract_sargs(conjunct, resolver, alias):
             left, right, op = right, left, _FLIP[op]
         if isinstance(left, ast.ColumnRef):
             ok, value = _constant_value(right)
-            if ok:
+            if ok and (op == "=" or not isinstance(value, ast.Param)):
                 _, column = resolver.resolve(left)
                 out.append(Sarg(column, op, value, conjunct))
     elif isinstance(conjunct, ast.Between) and not conjunct.negated:
         lo_ok, lo = _constant_value(conjunct.low)
         hi_ok, hi = _constant_value(conjunct.high)
-        if lo_ok and hi_ok and isinstance(conjunct.operand, ast.ColumnRef):
+        if (lo_ok and hi_ok and isinstance(conjunct.operand, ast.ColumnRef)
+                and not isinstance(lo, ast.Param) and not isinstance(hi, ast.Param)):
             _, column = resolver.resolve(conjunct.operand)
             out.append(Sarg(column, ">=", lo, conjunct))
             out.append(Sarg(column, "<=", hi, conjunct))
@@ -327,7 +436,7 @@ def analyze_select(select, catalog):
 
     Raises OptimizerError for constructs outside the supported subset.
     """
-    info = QueryInfo(select)
+    info = QueryInfo(select, catalog)
     info.distinct = select.distinct
     info.limit = select.limit
 
@@ -335,19 +444,20 @@ def analyze_select(select, catalog):
     info.constraint, _ = constraint_from_select(select)
 
     for item in select.from_items:
-        if isinstance(item, ast.FromSubquery):
-            info.complex = True
-            return info
-        if not catalog.has_table(item.name):
-            raise CatalogError(f"unknown table: {item.name}")
         if item.alias in info.operands:
             raise OptimizerError(f"duplicate alias in FROM: {item.alias}")
-        info.operands[item.alias] = OperandInfo(item.alias, item.name, catalog.table(item.name))
+        if isinstance(item, ast.FromSubquery):
+            operand = OperandInfo(item.alias, item.alias, DerivedTable(
+                item.select, output_names(item.select, catalog)))
+            operand.derived = operand.entry
+            info.operands[item.alias] = operand
+        elif not catalog.has_table(item.name):
+            raise CatalogError(f"unknown table: {item.name}")
+        else:
+            info.operands[item.alias] = OperandInfo(
+                item.alias, item.name, catalog.table(item.name)
+            )
         info.from_order.append(item.alias)
-
-    if _has_subquery(select.having):
-        info.complex = True
-        return info
 
     resolver = _Resolver(info.operands)
 
@@ -404,8 +514,6 @@ def analyze_select(select, catalog):
     info.items = expanded
 
     if has_agg:
-        if select.distinct:
-            raise OptimizerError("DISTINCT with aggregation is not supported")
         info.group_refs = []
         for g in select.group_by:
             if not isinstance(g, ast.ColumnRef):
@@ -426,13 +534,28 @@ def analyze_select(select, catalog):
                         f"column {expr.to_sql()} must appear in GROUP BY"
                     )
                 info.agg_items.append(AggregateItem("group", expr, name))
+            elif not any(
+                isinstance(node, ast.FuncCall) and node.is_aggregate for node in expr.walk()
+            ) and all(resolver.resolve(ref) in group_keys for ref in expr.column_refs()):
+                # An expression over grouping columns, evaluated per group.
+                info.agg_items.append(AggregateItem("group", expr, name))
             else:
                 raise OptimizerError(
-                    "aggregation select items must be grouping columns or aggregates"
+                    "aggregation select items must be grouping columns, "
+                    "expressions over them, or aggregates"
                 )
         info.having = select.having
 
     info.order_by = list(select.order_by)
+    if select.nested:
+        info.subqueries = [
+            node
+            for expr in info.post_conjuncts + [e for e, _ in expanded] + [select.having]
+            + [o.expr for o in select.order_by]
+            if expr is not None
+            for node in expr.walk()
+            if isinstance(node, ast.Subquery)
+        ]
 
     # ------------------------------------------------------------------
     # Needed columns per operand (for projection pushdown to remote SQL)

@@ -31,7 +31,7 @@ from repro.engine.expressions import ExpressionContext, OutputCol, RowBinding
 from repro.optimizer.candidates import stamp_estimates
 
 #: Format version; bump on any change to the snapshot vocabulary.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -61,8 +61,6 @@ def _scalar(value, what):
 def _binding_obj(binding):
     if binding is None:
         raise SnapshotUnsupported("operator without an output binding")
-    if binding.outer is not None:
-        raise SnapshotUnsupported("binding with an outer scope")
     return [[c.qualifier, c.name] for c in binding.columns]
 
 
@@ -71,7 +69,7 @@ def _expr_obj(fn, what="predicate"):
         return None
     node = getattr(fn, "ir", None)
     if node is None:
-        raise SnapshotUnsupported(f"{what} has no IR (subquery or correlated)")
+        raise SnapshotUnsupported(f"{what} has no IR (a subquery)")
     # A template's bindable literals serialize as the constants bound now.
     return eir.to_obj(node, getattr(fn, "params", None))
 

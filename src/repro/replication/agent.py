@@ -16,7 +16,7 @@ of the paper's Figure 3.2 sawtooth.
 """
 
 from repro.common.errors import ReplicationError
-from repro.engine.expressions import OutputCol, RowBinding, evaluator
+from repro.engine.expressions import OutputCol, RowBinding, compile_expr
 from repro.obs.metrics import NULL_REGISTRY
 from repro.replication.heartbeat import HEARTBEAT_TABLE, local_heartbeat_name
 from repro.replication.tailer import LogTailer, upsert
@@ -32,7 +32,7 @@ class _ViewSubscription:
         self.positions = [base_schema.index_of(c) for c in view.columns]
         if view.predicate is not None:
             binding = RowBinding([OutputCol(c.name) for c in base_schema.columns])
-            self.predicate = evaluator(view.predicate, binding)
+            self.predicate = compile_expr(view.predicate, binding)
         else:
             self.predicate = None
         # Position of the base table's primary-key columns inside the view

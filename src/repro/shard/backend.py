@@ -57,7 +57,7 @@ from repro.engine.columnar import ColumnBatch
 from repro.engine.executor import BatchResult, ExecutionContext, PhaseTimings, QueryResult
 from repro.obs.metrics import NULL_REGISTRY
 from repro.optimizer.cost import CostModel
-from repro.optimizer.query_info import _constant_value, _has_subquery, _split_conjuncts
+from repro.optimizer.query_info import _constant_value, _split_conjuncts
 from repro.plan.compiler import is_select_text
 from repro.replication.checkpoint import CheckpointStore
 from repro.replication.heartbeat import HEARTBEAT_TABLE, heartbeat_schema
@@ -599,10 +599,6 @@ class ShardedBackend(Backend):
         exprs.extend(item.expr for item in (select.order_by or []))
         return exprs
 
-    @classmethod
-    def _select_has_subquery(cls, select):
-        return any(_has_subquery(expr) for expr in cls._select_exprs(select))
-
     @staticmethod
     def _needs_final(select):
         if (
@@ -628,16 +624,14 @@ class ShardedBackend(Backend):
                 self._referenced_tables(item.select, out)
         for expr in self._select_exprs(select):
             for node in expr.walk():
-                if isinstance(node, (ast.ExistsSubquery, ast.InSubquery)):
+                if isinstance(node, ast.Subquery):
                     self._referenced_tables(node.select, out)
         return out
 
     def route_select(self, select):
         """Decide where (and in what shape) a select runs."""
         everywhere = range(self.partition_count)
-        if any(isinstance(i, ast.FromSubquery) for i in select.from_items):
-            return ShardRoute("gather", everywhere)
-        if self._select_has_subquery(select):
+        if select.nested:
             return ShardRoute("gather", everywhere)
         pins = [
             (item, self._pinned_shards(item.name, select.where, item.alias))
@@ -827,7 +821,7 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     def _insert_shard(self, stmt, columns, value_row):
         """Owning shard for one INSERT value row."""
-        from repro.engine.expressions import RowBinding, compile_expr, make_env
+        from repro.engine.expressions import RowBinding, compile_expr
 
         pcol = self._partition_columns.get(stmt.table)
         if pcol is None:
@@ -840,7 +834,7 @@ class ShardedBackend(Backend):
             )
         expr_ctx = self.partitions[0].placement.expr_ctx
         fn = compile_expr(value_row[position], RowBinding([]), expr_ctx)
-        return stable_shard_hash(fn(make_env(()))) % self.partition_count
+        return stable_shard_hash(fn(())) % self.partition_count
 
     def _execute_insert(self, stmt):
         entry = self.catalog.table(stmt.table)

@@ -46,6 +46,11 @@ class Expr:
         """All ColumnRef nodes in this expression."""
         return [n for n in self.walk() if isinstance(n, ColumnRef)]
 
+    def map(self, fn):
+        """A copy of this node with ``fn`` applied to each child
+        expression; a leaf is its own copy."""
+        return self
+
 
 class Literal(Expr):
     def __init__(self, value, slot=None):
@@ -81,9 +86,11 @@ class ParamRead(Exception):
     ``slot`` to its exact value and compiles again.
     """
 
-    def __init__(self, slot):
+    def __init__(self, slot, params=None):
         super().__init__(f"plan-time read of parameter ?{slot}")
         self.slot = slot
+        #: The cell the read parameter belongs to.
+        self.params = params
 
 
 class Params(list):
@@ -92,7 +99,14 @@ class Params(list):
     read it on every row, binding a statement overwrites it in place.
     ``classes`` maps each slot plan-time code classified
     (:meth:`Param.classify`) to the classifying function, ``groups`` each
-    tuple of slots classified as one set (:func:`classify_set`) to its."""
+    tuple of slots classified as one set (:func:`classify_set`) to its.
+
+    ``opaque`` holds the slots no plan may be keyed on, not even by
+    pinning: a compiled subquery's correlated references, whose values
+    change per outer row.  Plan-time code treats a conjunct that reads
+    one as a plain residual."""
+
+    opaque = frozenset()
 
     def __init__(self, values=()):
         super().__init__(values)
@@ -131,7 +145,7 @@ class Param(Expr):
         return fn(self.params[self.slot])
 
     def _read(self, *_):
-        raise ParamRead(self.slot)
+        raise ParamRead(self.slot, self.params)
 
     value = property(_read)
     __hash__ = __bool__ = __neg__ = __int__ = __float__ = __index__ = _read
@@ -142,7 +156,7 @@ class Param(Expr):
     def __eq__(self, other):
         if other is self:
             return True
-        raise ParamRead(self.slot)
+        raise ParamRead(self.slot, self.params)
 
 
 def classify(value, fn):
@@ -219,6 +233,9 @@ class BinaryOp(Expr):
     def children(self):
         return (self.left, self.right)
 
+    def map(self, fn):
+        return BinaryOp(self.op, fn(self.left), fn(self.right))
+
     def to_sql(self):
         op = self.op.upper() if self.op in self.BOOLEAN else self.op
         return f"({self.left.to_sql()} {op} {self.right.to_sql()})"
@@ -234,6 +251,9 @@ class UnaryOp(Expr):
     def children(self):
         return (self.operand,)
 
+    def map(self, fn):
+        return UnaryOp(self.op, fn(self.operand))
+
     def to_sql(self):
         op = "NOT " if self.op == "not" else "-"
         return f"({op}{self.operand.to_sql()})"
@@ -246,6 +266,9 @@ class IsNull(Expr):
 
     def children(self):
         return (self.operand,)
+
+    def map(self, fn):
+        return IsNull(fn(self.operand), self.negated)
 
     def to_sql(self):
         tail = "IS NOT NULL" if self.negated else "IS NULL"
@@ -262,6 +285,9 @@ class Between(Expr):
     def children(self):
         return (self.operand, self.low, self.high)
 
+    def map(self, fn):
+        return Between(fn(self.operand), fn(self.low), fn(self.high), self.negated)
+
     def to_sql(self):
         neg = "NOT " if self.negated else ""
         return f"({self.operand.to_sql()} {neg}BETWEEN {self.low.to_sql()} AND {self.high.to_sql()})"
@@ -275,6 +301,9 @@ class InList(Expr):
 
     def children(self):
         return tuple([self.operand] + self.items)
+
+    def map(self, fn):
+        return InList(fn(self.operand), [fn(item) for item in self.items], self.negated)
 
     def to_sql(self):
         neg = "NOT " if self.negated else ""
@@ -295,6 +324,9 @@ class FuncCall(Expr):
     def children(self):
         return tuple(self.args)
 
+    def map(self, fn):
+        return FuncCall(self.name, [fn(arg) for arg in self.args], self.star)
+
     @property
     def is_aggregate(self):
         return self.name in self.AGGREGATES
@@ -306,17 +338,30 @@ class FuncCall(Expr):
         return f"{self.name.upper()}({inner})"
 
 
-class ExistsSubquery(Expr):
+class Subquery(Expr):
+    """A nested SELECT block used as an expression.  ``children`` never
+    descends into ``select``: a walk of the enclosing expression sees the
+    block's outer operand (IN), not its insides.  ``map`` copies the node
+    and shares the block."""
+
+    def __init__(self, select):
+        self.select = select
+
+
+class ExistsSubquery(Subquery):
     def __init__(self, select, negated=False):
         self.select = select
         self.negated = negated
+
+    def map(self, fn):
+        return ExistsSubquery(self.select, self.negated)
 
     def to_sql(self):
         neg = "NOT " if self.negated else ""
         return f"({neg}EXISTS ({self.select.to_sql()}))"
 
 
-class InSubquery(Expr):
+class InSubquery(Subquery):
     def __init__(self, operand, select, negated=False):
         self.operand = operand
         self.select = select
@@ -325,9 +370,23 @@ class InSubquery(Expr):
     def children(self):
         return (self.operand,)
 
+    def map(self, fn):
+        return InSubquery(fn(self.operand), self.select, self.negated)
+
     def to_sql(self):
         neg = "NOT " if self.negated else ""
         return f"({self.operand.to_sql()} {neg}IN ({self.select.to_sql()}))"
+
+
+class ScalarSubquery(Subquery):
+    """``(SELECT …)`` as a value: NULL for no row, the one row's first
+    column for one, an error for more."""
+
+    def map(self, fn):
+        return ScalarSubquery(self.select)
+
+    def to_sql(self):
+        return f"({self.select.to_sql()})"
 
 
 # ----------------------------------------------------------------------
@@ -482,6 +541,7 @@ class Select(Statement):
         distinct=False,
         currency=None,
         limit=None,
+        nested=None,
     ):
         self.items = list(items)
         self.from_items = list(from_items)
@@ -492,13 +552,28 @@ class Select(Statement):
         self.distinct = distinct
         self.currency = currency
         self.limit = limit
+        #: Whether another block is nested in this one: a FROM-subquery, or
+        #: a subquery anywhere in its clauses.  The parser knows; a block
+        #: built in code is walked once.
+        self.nested = self._nests() if nested is None else nested
+
+    def _nests(self):
+        exprs = [item.expr for item in self.items] + [self.where, self.having]
+        exprs += self.group_by + [o.expr for o in self.order_by]
+        return any(isinstance(item, FromSubquery) for item in self.from_items) or any(
+            isinstance(node, Subquery)
+            for expr in exprs if expr is not None
+            for node in expr.walk()
+        )
 
     def replace(self, **changes):
-        """A copy of this block with some clauses replaced."""
+        """A copy of this block with some clauses replaced; the copy keeps
+        ``nested``, so a replacement clause nests what the original did."""
         clauses = dict(
             items=self.items, from_items=self.from_items, where=self.where,
             group_by=self.group_by, having=self.having, order_by=self.order_by,
             distinct=self.distinct, currency=self.currency, limit=self.limit,
+            nested=self.nested,
         )
         clauses.update(changes)
         return Select(**clauses)

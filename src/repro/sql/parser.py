@@ -65,6 +65,9 @@ class Parser:
         self.sql = sql
         self.tokens = Lexer(sql).tokens()
         self.i = 0
+        #: Nested blocks parsed so far: a block that saw the count move
+        #: while it was parsed nests one (``Select.nested``).
+        self._subqueries = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -159,6 +162,7 @@ class Parser:
     # SELECT
     # ------------------------------------------------------------------
     def _select(self):
+        subqueries = self._subqueries
         self._expect_keyword("select")
         distinct = self._accept_keyword("distinct") is not None
         items = [self._select_item()]
@@ -211,6 +215,7 @@ class Parser:
             distinct=distinct,
             currency=currency,
             limit=limit,
+            nested=self._subqueries > subqueries,
         )
 
     def _select_item(self):
@@ -268,9 +273,14 @@ class Parser:
                 continue
             return items, conds
 
+    def _nested_select(self):
+        """A block nested in the one being parsed."""
+        self._subqueries += 1
+        return self._select()
+
     def _from_item(self):
         if self._accept_punct("("):
-            select = self._select()
+            select = self._nested_select()
             self._expect_punct(")")
             self._accept_keyword("as")
             alias = self._ident("derived-table alias")
@@ -511,7 +521,7 @@ class Parser:
         if self._peek().is_keyword("exists"):
             self._advance()
             self._expect_punct("(")
-            select = self._select()
+            select = self._nested_select()
             self._expect_punct(")")
             return ast.ExistsSubquery(select)
 
@@ -526,7 +536,7 @@ class Parser:
         if self._accept_keyword("in"):
             self._expect_punct("(")
             if self._peek().is_keyword("select"):
-                select = self._select()
+                select = self._nested_select()
                 self._expect_punct(")")
                 return ast.InSubquery(left, select, negated=negated)
             items = [self._expr()]
@@ -593,9 +603,9 @@ class Parser:
         if token.type is TokenType.PUNCT and token.value == "(":
             self._advance()
             if self._peek().is_keyword("select"):
-                select = self._select()
+                select = self._nested_select()
                 self._expect_punct(")")
-                return ast.ExistsSubquery(select)  # bare subquery treated as EXISTS
+                return ast.ScalarSubquery(select)
             expr = self._expr()
             self._expect_punct(")")
             return expr

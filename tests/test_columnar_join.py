@@ -33,7 +33,7 @@ from repro.engine.expressions import (
     RowBinding,
     compile_expr,
 )
-from repro.sql.parser import parse, parse_expression
+from repro.sql.parser import parse_expression
 from repro.storage.schema import Column, DataType, Schema
 from repro.storage.table import HeapTable
 from tests.conftest import each_path, run_protocols
@@ -61,7 +61,7 @@ KEYS = {
 
 #: Residuals: none, one with a columnar kernel (3VL over NULLs), one
 #: whose IR has no kernel (IN over columns: the row closure runs), and
-#: one with neither IR nor a row closure (the env path runs).
+#: an opaque one with no IR (as a subquery predicate compiles).
 RESIDUALS = [None, "l.k2 <> r.k2", "l.id + r.w > 6", "l.id IN (r.w, 3)",
              "env:l.id + r.w > 6"]
 
@@ -73,9 +73,9 @@ def _fn(binding, sql):
     return compile_expr(parse_expression(sql), binding, ExpressionContext())
 
 
-def _env_only(binding, sql):
+def _opaque(binding, sql):
     inner = _fn(binding, sql)
-    return lambda env: inner(env)  # no .ir, no .row_fn
+    return lambda row: inner(row)  # no .ir
 
 
 def _table(name, columns, rows):
@@ -153,7 +153,7 @@ class TestHashJoinDifferential:
         def build_tree():
             residual_fn = None
             if residual is not None:
-                residual_fn = (_env_only(JB, residual[4:]) if residual.startswith("env:")
+                residual_fn = (_opaque(JB, residual[4:]) if residual.startswith("env:")
                                else _fn(JB, residual))
             return ops.HashJoin(
                 _source(l_table, l_rows, LB, PROBE_FILTER if probe_filter else None,
@@ -308,8 +308,8 @@ def _server():
 
 class TestThroughTheServer:
     def test_keyless_cross_join_of_the_naive_path(self):
-        # A derived table sends the back-end down its naive planner, which
-        # cross joins FROM items with a key-less HashJoin.
+        # A derived table and a base table with no join key between them:
+        # the optimizer cross joins them with a key-less HashJoin.
         sql = ("SELECT x.id, b.id FROM (SELECT a.id FROM a WHERE a.k = 1) x, b "
                "WHERE b.k = 2")
         server = _server()
@@ -319,15 +319,15 @@ class TestThroughTheServer:
 
     def test_not_in_empty_subquery_keeps_null_keys(self):
         # NULL NOT IN (<empty>) is TRUE and NULL IN (<empty>) is FALSE, on
-        # the anti/semi join and on the naive path's expression alike.
+        # the anti/semi join and on the compiled subquery alike (DISTINCT
+        # keeps the inner block off the semi-join rewrite).
         server = _server()
         reference = SqliteReference(server)
         for sql in ("SELECT a.id FROM a WHERE a.k NOT IN (SELECT b.k FROM b WHERE b.id < 0)",
                     "SELECT a.id FROM a WHERE a.k IN (SELECT b.k FROM b WHERE b.id < 0)"):
-            for _ in each_path():
-                reference.check(server.execute(sql).rows, sql)
-                root, _, _ = server._build_naive(parse(sql))
-                reference.check(server.executor.execute(root).rows, sql)
+            for text in (sql, sql.replace("SELECT b.k", "SELECT DISTINCT b.k")):
+                for _ in each_path():
+                    reference.check(server.execute(text).rows, text)
 
 
 class TestTinyPlanRule:

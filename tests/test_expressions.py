@@ -4,20 +4,22 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ExecutionError
+from repro.cache.backend import BackendServer
 from repro.engine.expressions import (
     ExpressionContext,
     OutputCol,
     RowBinding,
-    evaluator,
-    make_env,
+    compile_expr,
 )
-from repro.sql.parser import parse_expression
+from repro.optimizer.query_info import correlate
+from repro.sql import ast
+from repro.sql.parser import parse, parse_expression
 
 
 def run(sql, row=(), columns=(), clock=None):
     binding = RowBinding([OutputCol(name, qualifier) for qualifier, name in columns])
     ctx = ExpressionContext(clock=clock)
-    return evaluator(parse_expression(sql), binding, ctx)(row)
+    return compile_expr(parse_expression(sql), binding, ctx)(row)
 
 
 class TestLiteralsAndColumns:
@@ -141,20 +143,74 @@ class TestFunctions:
             run("frobnicate(1)")
 
 
-class TestCorrelatedResolution:
-    def test_outer_binding_fallback(self):
-        outer = RowBinding([OutputCol("x", "o")])
-        inner = RowBinding([OutputCol("y", "i")], outer=outer)
-        fn = evaluator(parse_expression("o.x + i.y"), inner)
-        # evaluator builds an env without outer; construct manually instead
-        from repro.engine.expressions import compile_expr
+class _Block:
+    """A stand-in for a compiled subquery block: records the outer values
+    each run is bound to and answers with ``rows_for(values)``."""
 
-        fn = compile_expr(parse_expression("o.x + i.y"), inner)
-        outer_env = make_env((10,))
-        env = make_env((5,), outer_env)
-        assert fn(env) == 15
+    def __init__(self, outer_refs, rows_for):
+        self.outer_refs = outer_refs
+        self.rows_for = rows_for
+        self.runs = []
+
+    def rows(self, values, limit=None):
+        self.runs.append(list(values))
+        return self.rows_for(values)[:limit]
+
+
+class TestCorrelatedResolution:
+    """A correlated subquery compiles once: its outer references become
+    Param slots of one cell, and each row binds them to its own values."""
+
+    def _server(self):
+        server = BackendServer()
+        server.create_table("CREATE TABLE s (y INT NOT NULL, z INT, PRIMARY KEY (y))")
+        server.create_table("CREATE TABLE u (w INT NOT NULL, PRIMARY KEY (w))")
+        return server
+
+    def test_outer_reference_reads_its_param_slot(self):
+        select = parse("SELECT s.y FROM s WHERE s.y = o.x AND s.z > o.x AND s.z < v")
+        rewritten, params, outer_refs = correlate(select, self._server().catalog)
+        assert [ref.to_sql() for ref in outer_refs] == ["o.x", "v"]
+        where = rewritten.where.to_sql()
+        # One slot per distinct reference; the inner columns stay columns.
+        assert where.count("\x000\x00") == 2 and where.count("\x001\x00") == 1
+        assert "s.y" in where and "o.x" not in where
+        assert select.where.to_sql().count("o.x") == 2  # the parse is untouched
+        with pytest.raises(ast.ParamRead) as read:
+            bool(ast.Param(0, params))
+        assert read.value.params is params and read.value.slot == 0
+
+    def test_nested_block_references_reach_the_outermost_cell(self):
+        select = parse(
+            "SELECT s.y FROM s WHERE EXISTS (SELECT 1 FROM u WHERE u.w = s.z AND u.w = o.x)"
+        )
+        rewritten, params, outer_refs = correlate(select, self._server().catalog)
+        assert [ref.to_sql() for ref in outer_refs] == ["o.x"]
+        inner = rewritten.where.select.where.to_sql()
+        assert "s.z" in inner and "\x000\x00" in inner
+
+    def test_each_row_binds_the_outer_values(self):
+        binding = RowBinding([OutputCol("x", "o")])
+        block = _Block([ast.ColumnRef("x", "o")],
+                       lambda values: [(1,)] if values[0] % 2 else [])
+        ctx = ExpressionContext(subqueries=lambda select: block)
+        fn = compile_expr(parse_expression("EXISTS (SELECT 1 FROM s WHERE s.y = o.x)"),
+                          binding, ctx)
+        assert [fn((x,)) for x in (1, 2, 3)] == [True, False, True]
+        assert block.runs == [[1], [2], [3]]
+
+    def test_scalar_subquery_values(self):
+        binding = RowBinding([OutputCol("x", "o")])
+        answers = {0: [], 1: [(7,)], 2: [(7,), (8,)]}
+        block = _Block([ast.ColumnRef("x", "o")], lambda values: answers[values[0]])
+        ctx = ExpressionContext(subqueries=lambda select: block)
+        fn = compile_expr(parse_expression("(SELECT s.y FROM s WHERE s.z = o.x)"),
+                          binding, ctx)
+        assert fn((0,)) is None and fn((1,)) == 7
+        with pytest.raises(ExecutionError, match="more than one row"):
+            fn((2,))
 
     def test_subquery_without_runner_raises(self):
         binding = RowBinding([OutputCol("a", "t")])
         with pytest.raises(ExecutionError):
-            evaluator(parse_expression("EXISTS (SELECT 1 FROM s)"), binding)
+            compile_expr(parse_expression("EXISTS (SELECT 1 FROM s)"), binding)

@@ -6,8 +6,9 @@ probes its inner index once per outer key and gathers the outer batch's
 columns and the inner table's column store at the matches, when its
 inner side is an equality :class:`~repro.engine.operators.IndexSeek`
 keyed on bare outer columns (no IN list; no inner predicate, or one with
-a selection kernel).  Every other shape re-opens the inner seek per
-outer row, and so does a tiny plan's ``all_rows()``.  The differential
+a selection kernel).  Every other shape probes the inner seek once per
+outer row (``IndexSeek.rows_at``), and so does a tiny plan's
+``all_rows()``.  The differential
 below drives hand-built joins over generated tables through both
 protocols and requires
 
@@ -53,9 +54,6 @@ R_COLUMNS = [("k", DataType.INT, False), ("k2", DataType.INT, False),
 LB = RowBinding([OutputCol(name, "l") for name, _, _ in L_COLUMNS])
 RB = RowBinding([OutputCol(name, "r") for name, _, _ in R_COLUMNS])
 JB = LB.concat(RB)
-#: The inner seek's key functions read the outer row through the
-#: correlated environment, as the optimizer compiles them.
-KEY_BINDING = RowBinding([], outer=LB)
 
 #: Seek shapes: outer key columns against the inner (k, k2) index — a
 #: prefix seek on ``k`` or the whole key.  ``kf`` holds floats, so the
@@ -68,11 +66,12 @@ KEYS = {
 }
 
 #: Inner predicates: none, one with a selection kernel, and two without
-#: (IN over columns; an env-only closure) — those two take the row loop.
+#: (IN over columns; an opaque closure with no IR, as a subquery
+#: predicate compiles) — those two take the row loop.
 INNER_PREDICATES = [None, "r.w % 2 = 0", "r.w IN (r.k, 3)", "env:r.w > 4"]
 
 #: Residuals: none, one with a kernel (3VL over NULLs), one without (the
-#: row closure runs), and one with neither IR nor a row closure.
+#: row closure runs), and an opaque one with no IR.
 RESIDUALS = [None, "l.k2 <> r.w", "l.id IN (r.w, 3)", "env:l.id + r.w > 6"]
 
 OUTER_FILTER = "l.id % 3 <> 1"
@@ -81,7 +80,7 @@ OUTER_FILTER = "l.id % 3 <> 1"
 def _fn(binding, sql):
     if sql.startswith("env:"):
         inner = compile_expr(parse_expression(sql[4:]), binding, ExpressionContext())
-        return lambda env: inner(env)  # no .ir, no .row_fn
+        return lambda row: inner(row)  # no .ir
     return compile_expr(parse_expression(sql), binding, ExpressionContext())
 
 
@@ -107,8 +106,9 @@ def _inner_table(rows, deleted):
 def _join(l_table, l_rows, r_table, index, keys, inner_predicate, residual,
           outer_filter, outer_rows):
     """``IndexNLJoin(outer, IndexSeek(r.ix_r))`` as the optimizer builds
-    it: key functions over the outer row, their outer positions, the
-    inner predicate on the seek and the residual on the join."""
+    it: a seek with no key functions of its own, the outer positions of
+    its key, the inner predicate on the seek and the residual on the
+    join."""
     pred = None if not outer_filter else _fn(LB, OUTER_FILTER)
     if outer_rows:
         outer = ops.Materialized(l_rows, LB)
@@ -116,10 +116,10 @@ def _join(l_table, l_rows, r_table, index, keys, inner_predicate, residual,
     else:
         outer = ops.SeqScan(l_table, LB, predicate=pred)
     inner = ops.IndexSeek(
-        r_table, index, [_fn(KEY_BINDING, key) for key in keys], RB,
+        r_table, index, (), RB,
         predicate=None if inner_predicate is None else _fn(RB, inner_predicate),
     )
-    outer_keys = [LB.resolve(parse_expression(key))[1] for key in keys]
+    outer_keys = [LB.resolve(parse_expression(key)) for key in keys]
     return ops.IndexNLJoin(
         outer, inner, JB,
         residual=None if residual is None else _fn(JB, residual),
@@ -186,39 +186,38 @@ class TestIndexNLJoinDifferential:
         assert rows["col_batches"] == rows["all_rows"], sql
 
 
-def _opens_per_run(tree):
-    """Stream ``tree``; the number of times its inner seek was opened."""
-    opened = []
-    inner_open = tree.inner.open
-    tree.inner.open = lambda ctx, env=None: (opened.append(1), inner_open(ctx, env))
+def _probes_per_run(tree):
+    """Stream ``tree``; the number of times its inner seek was probed
+    through the row loop."""
+    probed = []
+    rows_at = tree.inner.rows_at
+    tree.inner.rows_at = lambda key: (probed.append(1), rows_at(key))[1]
     drain(tree, "col_batches", 4)
-    return len(opened)
+    return len(probed)
 
 
 class TestColumnarProbe:
     ROWS_L = [(i, i % 4, float(i % 4), i % 3) for i in range(20)]
     ROWS_R = [(k, k2, 10 * k + k2) for k in range(4) for k2 in range(3)]
 
-    def tree(self, inner_predicate=None, residual=None, outer_keys=True):
+    def tree(self, inner_predicate=None, residual=None):
         r_table, index = _inner_table(self.ROWS_R, {2, 5})
-        join = _join(_outer_table(self.ROWS_L), self.ROWS_L, r_table, index,
+        return _join(_outer_table(self.ROWS_L), self.ROWS_L, r_table, index,
                      KEYS["prefix"], inner_predicate, residual, False, False)
-        if not outer_keys:
-            join.outer_keys = None
-        return join
 
     @pytest.mark.parametrize("inner_predicate,residual", [
         (None, None), ("r.w % 2 = 0", None), (None, "l.id IN (r.w, 3)"),
         ("r.w % 2 = 0", "env:l.id + r.w > 6"),
     ])
     def test_kernel_shapes_never_open_the_inner_seek(self, inner_predicate, residual):
-        assert _opens_per_run(self.tree(inner_predicate, residual)) == 0
+        assert _probes_per_run(self.tree(inner_predicate, residual)) == 0
 
-    @pytest.mark.parametrize("inner_predicate,outer_keys", [
-        ("r.w IN (r.k, 3)", True), ("env:r.w > 4", True), (None, False),
+    @pytest.mark.parametrize("inner_predicate,probed_per_row", [
+        ("r.w IN (r.k, 3)", True), ("env:r.w > 4", True),
     ])
-    def test_other_shapes_keep_the_row_loop(self, inner_predicate, outer_keys):
-        assert _opens_per_run(self.tree(inner_predicate, outer_keys=outer_keys)) == 20
+    def test_other_shapes_keep_the_row_loop(self, inner_predicate, probed_per_row):
+        probes = _probes_per_run(self.tree(inner_predicate))
+        assert (probes == len(self.ROWS_L)) is probed_per_row
 
     def test_one_gathered_batch_per_outer_batch(self):
         tree = self.tree()

@@ -206,14 +206,10 @@ class TestJoins:
         outer_binding = RowBinding([OutputCol("okey", "o")])
         outer = ops.Materialized([(2,), (5,), (9,)], outer_binding)
         inner_binding = binding_for()
-        key_binding = RowBinding([], outer=outer_binding)
-        inner = ops.IndexSeek(
-            table,
-            table.clustered_index(),
-            [compile_expr(parse_expression("o.okey"), key_binding)],
-            inner_binding,
-        )
-        plan = ops.IndexNLJoin(outer, inner, outer_binding.concat(inner_binding))
+        # The seek's key is each outer row's column 0.
+        inner = ops.IndexSeek(table, table.clustered_index(), (), inner_binding)
+        plan = ops.IndexNLJoin(outer, inner, outer_binding.concat(inner_binding),
+                               outer_keys=[0])
         rows = run_op(plan).rows
         assert sorted(r[1] for r in rows) == [2, 5]
 
@@ -388,7 +384,7 @@ class TestSwitchUnion:
         class Exploding(ops.PhysicalOperator):
             output = binding
 
-            def open(self, ctx, outer_env=None):
+            def open(self, ctx):
                 raise AssertionError("must not be opened")
 
         good = ops.Materialized([("ok",)], binding)

@@ -146,19 +146,26 @@ class TestAnalyze:
         info = analyze_select(parse("SELECT * FROM r"), server.catalog)
         assert [name for _, name in info.items] == ["a", "b", "c"]
 
-    def test_from_subquery_flags_complex(self, server):
+    def test_from_subquery_becomes_derived_operand(self, server):
         info = analyze_select(
-            parse("SELECT t.a FROM (SELECT a FROM r) t"), server.catalog
+            parse("SELECT t.a FROM (SELECT a FROM r) t WHERE t.a > 1"), server.catalog
         )
-        assert info.complex
+        operand = info.operand("t")
+        assert operand.derived is not None and operand.derived.select.from_items[0].name == "r"
+        assert operand.schema.names() == ["a"]
+        assert len(operand.conjuncts) == 1  # the outer filter on the derived rows
+        plan = server.optimizer.optimize_info(info)
+        assert "derived" in plan.explain() or plan.summary() == "scan(r)"
+        assert server.execute("SELECT t.a FROM (SELECT a FROM r) t WHERE t.a > 1").rows \
+            == server.execute("SELECT r.a FROM r WHERE r.a > 1").rows
 
     def test_where_subquery_becomes_post_conjunct(self, server):
         info = analyze_select(
             parse("SELECT r.a FROM r WHERE EXISTS (SELECT 1 FROM s WHERE s.x = r.a)"),
             server.catalog,
         )
-        assert not info.complex
         assert len(info.post_conjuncts) == 1
+        assert info.subqueries == [info.post_conjuncts[0]]
         # Conservative: every column of r marked needed.
         assert info.operand("r").needed_columns == {"a", "b", "c"}
 

@@ -168,7 +168,7 @@ class TestSnapshotRoundTrip:
         sql = "SELECT t.id, t.v FROM t WHERE t.id = 7 CURRENCY BOUND 600 SEC ON (t)"
         snapshot = serialize_plan(cache.optimize(sql, use_cache=False))
         assert json.dumps(self.seek_record(snapshot)) == self.EQ_SEEK_RECORD
-        assert snapshot["version"] == SNAPSHOT_VERSION == 1
+        assert snapshot["version"] == SNAPSHOT_VERSION == 2
 
     def test_in_seek_roundtrips_onto_another_node(self):
         fleet = CacheFleet(make_backend(rows=400), n_nodes=2)

@@ -389,9 +389,9 @@ class TestParamOpacity:
         assert hash(conjunct) == hash(conjunct)  # structural, value-free
         assert ir.from_ast(param, None) == ("param", 0)
         fn = ir.compile_ir(("bin", "+", ("param", 0), ("const", 1)), params=params)
-        assert fn.row_fn(()) == 6
+        assert fn(()) == 6
         params[:] = [7, "y"]
-        assert fn.row_fn(()) == 8
+        assert fn(()) == 8
         assert ir.to_obj(fn.ir, fn.params) == ["bin", "+", ["const", 7], ["const", 1]]
 
     def test_view_predicate_match_demotes_instead_of_guessing(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.cache.backend import BackendServer
 from repro.optimizer.query_info import analyze_select
 from repro.sql.parser import parse
+from tests.conftest import each_path
 from tests.sql_reference import SqliteReference
 
 
@@ -92,13 +93,14 @@ class TestExecution:
         assert sorted(r[0] for r in result.rows) == expected
 
     def test_matches_naive_evaluation(self, server):
-        from repro.engine.executor import ExecutionContext
-
-        root, _, _ = server._build_naive(parse(QUERY))
-        ctx = ExecutionContext(clock=server.clock)
-        naive = server.executor.execute(root, ctx=ctx).rows
-        optimized = server.execute(QUERY).rows
-        assert sorted(optimized) == sorted(naive)
+        # The semi join and the compiled-subquery filter (DISTINCT keeps the
+        # inner block off the rewrite) both give sqlite3's answer.
+        reference = SqliteReference(server)
+        compiled = QUERY.replace("SELECT d.did", "SELECT DISTINCT d.did")
+        assert "HashSemiJoin" not in server.optimize(compiled).explain()
+        for _ in each_path():
+            reference.check(server.execute(QUERY).rows, QUERY)
+            reference.check(server.execute(compiled).rows, compiled)
 
     def test_empty_inner_relation(self, server):
         sql = (
@@ -161,12 +163,13 @@ class TestExecution:
         server.execute("INSERT INTO maybe2 VALUES (1, 6), (2, NULL)")
         server.refresh_statistics()
         sql = "SELECT e.eid FROM emp e WHERE e.did NOT IN (SELECT m.ref FROM maybe2 m)"
-        from repro.engine.executor import ExecutionContext
-
-        root, _, _ = server._build_naive(parse(sql))
-        ctx = ExecutionContext(clock=server.clock)
-        naive = server.executor.execute(root, ctx=ctx).rows
-        assert sorted(server.execute(sql).rows) == sorted(naive) == []
+        compiled = sql.replace("SELECT m.ref", "SELECT DISTINCT m.ref")
+        reference = SqliteReference(server)
+        for _ in each_path():
+            for text in (sql, compiled):
+                rows = server.execute(text).rows
+                reference.check(rows, text)
+                assert rows == []
 
     def test_null_keys_never_match(self, server):
         server.create_table(
@@ -197,8 +200,7 @@ class TestCacheBehavior:
 class TestInnerCurrencyClause:
     """A CURRENCY clause on the inner block keeps the semi-join rewrite:
     the statement ships whole, and the back-end plans the shipped text
-    (which still carries the inner clause) as a hash semi join, not on
-    the naive path."""
+    (which still carries the inner clause) as a hash semi join."""
 
     INNER = ("SELECT e.eid FROM emp e WHERE e.did IN (SELECT d.did FROM dept d "
              "WHERE d.budget > 5000 CURRENCY BOUND 600 SEC ON (d))")
@@ -218,5 +220,5 @@ class TestInnerCurrencyClause:
         [(shipped, _)] = result.context.remote_queries
         assert "CURRENCY" in shipped  # the inner clause travels with the text
         plan = "\n".join(line for (line,) in server.explain(shipped).rows)
-        assert "naive plan" not in plan and "HashSemiJoin" in plan, plan
+        assert "HashSemiJoin" in plan, plan
         SqliteReference(server).check(result.rows, self.INNER)

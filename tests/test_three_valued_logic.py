@@ -1,13 +1,13 @@
 """Property tests for SQL's three-valued logic in the expression engine.
 
-The evaluator returns True / False / None (unknown).  These tests pin the
+A compiled predicate returns True / False / None (unknown).  These tests pin the
 Kleene-logic laws the WHERE clause depends on.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.expressions import OutputCol, RowBinding, evaluator
+from repro.engine.expressions import OutputCol, RowBinding, compile_expr
 from repro.sql import ast
 from repro.sql.parser import parse_expression
 from tests.conftest import EXECUTION_PATHS
@@ -18,7 +18,7 @@ TRUTH = st.sampled_from([True, False, None])
 
 def evaluate(expr, a=None, b=None, c=None):
     binding = RowBinding([OutputCol("a", "t"), OutputCol("b", "t"), OutputCol("c", "t")])
-    return evaluator(expr, binding)((a, b, c))
+    return compile_expr(expr, binding)((a, b, c))
 
 
 def var(name):
