@@ -41,6 +41,13 @@ from repro.sql.parser import parse
 from repro.txn.manager import TransactionManager
 
 
+def explain_lines(plan, *notes):
+    """EXPLAIN's lines for an optimized plan: its summary and estimates,
+    then ``notes``, then the operator tree."""
+    return [f"summary: {plan.summary()}", f"estimated cost: {plan.cost:.1f}",
+            f"estimated rows: {plan.est_rows:.0f}", *notes] + plan.explain().splitlines()
+
+
 class BackendServer(Backend):
     """The master DBMS holding the up-to-date database state.
 
@@ -241,12 +248,7 @@ class BackendServer(Backend):
             plan = self.optimizer.optimize(select, self.catalog)
         else:
             plan = self.plans.lookup(text) or self.plans.compile(text, select)
-        lines = [
-            f"summary: {plan.summary()}",
-            f"estimated cost: {plan.cost:.1f}",
-            f"estimated rows: {plan.est_rows:.0f}",
-            self.plans.describe(text),
-        ] + plan.explain().splitlines()
+        lines = explain_lines(plan, self.plans.describe(text))
         ctx = ExecutionContext(clock=self.clock)
         return QueryResult(["plan"], [(line,) for line in lines], PhaseTimings(), ctx)
 

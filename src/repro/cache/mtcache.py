@@ -23,7 +23,6 @@ from repro.cache.guard import decide
 from repro.cache.placement import CachePlacement
 from repro.catalog.catalog import Catalog
 from repro.cc.constraint import constraint_from_select
-from repro.cc.properties import BACKEND_REGION, ConsistencyProperty
 from repro.cc.timeline import TimelineSession
 from repro.common.errors import CatalogError, CurrencyError, OptimizerError
 from repro.engine import operators as ops
@@ -33,7 +32,6 @@ from repro.engine.expressions import OutputCol, RowBinding
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.ring import Ring
 from repro.obs.trace import TraceLog
-from repro.optimizer.candidates import Candidate
 from repro.optimizer.optimizer import Optimizer, OptimizedPlan
 from repro.optimizer.query_info import analyze_select
 from repro.plan.compiler import PLAN_CACHE_SIZE, PlanCompiler, is_select_text
@@ -936,35 +934,13 @@ class MTCache:
             if select.nested:
                 # Subquery-bearing statements ship to the back-end wholesale;
                 # the master trivially satisfies any C&C constraint.
-                candidate = self._ship_whole(select, query_info)
-                return OptimizedPlan(
-                    candidate, [name for _, name in query_info.items], query_info
+                names = [name for _, name in query_info.items]
+                candidate = self.placement.remote_candidate(
+                    select.replace(currency=None), RowBinding([OutputCol(n) for n in names]),
+                    query_info.constraint.operands or {"__all__"}, "remote-query",
                 )
+                return OptimizedPlan(candidate, names, query_info)
             return self.optimizer.optimize_info(query_info)
-
-    def _ship_whole(self, select, query_info):
-        stripped = select.replace(currency=None)
-        sql = stripped.to_sql()
-        names = [name for _, name in query_info.items] if query_info.items else []
-        binding = RowBinding([OutputCol(n) for n in names])
-        params = ast.params_of(select.where)
-
-        def build(sql=sql, binding=binding):
-            return ops.RemoteQuery(sql, binding, self.remote_executor, params=params)
-
-        delivered = ConsistencyProperty.single(BACKEND_REGION, query_info.constraint.operands)
-        cost, rows, width = self.backend.estimate(stripped)
-        return Candidate(
-            build,
-            cost + self.cost_model.transfer(rows, max(width, 1.0)),
-            rows,
-            width,
-            binding,
-            delivered,
-            query_info.constraint.operands or {"__all__"},
-            "remote-query",
-            detail=sql[:60],
-        )
 
     def execute(self, sql_or_stmt, *, trace=None, session=None):
         """Execute any statement submitted to the cache.

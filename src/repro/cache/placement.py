@@ -8,7 +8,7 @@ selector is the region's currency guard — plus remote queries shipping
 an operand, an alias subset or the whole statement to the back-end.
 """
 
-from repro.cc.properties import BACKEND_REGION, ConsistencyProperty
+from repro.cc.properties import ConsistencyProperty
 from repro.engine import operators as ops
 from repro.engine.expressions import OutputCol, RowBinding, compile_expr
 from repro.optimizer.candidates import Candidate, stamp_estimates
@@ -98,7 +98,8 @@ class CachePlacement(PlacementProvider):
         # for that shard's replication lag (and its remote fallback only
         # hits that shard).
         shard = self.mtcache.shard_hint(operand)
-        remote = self._operand_remote_candidate(operand, shard=shard)
+        remote = self.operand_remote_candidate(
+            operand, shards=None if shard is None else (shard,))
         if self.probability_aware:
             p = guard_probability(bound, region.update_delay, region.update_interval)
         else:
@@ -153,21 +154,13 @@ class CachePlacement(PlacementProvider):
     # ------------------------------------------------------------------
     # Remote candidates
     # ------------------------------------------------------------------
-    def _operand_remote_candidate(self, operand, shard=None):
-        """A remote query fetching one operand (σπ of a base table)."""
-        needed = sorted(operand.needed_columns)
-        select = ast.Select(
-            [ast.SelectItem(ast.ColumnRef(c, qualifier=operand.alias)) for c in needed],
-            [ast.FromTable(operand.table_name, operand.alias)],
-            where=combine_conjuncts(operand.conjuncts),
-            nested=False,
-        )
-        binding = RowBinding([OutputCol(c, operand.alias) for c in needed])
-        width = sum(operand.stats.column(c).avg_width for c in needed)
-        return self._remote_candidate(
-            select, binding, [operand.alias], "remote-fetch", width=width,
-            shards=None if shard is None else (shard,),
-        )
+    @property
+    def backend(self):
+        return self.mtcache.backend
+
+    @property
+    def remote_executor(self):
+        return self.mtcache.remote_executor
 
     def subset_remote_candidate(self, aliases, query_info):
         """One remote query computing the σπ⋈ of an alias subset."""
@@ -194,13 +187,13 @@ class CachePlacement(PlacementProvider):
                 conjuncts.append(conjunct)
         select = ast.Select(items, from_items, where=combine_conjuncts(conjuncts), nested=False)
         binding = RowBinding(binding_cols)
-        return self._remote_candidate(select, binding, aliases, "remote-subset", width=width)
+        return self.remote_candidate(select, binding, aliases, "remote-subset", width=width)
 
     def whole_query_candidate(self, query_info):
         """Ship the entire statement (minus the currency clause)."""
         select = query_info.select.replace(currency=None)
         binding = RowBinding([OutputCol(name) for _, name in query_info.items])
-        return self._remote_candidate(
+        return self.remote_candidate(
             select,
             binding,
             query_info.aliases(),
@@ -225,30 +218,3 @@ class CachePlacement(PlacementProvider):
             else:
                 width += 8.0
         return width
-
-    def _remote_candidate(self, select, binding, aliases, kind, width=None, shards=None):
-        backend = self.mtcache.backend
-        sql = select.to_sql()
-        cost, rows, est_width = backend.estimate(select)
-        if width is None or width <= 0:
-            width = est_width
-        total = cost + self.cost_model.transfer(rows, max(width, 1.0))
-        delivered = ConsistencyProperty.single(BACKEND_REGION, aliases)
-        # A template's remote text has placeholders where its bindable
-        # literals go; the operator renders it per execution.
-        params = ast.params_of(select.where) if "\x00" in sql else None
-
-        def build(sql=sql, binding=binding, shards=shards):
-            if shards is None:
-                return ops.RemoteQuery(
-                    sql, binding, self.mtcache.remote_executor, params=params
-                )
-
-            def pinned_executor(q):
-                return self.mtcache.remote_executor(q, shards=shards)
-
-            return ops.RemoteQuery(
-                sql, binding, pinned_executor, shards=shards, params=params
-            )
-
-        return Candidate(build, total, rows, width, binding, delivered, aliases, kind, detail=sql[:60])

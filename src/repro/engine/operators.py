@@ -108,10 +108,16 @@ class PhysicalOperator:
     def children(self):
         return ()
 
+    #: The compiled subqueries (:class:`~repro.optimizer.optimizer.Subplan`)
+    #: this operator evaluates; EXPLAIN prints their plans beneath it.
+    subplans = ()
+
     def explain(self, depth=0):
         """Render the operator tree as an indented string."""
         line = "  " * depth + self.describe()
         parts = [line]
+        for block in self.subplans:
+            parts.append(block.explain(depth + 1))
         for child in self.children():
             parts.append(child.explain(depth + 1))
         return "\n".join(parts)

@@ -17,8 +17,9 @@ Every SELECT block goes through this one search.  A FROM-subquery is a
 derived operand whose one access candidate is its own plan; a subquery in
 an expression is compiled once per statement (:meth:`Optimizer.plan_subquery`)
 into a :class:`Subplan` that runs per outer row with its correlated
-references bound, and the filter that evaluates it delivers the merge of
-the outer and inner blocks' consistency properties.
+references bound (an uncorrelated one, once per execution), and the
+filter that evaluates it delivers the merge of the outer and inner
+blocks' consistency properties.
 """
 
 import itertools
@@ -114,27 +115,43 @@ def _summarize(op):
 class Subplan:
     """A subquery block compiled once per statement: its plan, the
     :class:`~repro.sql.ast.Params` cell its correlated references were
-    rewritten into, and those references (``outer_refs[slot]``), which the
-    enclosing expression evaluates against its row."""
+    rewritten into, and those references (``outer_refs[slot]``), which
+    ``owner``, the operator evaluating it, evaluates against its row."""
 
-    __slots__ = ("plan", "params", "outer_refs", "clock")
+    __slots__ = ("plan", "params", "outer_refs", "clock", "owner", "_memo")
 
     def __init__(self, plan, params, outer_refs, clock):
         self.plan = plan
         self.params = params
         self.outer_refs = outer_refs
         self.clock = clock
+        self.owner = None
+        self._memo = None
 
     def rows(self, values, limit=None):
         """The block's rows, at most ``limit`` of them, with its outer
-        references bound to ``values``: the compiled root re-runs."""
+        references bound to ``values``: the compiled root re-runs.  A
+        block without outer references runs once per execution of its
+        owner, keyed on the owner's ExecutionContext."""
+        once = not self.outer_refs and self.owner is not None
+        if once:
+            memo = self._memo
+            if memo is not None and memo[0] is self.owner._ctx and memo[1] == limit:
+                return memo[2]
         self.params[:] = values
         root = self.plan.root()
         root.open(ExecutionContext(clock=self.clock))
         try:
-            return list(islice(root.rows(), limit))
+            rows = list(islice(root.rows(), limit))
         finally:
             root.close()
+        if once:
+            self._memo = (self.owner._ctx, limit, rows)
+        return rows
+
+    def explain(self, depth):
+        kind = "correlated" if self.outer_refs else "once per execution"
+        return "  " * depth + f"Subquery({kind})\n" + self.plan.root().explain(depth + 1)
 
 
 class Optimizer:
@@ -543,8 +560,8 @@ class Optimizer:
         # Uncorrelated IN-subqueries become hash semi joins when the
         # placement can supply the inner relation; every other subquery
         # conjunct runs in one filter above the join, its block compiled
-        # once and re-run per row.  The plan delivers the merge of the
-        # outer and the inner blocks' properties.
+        # once and re-run per row (once per execution if uncorrelated).
+        # The plan delivers the merge of the outer and inner properties.
         semis = []
         post = list(query_info.post_conjuncts)
         nested = list(query_info.subqueries)
@@ -556,9 +573,21 @@ class Optimizer:
             else:
                 semis.append((semi, source))
         for node in nested:
-            block = expr_ctx.subqueries(node.select).plan
-            delivered = delivered.join(block.candidate.delivered)
-            cost += rows * block.cost
+            block = expr_ctx.subqueries(node.select)
+            delivered = delivered.join(block.plan.candidate.delivered)
+            cost += (rows if block.outer_refs else 1.0) * block.plan.cost
+
+        def evaluating(op, *exprs):
+            """``op``, stamped as the owner of the subqueries in ``exprs``."""
+            if nested:
+                op.subplans = tuple(
+                    expr_ctx.subqueries(node.select)
+                    for expr in exprs if expr is not None
+                    for node in expr.walk() if isinstance(node, ast.Subquery)
+                )
+                for block in op.subplans:
+                    block.owner = op
+            return op
 
         if post:
             post_expr = combine_conjuncts(post)
@@ -569,9 +598,9 @@ class Optimizer:
             def build_post(prev_candidate=prev_candidate, post_expr=post_expr,
                            binding=binding, est=(rows, cost)):
                 predicate = compile_expr(post_expr, binding, expr_ctx)
-                return stamp_estimates(
-                    ops.Filter(prev_candidate.operator(), predicate, output=binding), *est
-                )
+                return stamp_estimates(evaluating(
+                    ops.Filter(prev_candidate.operator(), predicate, output=binding), post_expr
+                ), *est)
             candidate = Candidate(
                 build_post,
                 cost,
@@ -654,10 +683,10 @@ class Optimizer:
                     if having_expr is not None
                     else None
                 )
-                agg = stamp_estimates(
+                agg = stamp_estimates(evaluating(
                     ops.HashAggregate(child, group_fns, specs, agg_binding, having=having),
-                    est[0],
-                )
+                    having_expr,
+                ), est[0])
                 # Re-order to the select-list order and name outputs.
                 out_binding = RowBinding([OutputCol(item.name) for item in agg_items])
                 exprs = []
@@ -668,7 +697,9 @@ class Optimizer:
                         exprs.append(
                             compile_expr(ast.ColumnRef(item.name), agg_binding, expr_ctx)
                         )
-                return stamp_estimates(ops.Project(agg, exprs, out_binding), *est)
+                return stamp_estimates(evaluating(
+                    ops.Project(agg, exprs, out_binding), *(item.expr for item in agg_items)
+                ), *est)
             out_binding = RowBinding([OutputCol(item.name) for item in agg_items])
             build = build_agg
         else:
@@ -689,11 +720,14 @@ class Optimizer:
                         for o in query_info.order_by
                     ]
                     descending = [o.descending for o in query_info.order_by]
-                    child = stamp_estimates(
-                        ops.Sort(child, key_fns, descending, output=binding), est_rows
-                    )
+                    child = stamp_estimates(evaluating(
+                        ops.Sort(child, key_fns, descending, output=binding),
+                        *(o.expr for o in query_info.order_by)
+                    ), est_rows)
                 exprs = [compile_expr(expr, binding, expr_ctx) for expr, _ in items]
-                return stamp_estimates(ops.Project(child, exprs, out_binding), est_rows)
+                return stamp_estimates(evaluating(
+                    ops.Project(child, exprs, out_binding), *(expr for expr, _ in items)
+                ), est_rows)
 
             # Plain projection runs fused (column picking, or tuple
             # re-ordering on the tiny-plan path): the fused discount.
@@ -731,9 +765,10 @@ class Optimizer:
                     for o in order_items
                 ]
                 descending = [o.descending for o in order_items]
-                return stamp_estimates(
-                    ops.Sort(child, key_fns, descending, output=out_binding), *est
-                )
+                return stamp_estimates(evaluating(
+                    ops.Sort(child, key_fns, descending, output=out_binding),
+                    *(o.expr for o in order_items)
+                ), *est)
 
             build = build_sort
 

@@ -13,6 +13,7 @@ from repro.cc.properties import BACKEND_REGION, ConsistencyProperty
 from repro.engine.expressions import ExpressionContext, OutputCol, RowBinding, compile_expr
 from repro.engine import operators as ops
 from repro.engine.ir import IRUnsupported, compile_ir, const_ir
+from repro.optimizer.candidates import Candidate
 from repro.sql import ast
 
 
@@ -102,7 +103,12 @@ def width_of(binding, stats_lookup):
 
 
 class PlacementProvider:
-    """Interface the optimizer uses to discover data placements."""
+    """Interface the optimizer uses to discover data placements.  One with
+    a remote server sets ``backend`` (``estimate(select)``) and
+    ``remote_executor`` (``(sql, shards=None) -> ColumnBatch``)."""
+
+    backend = None
+    remote_executor = None
 
     def __init__(self, cost_model, clock=None):
         self.cost_model = cost_model
@@ -143,6 +149,48 @@ class PlacementProvider:
         return None
 
     # ------------------------------------------------------------------
+    # Shared machinery: remote queries
+    # ------------------------------------------------------------------
+    def operand_remote_candidate(self, operand, shards=None):
+        """A remote query fetching one operand (σπ of a base table): its
+        needed columns, under its own conjuncts, from ``shards`` (None:
+        wherever the back-end routes it)."""
+        needed = sorted(operand.needed_columns)
+        select = ast.Select(
+            [ast.SelectItem(ast.ColumnRef(c, qualifier=operand.alias)) for c in needed],
+            [ast.FromTable(operand.table_name, operand.alias)],
+            where=combine_conjuncts(operand.conjuncts),
+            nested=False,
+        )
+        binding = RowBinding([OutputCol(c, operand.alias) for c in needed])
+        width = sum(operand.stats.column(c).avg_width for c in needed)
+        return self.remote_candidate(
+            select, binding, [operand.alias], "remote-fetch", width=width, shards=shards,
+        )
+
+    def remote_candidate(self, select, binding, aliases, kind, width=None, shards=None):
+        """A candidate running ``select`` on the back-end: its estimate
+        plus the transfer of its rows, delivering the back-end region."""
+        sql = select.to_sql()
+        cost, rows, est_width = self.backend.estimate(select)
+        if width is None or width <= 0:
+            width = est_width
+        total = cost + self.cost_model.transfer(rows, max(width, 1.0))
+        delivered = ConsistencyProperty.single(BACKEND_REGION, aliases)
+        # A template's remote text has placeholders where its bindable
+        # literals go; the operator renders it per execution.
+        params = ast.params_of(select.where) if "\x00" in sql else None
+
+        def build(sql=sql, binding=binding, shards=shards):
+            executor = self.remote_executor
+            if shards is not None:
+                def executor(q):
+                    return self.remote_executor(q, shards=shards)
+            return ops.RemoteQuery(sql, binding, executor, shards=shards, params=params)
+
+        return Candidate(build, total, rows, width, binding, delivered, aliases, kind, detail=sql[:60])
+
+    # ------------------------------------------------------------------
     # Shared machinery: access paths over a heap table
     # ------------------------------------------------------------------
     def base_table_candidates(
@@ -164,8 +212,6 @@ class PlacementProvider:
         (e.g. a view's definition predicate) that need not be re-applied.
         ``delivered`` is the ConsistencyProperty of data from this source.
         """
-        from repro.optimizer.candidates import Candidate
-
         cm = self.cost_model
         binding = binding or RowBinding(
             [OutputCol(c.name, alias) for c in table.schema.columns]

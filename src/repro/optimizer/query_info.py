@@ -284,17 +284,21 @@ def correlate(select, catalog):
     Every column reference that neither ``select`` nor a block nested in
     it resolves reads the enclosing row: it becomes a
     :class:`~repro.sql.ast.Param` over one fresh cell, one slot per
-    distinct reference.  Returns ``(select', params, outer_refs)``, where
-    ``outer_refs[slot]`` is the reference that slot stands for, as written
-    (the caller compiles it against the enclosing row).
+    distinct reference — and so does a correlated slot of an enclosing
+    block's cell, so a block reads one cell.  Returns ``(select', params,
+    outer_refs)``, where ``outer_refs[slot]`` is the reference that slot
+    stands for, as written (the caller compiles it against the enclosing
+    row).
     """
     params = ast.Params()
     params.opaque = set()
+    params.correlated = True
     outer_refs = []
     slots = {}
 
     def outer(ref):
-        key = (ref.qualifier, ref.name)
+        key = (id(ref.params), ref.slot) if isinstance(ref, ast.Param) else (
+            ref.qualifier, ref.name)
         if key not in slots:
             slots[key] = len(outer_refs)
             outer_refs.append(ref)
@@ -317,6 +321,8 @@ def correlate(select, catalog):
                     for scope in inner
                 ):
                     return node
+                return outer(node)
+            if isinstance(node, ast.Param) and node.params.correlated:
                 return outer(node)
             copy = node.map(lambda child: expr(child, aliases))
             if isinstance(node, ast.Subquery):
@@ -595,11 +601,14 @@ def analyze_select(select, catalog):
     for o in info.order_by:
         note_refs_tolerant(o.expr)
 
-    # Subquery conjuncts may reference any column of any operand (their
-    # inner refs are not resolvable here), so be conservative.
+    # Subquery conjuncts may reference any column of any operand, so be
+    # conservative; elsewhere a subquery reads its correlated references.
     if info.post_conjuncts:
         for operand in info.operands.values():
             operand.needed_columns.update(operand.schema.names())
+    for node in info.subqueries:
+        for ref in correlate(node.select, catalog)[2]:
+            note_refs_tolerant(ref)
 
     # An operand referenced nowhere still needs at least one column so a
     # remote fetch has something to SELECT.

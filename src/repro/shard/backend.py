@@ -16,7 +16,7 @@ Partitioning is by hash of the first primary-key column
 processes).  Tables without a primary key are not partitioned — all
 their rows live on one *home* shard chosen by hashing the table name.
 
-Query routing (:meth:`ShardedBackend.route_select`) recognises four
+Query routing (:meth:`ShardedBackend.route_select`) recognises three
 shapes, in decreasing order of coordination avoided:
 
 * ``single`` — every referenced table is pinned to one common shard by
@@ -26,19 +26,20 @@ shapes, in decreasing order of coordination avoided:
 * ``scatter`` — one table, no aggregation/ordering/limit: the *same*
   select runs on every candidate shard and the row sets concatenate.
   Each shard holds a disjoint row subset, so the union is exact.
-* ``fetch`` — one table but the select needs a final pass (GROUP BY,
-  ORDER BY, DISTINCT, LIMIT, aggregates): the WHERE clause is pushed to
-  each shard as a filtered fetch, the survivors are staged on a scratch
-  server, and the original select runs there.
-* ``gather`` — joins or subqueries spanning shards: referenced tables
-  are staged whole on the scratch server and the select runs there.
-  Correct but coordination-heavy, exactly as the paper's model predicts
-  for cross-region consistency classes.
+* ``coordinator`` — everything else (cross-shard joins, a final pass
+  over several shards, nested selects): the one optimizer plans it over
+  the coordinator catalog, each base operand a σπ *leg* (the cache's
+  remote fetch, the paper's plan 2) run by :meth:`execute_remote` on the
+  shards its literal keys pin.  Joins, aggregates, sorts and compiled
+  subqueries run here over the legs' column batches; a leg never spans
+  two tables, so the coordinator never routes back into itself.
 
 DML routes the same way: INSERT rows hash to their owning shard; UPDATE
 and DELETE run on the pinned shards (broadcast when unpinned).  UPDATE
 may not assign the partition column — that would migrate rows across
 shards, which transactional replication per partition cannot express.
+DML holding a subquery is refused: each shard would evaluate it over its
+own rows only.
 
 For benchmarking, the backend keeps a per-shard busy ledger mirroring
 the fleet's: each sub-execution charges its simulated service time to
@@ -48,15 +49,17 @@ parallelism (max over shards, not sum).
 
 from functools import partial
 
-from repro.cache.backend import BackendServer
+from repro.cache.backend import BackendServer, explain_lines
 from repro.common.backend import Backend, ReplicationSource, stable_shard_hash
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ExecutionError
 from repro.common.scheduler import EventScheduler
 from repro.engine.columnar import ColumnBatch
-from repro.engine.executor import BatchResult, ExecutionContext, PhaseTimings, QueryResult
+from repro.engine.executor import BatchResult, ExecutionContext, Executor, PhaseTimings, QueryResult
 from repro.obs.metrics import NULL_REGISTRY
 from repro.optimizer.cost import CostModel
+from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.placement import PlacementProvider, combine_conjuncts
 from repro.optimizer.query_info import _constant_value, _split_conjuncts
 from repro.plan.compiler import is_select_text
 from repro.replication.checkpoint import CheckpointStore
@@ -77,12 +80,11 @@ def _concat_legs(legs):
 class ShardRoute:
     """The routing decision for one select: mode + contributing shards."""
 
-    __slots__ = ("mode", "shards", "table")
+    __slots__ = ("mode", "shards")
 
-    def __init__(self, mode, shards, table=None):
-        self.mode = mode  # "single" | "scatter" | "fetch" | "gather"
+    def __init__(self, mode, shards):
+        self.mode = mode  # "single" | "scatter" | "coordinator"
         self.shards = tuple(shards)
-        self.table = table  # the lone FromTable for scatter/fetch
 
     def describe(self):
         shards = ",".join(f"p{s}" for s in self.shards)
@@ -90,6 +92,24 @@ class ShardRoute:
 
     def __repr__(self):
         return f"<ShardRoute {self.describe()}>"
+
+
+class _LegPlacement(PlacementProvider):
+    """The coordinator's placement: a base operand's one candidate is a
+    σπ leg on the shards its literal keys pin (every shard otherwise)."""
+
+    def __init__(self, backend):
+        super().__init__(backend.cost_model, clock=backend.clock)
+        self.backend = backend
+        self.remote_executor = backend.execute_remote
+
+    def access_candidates(self, operand, query_info):
+        backend = self.backend
+        pinned = backend._pinned_shards(
+            operand.table_name, combine_conjuncts(operand.conjuncts), operand.alias
+        )
+        shards = tuple(sorted(pinned or backend._shards_for_table(operand.table_name)))
+        return [self.operand_remote_candidate(operand, shards=shards)]
 
 
 class _ShardedHeartbeats:
@@ -223,7 +243,9 @@ class ShardedBackend(Backend):
         self.catalog.create_table(HEARTBEAT_TABLE, heartbeat_schema(), primary_key=["cid"])
         #: table name -> partition column (first PK column), or None.
         self._partition_columns = {HEARTBEAT_TABLE: None}
-        self._scratch = None
+        # Statements no shard can answer alone plan over that catalog.
+        self.optimizer = Optimizer(_LegPlacement(self), registry=self.metrics)
+        self.executor = Executor(clock=self.clock, registry=self.metrics)
         # Per-shard busy ledger for open-loop simulations.
         self._busy_until = [0.0] * n_partitions
         self._busy_seconds = [0.0] * n_partitions
@@ -590,16 +612,6 @@ class ShardedBackend(Backend):
         return pinned
 
     @staticmethod
-    def _select_exprs(select):
-        exprs = [item.expr for item in select.items if item.expr is not None]
-        for clause in (select.where, select.having):
-            if clause is not None:
-                exprs.append(clause)
-        exprs.extend(select.group_by or [])
-        exprs.extend(item.expr for item in (select.order_by or []))
-        return exprs
-
-    @staticmethod
     def _needs_final(select):
         if (
             select.group_by
@@ -616,39 +628,26 @@ class ShardedBackend(Backend):
             for node in item.expr.walk()
         )
 
-    def _referenced_tables(self, select, out):
-        for item in select.from_items:
-            if isinstance(item, ast.FromTable):
-                out.add(item.name)
-            else:
-                self._referenced_tables(item.select, out)
-        for expr in self._select_exprs(select):
-            for node in expr.walk():
-                if isinstance(node, ast.Subquery):
-                    self._referenced_tables(node.select, out)
-        return out
-
     def route_select(self, select):
         """Decide where (and in what shape) a select runs."""
-        everywhere = range(self.partition_count)
+        coordinator = ShardRoute("coordinator", range(self.partition_count))
         if select.nested:
-            return ShardRoute("gather", everywhere)
+            return coordinator
         pins = [
-            (item, self._pinned_shards(item.name, select.where, item.alias))
+            self._pinned_shards(item.name, select.where, item.alias)
             for item in select.from_items
         ]
-        if pins and all(s is not None for _, s in pins):
-            union = set().union(*(s for _, s in pins))
+        if pins and all(s is not None for s in pins):
+            union = set().union(*pins)
             if len(union) == 1:
                 return ShardRoute("single", union)
         if len(pins) == 1:
-            item, pinned = pins[0]
-            shards = sorted(pinned) if pinned is not None else list(everywhere)
+            shards = sorted(pins[0] if pins[0] is not None else range(self.partition_count))
             if len(shards) == 1:
-                return ShardRoute("single", shards, item)
-            mode = "fetch" if self._needs_final(select) else "scatter"
-            return ShardRoute(mode, shards, item)
-        return ShardRoute("gather", everywhere)
+                return ShardRoute("single", shards)
+            if not self._needs_final(select):
+                return ShardRoute("scatter", shards)
+        return coordinator
 
     # ------------------------------------------------------------------
     # Execution
@@ -709,8 +708,8 @@ class ShardedBackend(Backend):
     def execute_select(self, select, ctx=None, sql=None):
         """Route and run a parsed select.  ``sql``, the text it was
         parsed from, lets single and scatter legs run through their
-        partitions' plan caches; fetch and gather stage rows on the
-        scratch server and run the parsed select there."""
+        partitions' plan caches; a coordinator statement is planned over
+        per-shard legs and its final operators run here."""
         ctx = ctx or ExecutionContext(clock=self.clock)
         route = self.route_select(select)
         self.metrics.counter(
@@ -724,69 +723,21 @@ class ShardedBackend(Backend):
             legs = [self._run_on(shard, select, ctx, sql) for shard in route.shards]
             timings = PhaseTimings(run=max(leg.timings.total for leg in legs))
             return BatchResult(legs[0].columns, _concat_legs(legs), timings, ctx)
-        if route.mode == "fetch":
-            return self._execute_fetch(select, route, ctx)
-        return self._execute_gather(select, ctx)
-
-    def _scratch_server(self):
-        """The coordinator's scratch server for gather-phase finals."""
-        if self._scratch is None:
-            self._scratch = BackendServer(self.clock, cost_model=self.cost_model)
-        return self._scratch
-
-    def _stage_table(self, scratch, name, rows):
-        """(Re)fill a scratch copy of ``name`` with gathered rows."""
-        coord = self.catalog.table(name)
-        if not scratch.catalog.has_table(name):
-            entry = scratch.catalog.create_table(
-                name, coord.schema, primary_key=coord.table.primary_key
-            )
-            scratch.txn_manager.register_table(entry.table)
-        entry = scratch.catalog.table(name)
-        entry.table.truncate()
-        for values in rows:
-            entry.table.insert(tuple(values))
-        scratch.refresh_statistics(name)
-
-    def _execute_fetch(self, select, route, ctx):
-        """Push the WHERE to each shard, stage survivors, run the final."""
-        item = route.table
-        fetch = ast.Select(
-            [ast.SelectItem(None, star=True, star_qualifier=item.alias)],
-            [ast.FromTable(item.name, item.alias)],
-            where=select.where,
-        )
-        rows = []
-        for shard in route.shards:
-            rows.extend(self._run_on(shard, fetch, ctx).rows)
-        scratch = self._scratch_server()
-        self._stage_table(scratch, item.name, rows)
-        return scratch.execute_select(select, ctx=ctx)
-
-    def _execute_gather(self, select, ctx):
-        """Stage every referenced table whole and run the select locally."""
-        scratch = self._scratch_server()
-        names = sorted(self._referenced_tables(select, set()))
-        for name in names:
-            for shard in self._shards_for_table(name):
-                self._check_up(shard)
-        for name in names:
-            rows = [
-                values
-                for shard in self._shards_for_table(name)
-                for _, values in self.partitions[shard].catalog.table(name).table.scan()
-            ]
-            self._stage_table(scratch, name, rows)
-        return scratch.execute_select(select, ctx=ctx)
+        plan = self.optimizer.optimize(select, self.catalog)
+        return self.executor.execute(plan.root(), ctx=ctx, column_names=plan.column_names)
 
     def estimate(self, select):
+        """(cost, rows, width) of what :meth:`execute_select` would run:
+        the routed shards' own estimates summed, or the coordinator plan."""
         if isinstance(select, str):
             select = parse(select)
         route = self.route_select(select)
-        shards = route.shards if route.mode != "gather" else range(self.partition_count)
+        if route.mode == "coordinator":
+            plan = self.optimizer.optimize(select, self.catalog)
+            return plan.cost, plan.est_rows, plan.est_width
         cost = rows = 0.0
         width = 64.0
-        for shard in shards:
+        for shard in route.shards:
             c, r, w = self.partitions[shard].estimate(select)
             cost += c
             rows += r
@@ -794,25 +745,31 @@ class ShardedBackend(Backend):
         return cost, rows, width
 
     def optimize(self, select):
-        """Plan inspection: delegate to the first routed shard."""
+        """Plan inspection: the coordinator plan, or the first routed
+        shard's plan."""
         if isinstance(select, str):
             select = parse(select)
         route = self.route_select(select)
+        if route.mode == "coordinator":
+            return self.optimizer.optimize(select, self.catalog)
         return self.partitions[route.shards[0]].optimize(select)
 
     def explain(self, select):
-        """The route, then the first routed partition's EXPLAIN — of the
-        text, with its ``template:`` line, when the legs would run it by
-        text (single and scatter routes)."""
+        """The route, then the plan it runs: the coordinator plan, or the
+        first routed partition's EXPLAIN — of the text, with its
+        ``template:`` line, when the legs would run it by text."""
         text = None
         if isinstance(select, str):
             text, select = select, parse(select)
         route = self.route_select(select)
-        by_text = text is not None and route.mode in ("single", "scatter")
-        shard_result = self.partitions[route.shards[0]].explain(
-            text if by_text else select
-        )
-        lines = [(f"shard route: {route.describe()}",)] + list(shard_result.rows)
+        lines = [(f"shard route: {route.describe()}",)]
+        if route.mode == "coordinator":
+            plan = self.optimizer.optimize(select, self.catalog)
+            lines += [(line,) for line in explain_lines(plan)]
+        else:
+            lines += self.partitions[route.shards[0]].explain(
+                text if text is not None else select
+            ).rows
         ctx = ExecutionContext(clock=self.clock)
         return QueryResult(["plan"], lines, PhaseTimings(), ctx)
 
@@ -836,7 +793,16 @@ class ShardedBackend(Backend):
         fn = compile_expr(value_row[position], RowBinding([]), expr_ctx)
         return stable_shard_hash(fn(())) % self.partition_count
 
+    @staticmethod
+    def _refuse_subqueries(stmt, exprs):
+        """Each shard would run a DML subquery over its own rows only."""
+        if any(isinstance(node, ast.Subquery)
+               for expr in exprs if expr is not None for node in expr.walk()):
+            raise ExecutionError(f"{type(stmt).__name__.upper()} with a subquery "
+                                 "is not supported on a sharded back-end")
+
     def _execute_insert(self, stmt):
+        self._refuse_subqueries(stmt, [expr for row in stmt.rows for expr in row])
         entry = self.catalog.table(stmt.table)
         columns = [c.lower() for c in (stmt.columns or entry.schema.names())]
         buckets = {}
@@ -888,6 +854,7 @@ class ShardedBackend(Backend):
         return None
 
     def _execute_update(self, stmt):
+        self._refuse_subqueries(stmt, [stmt.where] + [expr for _, expr in stmt.assignments])
         pcol = self._partition_columns.get(stmt.table)
         if pcol is not None and any(col.lower() == pcol for col, _ in stmt.assignments):
             raise ExecutionError(
@@ -900,6 +867,7 @@ class ShardedBackend(Backend):
         return sum(self.partitions[shard].execute(stmt) for shard in shards)
 
     def _execute_delete(self, stmt):
+        self._refuse_subqueries(stmt, [stmt.where])
         shards = self._dml_shards(stmt)
         for shard in shards:
             self._check_up(shard)

@@ -104,9 +104,11 @@ class Params(list):
     ``opaque`` holds the slots no plan may be keyed on, not even by
     pinning: a compiled subquery's correlated references, whose values
     change per outer row.  Plan-time code treats a conjunct that reads
-    one as a plain residual."""
+    one as a plain residual.  A ``correlated`` cell's slots are never
+    classified either: a correlated key never pins a plan to a shard."""
 
     opaque = frozenset()
+    correlated = False
 
     def __init__(self, values=()):
         super().__init__(values)
@@ -140,7 +142,9 @@ class Param(Expr):
         """``fn(value)`` for a plan decision that may depend on the value
         through ``fn`` alone (which shard a key lives on).  Recorded, so
         the template's key carries ``fn`` of the bound value and a binding
-        of another class compiles its own plan."""
+        of another class compiles its own plan.  A correlated slot is read."""
+        if self.params.correlated:
+            raise ParamRead(self.slot, self.params)
         self.params.classes[self.slot] = fn
         return fn(self.params[self.slot])
 
@@ -174,6 +178,8 @@ def classify_set(values, fn):
     if not slots:
         return {fn(value) for value in values}
     params = next(value.params for value in values if isinstance(value, Param))
+    if params.correlated:
+        raise ParamRead(slots[0], params)
     params.groups[slots] = fn
     return {
         fn(params[value.slot] if isinstance(value, Param) else value)

@@ -98,9 +98,11 @@ def generate_orders(scale_factor, seed=42, skew=0.0):
 
 
 def load_tpcd(backend, scale_factor=0.01, seed=42, batch_size=2000):
-    """Create and populate the TPCD tables on a back-end server.
+    """Create and populate the TPCD tables on a back-end (one server or
+    a :class:`~repro.shard.backend.ShardedBackend`).
 
-    All rows go through the transaction manager (in batches) so the
+    All rows go through the transaction manager, one commit per batch
+    (``bulk_load``; on shards, one per batch per shard), so the
     replication log contains the full history — required both by the
     distribution agents and the semantics checker.
     """
@@ -108,26 +110,10 @@ def load_tpcd(backend, scale_factor=0.01, seed=42, batch_size=2000):
     backend.create_table(ORDERS_DDL)
     backend.create_index("CREATE INDEX idx_c_acctbal ON customer (c_acctbal)")
 
-    def bulk_insert(table, rows):
-        batch = []
-
-        def flush():
-            if not batch:
-                return
-            rows_now = list(batch)
-            backend.txn_manager.run(
-                lambda txn: [txn.insert(table, r) for r in rows_now]
-            )
-            batch.clear()
-
-        for row in rows:
-            batch.append(row)
-            if len(batch) >= batch_size:
-                flush()
-        flush()
-
-    bulk_insert("customer", generate_customers(scale_factor, seed))
-    bulk_insert("orders", generate_orders(scale_factor, seed))
+    for table, generate in (("customer", generate_customers), ("orders", generate_orders)):
+        rows = list(generate(scale_factor, seed))
+        for start in range(0, len(rows), batch_size):
+            backend.bulk_load(table, rows[start:start + batch_size])
     backend.refresh_statistics()
     return backend
 

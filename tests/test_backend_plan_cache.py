@@ -92,8 +92,8 @@ def assert_remote_matches_reference(backend, sql, sqlite):
     cold = backend.execute_remote(sql).to_rows()
     same_rows(cold, reference, sql)
     same_rows(backend.execute_remote(sql).to_rows(), reference, sql)  # the text hit
-    # Naive-path statements stay uncached, and so do the fetch/gather
-    # routes of a sharded back-end (their final runs on a scratch server).
+    # A sharded back-end's coordinator statements stay uncached (only
+    # their per-shard legs run through the partitions' plan caches).
     try:
         backend.optimize(sql)
         compiled = True
@@ -221,17 +221,6 @@ def test_a_promoted_replica_compiles_afresh(path):
     assert new is not old and not new.plans.cache
     assert backend.execute_remote(WARM, shards=(shard,)).to_rows() == [(3, "cust#3")]
     assert WARM in new.plans.cache
-
-
-def test_staged_statistics_move_the_scratch_epoch():
-    backend = make_backend(partitions=2)
-    scratch = backend._scratch_server()
-    epoch = scratch.ddl_epoch
-    rows = backend.execute(
-        "SELECT c.c_nationkey, COUNT(*) AS n FROM customer c GROUP BY c.c_nationkey"
-    ).rows
-    assert sorted(rows) == [(n, 8) for n in range(5)]
-    assert scratch.ddl_epoch > epoch
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ class TestRemoteSQLGeneration:
         _, cache = env
         placement = cache.placement
         info = info_for(cache, "SELECT i.id FROM item i WHERE i.cat = 3")
-        candidate = placement._operand_remote_candidate(info.operand("i"))
+        candidate = placement.operand_remote_candidate(info.operand("i"))
         assert candidate.kind == "remote-fetch"
         # Build and inspect the shipped SQL via the operator.
         op = candidate.operator()
@@ -55,7 +55,7 @@ class TestRemoteSQLGeneration:
         backend, cache = env
         placement = cache.placement
         info = info_for(cache, "SELECT i.id FROM item i WHERE i.cat = 3")
-        candidate = placement._operand_remote_candidate(info.operand("i"))
+        candidate = placement.operand_remote_candidate(info.operand("i"))
         rows = backend.execute_remote(candidate.operator().sql).to_rows()
         assert all(r[0] == 3 for r in rows)  # cat sorted first alphabetically
 
@@ -86,8 +86,8 @@ class TestRemoteSQLGeneration:
         placement = cache.placement
         narrow = info_for(cache, "SELECT i.id FROM item i")
         wide = info_for(cache, "SELECT i.id, i.name FROM item i")
-        narrow_candidate = placement._operand_remote_candidate(narrow.operand("i"))
-        wide_candidate = placement._operand_remote_candidate(wide.operand("i"))
+        narrow_candidate = placement.operand_remote_candidate(narrow.operand("i"))
+        wide_candidate = placement.operand_remote_candidate(wide.operand("i"))
         assert narrow_candidate.width < wide_candidate.width
         assert narrow_candidate.cost < wide_candidate.cost
 

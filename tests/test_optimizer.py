@@ -169,6 +169,16 @@ class TestAnalyze:
         # Conservative: every column of r marked needed.
         assert info.operand("r").needed_columns == {"a", "b", "c"}
 
+    def test_select_list_subquery_outer_refs_are_needed(self, server):
+        # r.b is read only by the subquery's correlated reference: a
+        # remote leg of r that left it out could not bind it.
+        for sql in (
+            "SELECT r.a, (SELECT COUNT(*) FROM s WHERE s.y = r.b) AS k FROM r",
+            "SELECT r.a FROM r ORDER BY (SELECT MAX(s.x) FROM s WHERE s.y = r.b)",
+        ):
+            info = analyze_select(parse(sql), server.catalog)
+            assert info.operand("r").needed_columns == {"a", "b"}, sql
+
     def test_unknown_table_raises(self, server):
         with pytest.raises(CatalogError):
             analyze_select(parse("SELECT z.a FROM zzz z"), server.catalog)

@@ -107,14 +107,15 @@ class TestShardRouting:
 
     def test_aggregate_needs_final_pass(self):
         route = self.route("SELECT COUNT(*) FROM inv i")
-        assert route.mode == "fetch"
+        assert route.mode == "coordinator"
         assert set(route.shards) == set(range(4))
 
     def test_join_gathers(self):
+        # A cross-shard join plans at the coordinator over per-shard legs.
         route = self.route(
             "SELECT a.id FROM inv a, inv b WHERE a.qty = b.qty"
         )
-        assert route.mode == "gather"
+        assert route.mode == "coordinator"
 
     def test_explain_mentions_route(self):
         plan = self.backend.explain("SELECT i.id FROM inv i WHERE i.id = 7")

@@ -9,8 +9,8 @@ and uncorrelated ``[NOT] EXISTS`` and ``[NOT] IN`` over nullable columns,
 correlation two levels deep, derived tables joined to base tables and to
 each other, HAVING with a subquery, scalar subqueries — and requires
 sqlite3's rows for each, on a :class:`BackendServer` and on a two-shard
-:class:`ShardedBackend` (whose gather route runs the compiled subqueries
-in its scratch server), by text (the plan cache) and parsed, on both
+:class:`ShardedBackend` (whose coordinator runs the compiled subqueries
+over per-shard legs), by text (the plan cache) and parsed, on both
 execution paths.
 """
 
@@ -21,9 +21,12 @@ from hypothesis import strategies as st
 from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache
 from repro.common.errors import ExecutionError, OptimizerError
+from repro.engine import operators as ops
 from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.query_info import correlate
 from repro.shard.backend import ShardedBackend
+from repro.sql import ast
 from repro.sql.parser import parse
 from tests.conftest import each_path
 from tests.sql_reference import SqliteReference
@@ -274,3 +277,49 @@ class TestCompiledOnce:
                                           labels={"event": event}).value
                   for event in ("misses", "binds")}
         assert events == {"misses": 1, "binds": 2}
+
+    def test_a_correlated_slot_is_never_classified(self):
+        # A shard pin is a plan-time decision; a correlated reference has
+        # no value then, so classifying it reads it (ParamRead), and the
+        # subquery planner turns the slot opaque instead of pinning on
+        # the unbound cell's None.
+        server, _ = self._server(4)
+        _, params, _ = correlate(parse("SELECT 1 FROM s WHERE s.y = t.b"), server.catalog)
+        key = ast.Param(0, params)
+        with pytest.raises(ast.ParamRead):
+            key.classify(lambda value: 0)
+        with pytest.raises(ast.ParamRead):
+            ast.classify_set([3, key], lambda value: 0)
+
+    def test_an_uncorrelated_subquery_runs_once_per_execution(self, monkeypatch):
+        server = BackendServer()
+        for ddl in DDL[:2]:
+            server.create_table(ddl)
+        server.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {i % 9}, {i % 4})" for i in range(1, 301)))
+        server.execute("INSERT INTO s VALUES " + ", ".join(
+            f"({i}, {i % 7}, {i % 3})" for i in range(1, 41)))
+        server.refresh_statistics()
+        opens = []
+        real_open = ops.SeqScan.open
+        monkeypatch.setattr(ops.SeqScan, "open", lambda self, ctx: (
+            opens.append(self.table.name), real_open(self, ctx))[1])
+        sql = "SELECT t.a FROM t WHERE t.b > (SELECT AVG(s.y) FROM s)"
+        reference = SqliteReference(server)
+        for _ in each_path():
+            del opens[:]
+            reference.check(server.execute(sql).rows, sql)
+            assert opens.count("s") == 1, opens.count("s")
+
+    def test_explain_prints_compiled_subqueries(self):
+        server, _ = self._server(24)
+        text = "\n".join(row[0] for row in server.explain(CORRELATED).rows)
+        assert "Subquery(correlated)" in text
+        filter_line, subquery_line, seek_line = (
+            next(line for line in text.splitlines() if marker in line)
+            for marker in ("Filter", "Subquery(", "IndexSeek(s.ix_s_y)"))
+        depth = [len(line) - len(line.lstrip()) for line in (filter_line, subquery_line, seek_line)]
+        assert depth[0] < depth[1] < depth[2]
+        uncorrelated = "SELECT t.a FROM t WHERE t.b > (SELECT MIN(s.z) FROM s)"
+        text = "\n".join(row[0] for row in server.explain(uncorrelated).rows)
+        assert "Subquery(once per execution)" in text and "SeqScan(s" in text
