@@ -38,7 +38,7 @@ from operator import itemgetter
 from repro.common.errors import ExecutionError
 from repro.engine.columnar import ColumnBatch, column_store, store_positions
 from repro.engine.ir import selection_fn
-from repro.sql.ast import render_params
+from repro.sql.ast import render_params, render_slots
 
 #: Rows per batch where an operator columnarizes a row stream (a scan's
 #: batch is its whole column store instead).
@@ -47,6 +47,9 @@ DEFAULT_BATCH_SIZE = 256
 #: The row a seek's key expressions are evaluated over: they read
 #: constants and parameter cells, never a column.
 _NO_ROW = ()
+
+#: The rid of an index ``(key, rid)`` entry.
+_RID = itemgetter(1)
 
 
 class PhysicalOperator:
@@ -238,7 +241,7 @@ class IndexSeek(PhysicalOperator):
             # so the equality spine pays nothing for its existence.
             self._single_key_fn = None
             self._keys = ()
-            self._rid_iter = self._rid_list = self._in_rid_list
+            self._rid_list = self._in_rid_list
 
     def open(self, ctx):
         self._ctx = ctx
@@ -272,44 +275,33 @@ class IndexSeek(PhysicalOperator):
         return keys
 
     def _in_rid_list(self):
-        index = self.index
-        full = len(index.key_positions)
+        seek_keys = self.index.seek_keys
         out = []
         for key in self._keys:
             try:
-                if len(key) == full:
-                    out.extend(index.seek_list(key))
-                else:
-                    out.extend([rid for _, rid in index.range(low=key, high=key)])
+                (hits,) = seek_keys((key,))
             except TypeError:
                 continue  # an item of another type equals no stored key
+            out.extend(hits)
         return out
-
-    def _rid_iter(self):
-        key = self._key
-        if None in key:
-            return ()  # a NULL key part matches no row
-        if len(key) == len(self.index.key_positions):
-            return self.index.seek(key)
-        return (rid for _, rid in self.index.range(low=key, high=key))
 
     def _rid_list(self):
         key = self._key
         if None in key:
-            return []
+            return []  # a NULL key part matches no row
         index = self.index
         if len(key) == len(index.key_positions):
             return index.seek_list(key)
-        return [rid for _, rid in index.range(low=key, high=key)]
+        return index.seek_keys((key,))[0]
 
     def rows(self):
         predicate = self.predicate
         table_row = self.table.row
         if predicate is None:
-            for rid in self._rid_iter():
+            for rid in self._rid_list():
                 yield table_row(rid)
             return
-        for rid in self._rid_iter():
+        for rid in self._rid_list():
             values = table_row(rid)
             if predicate(values) is True:
                 yield values
@@ -384,10 +376,20 @@ class IndexRangeScan(PhysicalOperator):
             if predicate(values) is True:
                 yield values
 
+    def all_rows(self):
+        """Range scan + filter: one list pass over the index slice, then
+        the predicate."""
+        rows = list(map(self.table.row, map(_RID, self._range())))
+        predicate = self.predicate
+        if predicate is None:
+            return rows
+        return [values for values in rows if predicate(values) is True]
+
     def col_batches(self, size=DEFAULT_BATCH_SIZE):
         """Fused range scan + filter, columnarized ``size`` rows a batch."""
+        # Recorded here, not in all_rows(): EXPLAIN ANALYZE replaces that.
         self._record_fused(self._ctx)
-        yield from _columnarize(self.rows(), self.output, size)
+        yield from _columnarize(self.all_rows(), self.output, size)
 
     def describe(self):
         return (
@@ -550,12 +552,25 @@ def _batch_keys(batch, positions):
     return indexes, [_null_free(key) for key in zip(*cols)]
 
 
-def _index_keys(index, keys, start):
-    """File build positions ``start, start+1, …`` under their join keys,
-    in arrival order; NULL keys are left out."""
-    for position, key in enumerate(keys, start):
+def _index_keys(keys):
+    """``join key -> build positions`` for the build side's keys, in
+    arrival order; NULL keys are left out.  Distinct keys (a foreign-key
+    join's build side) map in one C-level pass, each to a 1-tuple of its
+    position; duplicated keys are filed one at a time."""
+    if not isinstance(keys, (list, tuple)):
+        keys = list(keys)
+    n = len(keys)
+    index = dict(zip(keys, zip(range(n))))
+    if None in index:
+        del index[None]
+        n -= keys.count(None)
+    if len(index) == n:
+        return index
+    index = {}
+    for position, key in enumerate(keys):
         if key is not None:
             index.setdefault(key, []).append(position)
+    return index
 
 
 def _gather(columns, indexes):
@@ -617,16 +632,15 @@ class HashJoin(PhysicalOperator):
     def open(self, ctx):
         self.left.open(ctx)
         self.right.open(ctx)
-        self._index = index = {}
         self._build_rows = self._build_cols = None
         positions = _key_positions(self.right_key_fns)
         if positions is not None and getattr(ctx, "engine", None) == "columnar":
             self._build_cols = build = ColumnBatch.concat(
                 list(self.right.col_batches()), len(self.right.output))
-            _index_keys(index, _batch_keys(build, positions)[1], 0)
+            self._index = _index_keys(_batch_keys(build, positions)[1])
             return
         self._build_rows = rows = list(_input_rows(self.right, ctx))
-        _index_keys(index, map(_row_keyer(self.right_key_fns), rows), 0)
+        self._index = _index_keys(map(_row_keyer(self.right_key_fns), rows))
 
     def _build_row_list(self):
         if self._build_rows is None:
@@ -1306,4 +1320,8 @@ class RemoteQuery(PhysicalOperator):
         self._buffered = None
 
     def describe(self):
+        params = self._params
+        if params is not None and params.correlated:
+            # A correlated leg is bound per outer row: show its slots.
+            return f"RemoteQuery({render_slots(self._sql)})"
         return f"RemoteQuery({self.sql})"

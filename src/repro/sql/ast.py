@@ -207,6 +207,12 @@ def render_params(sql, params):
     )
 
 
+def render_slots(sql):
+    """``sql`` with every :class:`Param` placeholder shown as ``?<slot>``:
+    the text of a plan whose values are bound per run."""
+    return _PLACEHOLDER_RE.sub(r"?\1", sql)
+
+
 class ColumnRef(Expr):
     """A possibly qualified column reference, e.g. ``c.c_custkey``."""
 

@@ -139,37 +139,27 @@ class Index:
         return out
 
     def range(self, low=None, high=None, low_inclusive=True, high_inclusive=True):
-        """Yield (key, rid) pairs with low <= key <= high, in key order.
+        """The (key, rid) pairs with low <= key <= high, in key order, as
+        one list slice.
 
         ``low``/``high`` are *prefix* tuples: a bound shorter than the full
         key matches on the prefix.  ``None`` means unbounded on that side.
+        Both ends are found by bisection.
         """
-        n = len(self.key_positions)
-        if low is None:
-            start = 0
-        else:
-            low = tuple(low)
-            if low_inclusive:
-                # (padded_key,) sorts before any (padded_key, rid) entry, so
-                # bisect_left lands on the first entry with key >= low.
-                probe = (low + (NEG_INF,) * (n - len(low)),)
-                start = bisect.bisect_left(self._entries, probe)
-            else:
-                # Pad with +inf so every key sharing the prefix sorts below
-                # the probe; bisect_right lands just past the last of them.
-                probe = (low + (POS_INF,) * (n - len(low)), POS_INF)
-                start = bisect.bisect_right(self._entries, probe)
-        for i in range(start, len(self._entries)):
-            key, rid = self._entries[i]
-            if high is not None:
-                prefix = key[: len(high)]
-                if high_inclusive:
-                    if prefix > tuple(high):
-                        break
-                else:
-                    if prefix >= tuple(high):
-                        break
-            yield key, rid
+        entries = self._entries
+        start = 0 if low is None else self._edge(low, not low_inclusive)
+        end = len(entries) if high is None else self._edge(high, high_inclusive)
+        return entries[start:end]
+
+    def _edge(self, bound, past):
+        """The entry position where keys with the prefix ``bound`` begin,
+        or with ``past``, where they end.  The probe pads the prefix and
+        the rid with -inf (sorts before every extension) or +inf (after
+        every one)."""
+        pad = POS_INF if past else NEG_INF
+        bound = tuple(bound)
+        probe = (bound + (pad,) * (len(self.key_positions) - len(bound)), pad)
+        return bisect.bisect_left(self._entries, probe)
 
     def scan(self):
         """Yield all (key, rid) pairs in key order."""

@@ -15,10 +15,11 @@ both protocols and requires
 * stdlib ``sqlite3``'s answer to the same query
   (:class:`tests.sql_reference.SqliteReference`).
 
-The generated tables mix typed (``array``) and list column buffers, NULL
-and duplicate keys and int-vs-float keys; probe sides come filtered (a
-non-None selection vector) or not, in one batch or many (the opened
-tree's ``col_batches(3)``).
+The generated tables hold NULL and duplicate keys and int-vs-float keys
+in plain column lists.  A build side whose non-NULL keys are distinct is
+indexed in one C-level pass, any other one key at a time: both builds
+are generated.  Probe sides come filtered (a non-None selection vector)
+or not, in one batch or many (the opened tree's ``col_batches(3)``).
 """
 
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.cache.backend import BackendServer
 from repro.engine import operators as ops
+from repro.engine.columnar import column_store
 from repro.engine.executor import ExecutionContext
 from repro.engine.expressions import (
     ExpressionContext,
@@ -49,8 +51,7 @@ RB = RowBinding([OutputCol(name, "r") for name, _, _ in R_COLUMNS])
 JB = LB.concat(RB)
 
 #: Join shapes: (left keys, right keys).  ``kf`` holds floats, so the
-#: ``kf``/``k`` pairs join 1.0 to 1 — across an ``array('d')`` and an
-#: ``array('q')`` buffer when neither column has a NULL, lists otherwise.
+#: ``kf``/``k`` pairs join 1.0 to 1 across two column lists.
 KEYS = {
     "single": (["l.k"], ["r.k"]),
     "float-int": (["l.kf"], ["r.k"]),
@@ -110,15 +111,22 @@ KEY_VALUES = [0, 1, 2, 3]
 
 @st.composite
 def tables(draw):
-    """(l rows, r rows).  A column either never holds NULL (typed buffer)
-    or may (list buffer); keys repeat on both sides."""
+    """(l rows, r rows).  A side's key columns never hold NULL or may;
+    probe keys repeat, build keys repeat or are distinct (bar NULLs)."""
     def key(nulls):
         values = st.sampled_from(KEY_VALUES)
         return st.one_of(st.none(), values) if nulls else values
 
     l_nulls, r_nulls = draw(st.booleans()), draw(st.booleans())
     l_keys = draw(st.lists(st.tuples(key(l_nulls), key(l_nulls)), max_size=40))
-    r_keys = draw(st.lists(st.tuples(key(r_nulls), key(r_nulls)), max_size=12))
+    if draw(st.booleans()):
+        r_keys = draw(st.lists(st.tuples(key(r_nulls), key(r_nulls)), max_size=12))
+    else:
+        # Distinct build keys, some out of the probe's range, some NULLed.
+        ks = draw(st.lists(st.integers(0, 6), unique=True, max_size=7))
+        nulled = draw(st.lists(st.booleans(), min_size=len(ks), max_size=len(ks)))
+        r_keys = [(None if r_nulls and drop else k, draw(key(r_nulls)))
+                  for k, drop in zip(ks, nulled)]
     l_rows = [(i, k, None if k is None else float(k), k2, f"s{i % 4}")
               for i, (k, k2) in enumerate(l_keys)]
     r_rows = [(k, None if k is None else float(k), k2, i)
@@ -261,6 +269,15 @@ class TestHashJoinEdges:
         assert rows["col_batches"] == rows["all_rows"] == [
             left + right for left in l_rows for right in r_rows if right[0] == left[1]]
 
+    def test_distinct_build_keys_index_in_one_pass(self):
+        # Distinct non-NULL keys map to 1-tuples of their positions (the
+        # C-level build); a duplicated key, 1 and 1.0 included, is filed
+        # one position at a time.  NULL keys are never filed.
+        assert ops._index_keys([3, None, 1, None, 2]) == {3: (0,), 1: (2,), 2: (4,)}
+        assert ops._index_keys(iter([(1, 2), (2, 1)])) == {(1, 2): (0,), (2, 1): (1,)}
+        assert ops._index_keys([1, None, 1.0, 2]) == {1: [0, 2], 2: [3]}
+        assert ops._index_keys([None, None]) == {} == ops._index_keys([])
+
     def test_empty_sides(self):
         l_rows = [(i, i % 3, float(i % 3), 0, "s") for i in range(10)]
         r_rows = [(i % 3, float(i % 3), 0, i) for i in range(10)]
@@ -291,6 +308,23 @@ class TestHashJoinEdges:
         expected = [l + r for l in l_rows if l[0] % 3 != 1
                     for r in r_rows if r[0] == l[1]]
         assert batches[0].to_rows() == expected
+
+
+class TestColumnStore:
+    def test_columns_are_lists_of_the_heap_rows_own_values(self):
+        # No value is re-boxed: each column list holds the very objects
+        # of the live heap rows, in heap order, past a deleted row.
+        table = _table("c", [("a", DataType.INT, False), ("f", DataType.FLOAT, False),
+                             ("big", DataType.INT, False), ("s", DataType.STRING, True)],
+                       [(i, i / 3, 2**70 + i, None if i % 2 else f"s{i}")
+                        for i in range(6)])
+        table.delete(2)
+        live = [values for _, values in table.scan()]
+        store = column_store(table)
+        assert store.length == len(live) == 5
+        for c, column in enumerate(store.columns):
+            assert type(column) is list
+            assert all(value is row[c] for value, row in zip(column, live, strict=True))
 
 
 #: A back-end whose tables are large enough to stream.

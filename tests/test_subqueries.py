@@ -323,3 +323,21 @@ class TestCompiledOnce:
         uncorrelated = "SELECT t.a FROM t WHERE t.b > (SELECT MIN(s.z) FROM s)"
         text = "\n".join(row[0] for row in server.explain(uncorrelated).rows)
         assert "Subquery(once per execution)" in text and "SeqScan(s" in text
+
+    def test_explain_shows_a_correlated_leg_unbound(self):
+        # Over shards each block's operand is a remote leg, re-run per
+        # outer row with the row's values bound.  EXPLAIN has no row: it
+        # shows the leg's correlated slots as ?<slot>, never as the
+        # unbound cell's NULL (which reads as a predicate that selects
+        # nothing); the executed text still binds values.
+        backend = make_backend(2)
+        sql = ("SELECT t.a FROM t WHERE EXISTS (SELECT 1 FROM s WHERE s.y = t.b AND "
+               "EXISTS (SELECT 1 FROM u WHERE u.q = s.z AND u.p > t.a))")
+        text = "\n".join(row[0] for row in backend.explain(sql).rows)
+        assert "RemoteQuery(SELECT s.x, s.y, s.z FROM s WHERE (s.y = ?0))" in text, text
+        assert ("RemoteQuery(SELECT u.p, u.q FROM u WHERE ((u.q = ?0) AND (u.p > ?1)))"
+                in text), text
+        assert "NULL" not in text, text
+        rows = backend.execute(sql).rows
+        SqliteReference(backend).check(rows, sql)
+        assert rows  # a leg run with NULLs bound would select nothing
