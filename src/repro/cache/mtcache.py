@@ -18,6 +18,7 @@ import contextlib
 import enum
 import functools
 import hashlib
+import time
 
 from repro.cache.guard import decide
 from repro.cache.placement import CachePlacement
@@ -31,7 +32,7 @@ from repro.engine.executor import ExecutionContext, Executor, PhaseTimings, Quer
 from repro.engine.expressions import OutputCol, RowBinding
 from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.ring import Ring
-from repro.obs.trace import TraceLog
+from repro.obs.trace import NULL_TRACE, TraceLog
 from repro.optimizer.optimizer import Optimizer, OptimizedPlan
 from repro.optimizer.query_info import analyze_select
 from repro.plan.compiler import PLAN_CACHE_SIZE, PlanCompiler, is_select_text
@@ -49,7 +50,8 @@ from repro.storage.table import HeapTable
 
 
 class QueryLogEntry:
-    """One executed query, as remembered by the monitoring log."""
+    """One executed query, as remembered by the monitoring log; its lists
+    are the finished execution context's own."""
 
     __slots__ = ("sql", "summary", "branches", "remote_queries", "rows",
                  "elapsed", "sim_time", "warnings")
@@ -1191,18 +1193,23 @@ class MTCache:
         owned = trace is None
         if owned:
             trace = registry.new_trace()
-        # NULL_TRACE is falsy: skip the span/active-trace ceremony entirely
-        # on zero-instrumentation runs (this is the per-query hot path).
-        if not trace:
+        # NULL_TRACE: skip the span/active-trace ceremony entirely on
+        # zero-instrumentation runs (this is the per-query hot path).
+        if trace is NULL_TRACE:
             result = self._run_plan(plan, trace, session=session)
         else:
             prev = registry.active_trace
             registry.active_trace = trace
-            span = trace.open("mtcache.execute", {"node": getattr(self, "name", "cache")})
+            # mtcache.execute is two clock reads: the trace writes its
+            # record when a span nests in it or a reader asks.
+            stamps = trace.stamps
+            stamps.append({"node": getattr(self, "name", "cache")})
+            stamps.append(time.perf_counter())
             try:
                 result = self._run_plan(plan, trace, session=session)
             finally:
-                trace.close(span)
+                stamps.append(None)
+                stamps.append(time.perf_counter())
                 registry.active_trace = prev
                 if owned:
                     self.traces.record(trace)
@@ -1219,12 +1226,12 @@ class MTCache:
             QueryLogEntry(
                 sql_text if sql_text is not None else select.to_sql(),
                 plan.summary() if hasattr(plan, "summary") else "?",
-                list(ctx.branches),
-                list(ctx.remote_queries),
+                ctx.branches,
+                ctx.remote_queries,
                 len(result.rows),
                 result.timings.total,
                 self.clock.now(),
-                list(ctx.warnings),
+                ctx.warnings,
             )
         )
         if recorder is not None:

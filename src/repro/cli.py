@@ -25,6 +25,7 @@ The shell is also importable: :class:`Shell` consumes command lines and
 writes to any file-like object, which is how the tests drive it.
 """
 
+import argparse
 import sys
 
 from repro.common.errors import ReproError
@@ -401,6 +402,9 @@ def run_script(cache, lines, out=None):
 
 def main(argv=None):
     """Entry point: the paper's environment plus an interactive loop."""
+    argparse.ArgumentParser(prog="python -m repro.cli", description=(
+        "SQL shell over the paper's section-4 environment; \\help lists commands"
+    )).parse_args(argv)
     print("building the paper's SIGMOD'04 environment (TPCD + MTCache)...")
     from repro.workloads.experiment import build_paper_setup
 

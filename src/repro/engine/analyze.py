@@ -4,9 +4,9 @@
 ``all_rows`` / ``_record_fused`` on every node of a physical operator
 tree with counting-and-timing wrappers (instance attributes shadow the
 class methods, so the operators themselves stay untouched — and because
-both the row and the columnar protocol are wrapped, the same
-instrumentation covers both run modes; ``all_rows`` is counted through the
-wrapped ``rows()``).  Each node accumulates an :class:`OpStats`:
+the row, the list and the columnar protocol are all wrapped, the same
+instrumentation covers every run mode, and each node runs the kernel the
+plain run would).  Each node accumulates an :class:`OpStats`:
 
 * ``loops`` — times the node was opened (an IndexNLJoin opens its inner
   seek once and probes it per outer row: the probes are its rows);
@@ -67,6 +67,7 @@ def _wrap(op, stats, timer=time.perf_counter):
     orig_open = op.open
     orig_rows = op.rows
     orig_record_fused = op._record_fused
+    orig_all_rows = op.all_rows
 
     def open(ctx):
         stats.loops += 1
@@ -121,10 +122,17 @@ def _wrap(op, stats, timer=time.perf_counter):
             yield batch
 
     def all_rows():
-        # Route the materializing fast path through the wrapped rows() so
-        # the whole subtree is counted — the operators' own all_rows
-        # overrides would bypass the children's instrumentation.
-        return list(rows())
+        # The operator's own list build, as the plain run does it; the
+        # children it pulls through their wrappers count themselves.
+        outer = stats._depth == 0
+        t0 = timer()
+        stats._depth += 1
+        out = orig_all_rows()
+        stats._depth -= 1
+        if outer:
+            stats.seconds += timer() - t0
+            stats.rows_out += len(out)
+        return out
 
     def record_fused(ctx):
         stats.fused = True

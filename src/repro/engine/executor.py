@@ -13,6 +13,7 @@ from functools import cached_property
 from repro.engine.columnar import ColumnBatch
 from repro.engine.operators import SeqScan
 from repro.obs.metrics import NULL_REGISTRY, NullRegistry
+from repro.obs.trace import NULL_TRACE
 
 #: Below this many rows, estimated out and scanned in, a plan runs as one
 #: materialized row list instead of streaming column batches:
@@ -256,7 +257,7 @@ class Executor:
     :class:`~repro.obs.metrics.NullRegistry`.
     """
 
-    def __init__(self, clock=None, timer=time.perf_counter, registry=None):
+    def __init__(self, clock=None, timer=None, registry=None):
         self.clock = clock
         self.timer = timer
         self.set_registry(registry if registry is not None else NULL_REGISTRY)
@@ -291,7 +292,8 @@ class Executor:
     def execute(self, plan, ctx=None, column_names=None):
         """Execute ``plan`` and return a :class:`QueryResult`."""
         ctx = ctx or ExecutionContext(clock=self.clock)
-        timer = self.timer
+        # Read at call time, so a patched time.perf_counter drives it.
+        timer = self.timer or time.perf_counter
         trace = ctx.trace
         branches_before = len(ctx.branches)
         fused_before = len(ctx.fused_pipelines)
@@ -310,14 +312,13 @@ class Executor:
         ctx.engine = "row" if tiny else "columnar"
         n_batches = 0
 
-        traced = bool(trace)
+        # The trace keeps the phase stamps as its exec.* spans.
+        stamps = NULL_TRACE.stamps if trace is None else trace.stamps
         t0 = timer()
-        span = trace.open("exec.setup") if traced else None
+        stamps.append(t0)
         plan.open(ctx)
-        if traced:
-            trace.close(span)
         t1 = timer()
-        span = trace.open("exec.run") if traced else None
+        stamps.append(t1)
         batch = None
         if tiny:
             rows = plan.all_rows()
@@ -325,14 +326,11 @@ class Executor:
             batches = list(plan.col_batches())
             n_batches = len(batches)
             batch = ColumnBatch.concat(batches, len(plan.output))
-        if traced:
-            trace.close(span)
         t2 = timer()
-        span = trace.open("exec.shutdown") if traced else None
+        stamps.append(t2)
         plan.close()
-        if traced:
-            trace.close(span)
         t3 = timer()
+        stamps.append(t3)
 
         timings = PhaseTimings(setup=t1 - t0, run=t2 - t1, shutdown=t3 - t2)
         if not self._metrics_null:

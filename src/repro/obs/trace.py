@@ -3,8 +3,9 @@
 A query's spans are written as flat *records* and read as :class:`Span`
 objects.  A :class:`TraceContext` is an append-only list of
 ``[name, attrs, parent index, start, end, registry span]`` records plus
-a stack of the indices still open: ``open`` appends a record, ``close``
-stamps its end time — no objects, so tracing stays on for every query.
+the index of the innermost one still open, whose parent chain is the
+stack of open records: ``open`` appends a record, ``close`` stamps its
+end time — no objects, so tracing stays on for every query.
 A record's position is its identity (``span_id`` is ``s<index + 1>``,
 its parent the index that was innermost when it opened), and the one
 trace is handed down every tier a query crosses — fleet router, a
@@ -21,6 +22,7 @@ record that points back at them.  Finished traces land in a
 :class:`TraceLog` ring.
 """
 
+import collections
 import contextlib
 import itertools
 import json
@@ -151,6 +153,10 @@ class SpanLog(Ring):
         self.stack.clear()
 
 
+#: Each executor phase and the one its end starts (see ``stamps``).
+_NEXT_PHASE = {"exec.setup": "exec.run", "exec.run": "exec.shutdown", "exec.shutdown": None}
+
+
 class TraceContext:
     """Identity and span records for one end-to-end query.
 
@@ -160,17 +166,25 @@ class TraceContext:
     by a registry span while it is that registry's ``active_trace`` —
     becomes a record whose parent is the innermost record still open,
     regardless of which registry the span reports to.
+
+    A plan run's spine — ``mtcache.execute`` over ``exec.setup``,
+    ``exec.run`` and ``exec.shutdown`` — is kept as the clock reads in
+    ``stamps``: a bare time ends the open executor phase, if any, and
+    starts the next (``exec.setup`` when none is open); an attrs dict
+    then a time opens ``mtcache.execute``; None then a time closes the
+    innermost one still open.  Every writer and reader first calls
+    :meth:`_write`, which turns them into the records an eager spine
+    would have written.
     """
 
-    __slots__ = ("_seq", "_records", "_done", "stack")
+    __slots__ = ("_seq", "_records", "_done", "_top", "stamps")
 
     _ids = itertools.count(1)
 
     def __init__(self):
         self._seq = next(TraceContext._ids)
-        self._records = []  # [name, attrs, parent, start, end, owner], open order
-        self._done = []  # indices of finished records, completion order
-        self.stack = []  # indices of open records, innermost last
+        self._records = None  # the record lists, made by the first _write()
+        self.stamps = []  # spine clock reads not yet written as records
 
     @property
     def trace_id(self):
@@ -181,14 +195,44 @@ class TraceContext:
         """Start a span now; returns its index, the handle for
         :meth:`annotate` and :meth:`close`.  ``owner`` is the registry
         :class:`Span` enrolling itself, told when the record closes."""
+        self._write()
+        return self._push(name, attrs, owner, time.perf_counter())
+
+    def _push(self, name, attrs, owner, start):
         records = self._records
-        stack = self.stack
         index = len(records)
-        records.append(
-            [name, attrs, stack[-1] if stack else -1, time.perf_counter(), None, owner]
-        )
-        stack.append(index)
+        records.append([name, attrs, self._top, start, None, owner])
+        self._top = index
         return index
+
+    def _write(self):
+        """Write the pending spine stamps as records, oldest first."""
+        if self._records is None:
+            self._records = []  # [name, attrs, parent, start, end, owner], open order
+            self._done = []  # indices of finished records, completion order
+            self._top = -1  # the innermost open record; its parents are open too
+        stamps = self.stamps
+        if not stamps:
+            return
+        records = self._records
+        items = iter(stamps)
+        for item in items:
+            if item is None:
+                index = self._top
+                while records[index][0] != "mtcache.execute":
+                    index = records[index][2]
+                self._close(index, next(items))
+            elif type(item) is dict:
+                self._push("mtcache.execute", item, None, next(items))
+            else:
+                top = self._top
+                name = records[top][0] if top >= 0 else None
+                if name in _NEXT_PHASE:  # the stamp ends that phase
+                    self._close(top, item)
+                name = _NEXT_PHASE.get(name, "exec.setup")
+                if name is not None:
+                    self._push(name, None, None, item)
+        stamps.clear()
 
     def annotate(self, index, key, value):
         """Set one attr on a span that is already open."""
@@ -205,22 +249,24 @@ class TraceContext:
         """
         if end is None:
             end = time.perf_counter()
-        stack = self.stack
-        if stack and stack[-1] == index:
-            closing = (stack.pop(),)
-        elif index in stack:
-            at = stack.index(index)
-            closing = reversed(stack[at:])
-            del stack[at:]
-        else:
-            return
+        self._write()
+        self._close(index, end)
+
+    def _close(self, index, end):
         records = self._records
-        for i in closing:
-            record = records[i]
+        if records[index][4] is not None:
+            return
+        # Orphans first: the parent chain from the innermost open record.
+        top, self._top = self._top, records[index][2]
+        while True:
+            record = records[top]
             record[4] = end
-            self._done.append(i)
+            self._done.append(top)
             if record[5] is not None:
                 record[5]._finish(end)
+            if top == index:
+                return
+            top = record[2]
 
     @contextlib.contextmanager
     def span(self, name, **attrs):
@@ -269,14 +315,27 @@ class TraceContext:
     @property
     def spans(self):
         """The finished spans, in completion order (views built per read)."""
+        self._write()
         return [self._view(index) for index in self._done]
 
     @property
+    def stack(self):
+        """Indices of the open records, innermost last."""
+        self._write()
+        stack, index = [], self._top
+        while index >= 0:
+            stack.append(index)
+            index = self._records[index][2]
+        return stack[::-1]
+
+    @property
     def finished(self):
-        return not self.stack
+        self._write()
+        return self._top < 0
 
     def root(self):
         """The first finished span with no parent (None while running)."""
+        self._write()
         for index in self._done:
             if self._records[index][2] < 0:
                 return self._view(index)
@@ -284,12 +343,14 @@ class TraceContext:
 
     def duration(self):
         """Wall seconds from earliest span start to latest span end."""
+        self._write()
         done = [self._records[index] for index in self._done]
         if not done:
             return 0.0
         return max(r[4] for r in done) - min(r[3] for r in done)
 
     def __len__(self):
+        self._write()
         return len(self._done)
 
     def __bool__(self):
@@ -312,6 +373,7 @@ class _NullTrace:
     trace_id = None
     spans = ()
     stack = ()
+    stamps = collections.deque(maxlen=0)  # the untraced executor's sink
     finished = True
 
     def __bool__(self):
@@ -340,7 +402,8 @@ class TraceLog(Ring):
         super().__init__(capacity)
 
     def record(self, trace):
-        if len(trace):
+        # Pending spine stamps make a trace non-empty without writing them.
+        if trace.stamps or len(trace):
             self._entries.append(trace)
 
     def get(self, trace_id):

@@ -8,13 +8,20 @@ backticks.  Every backticked path under ``src/``, ``tests/``,
 ``file.py:123`` line, which drifts with every edit (cite the function).
 Lower-case dotted names that are not ``repro.`` paths are left alone:
 span, metric and instance names (``mtcache.execute``,
-``obs.overhead_frac``, ``result.warnings``) share that form.
+``obs.overhead_frac``, ``result.warnings``) share that form.  Every
+``python -m <module> [subcommand] [--flag ...]`` they cite must run:
+the module's ``--help`` lists the subcommand, and the subcommand's (or
+the module's) ``--help`` lists each flag.
 """
 
+import functools
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +37,9 @@ QUALIFIED = re.compile(r"repro(?:\.[A-Za-z_]\w*)+(?:\(\))?")
 #: ``README.md`` and ``BENCH_7.json`` are files, not class members.
 FILE_SUFFIXES = {"md", "py", "json", "jsonl", "txt", "yml"}
 LINE_CITATION = re.compile(r"\b[\w/.-]+\.(?:py|md|json|ya?ml):\d+")
+#: ``python -m module args``, continued over ``\``-ended lines, up to a
+#: closing backtick, a comment or the prose around an inline citation.
+COMMAND = re.compile(r"python3? -m ([\w.]+)((?:[^\n`#)|;\\]|\\\n)*)")
 
 
 def spans(name):
@@ -105,3 +115,39 @@ def test_cited_code_resolves(doc, classes):
 def test_no_line_citations(doc):
     found = LINE_CITATION.findall((ROOT / doc).read_text())
     assert not found, f"{doc} cites lines, which drift: {found}"
+
+
+def cited_commands(doc):
+    """``(module, subcommand or None, flags)`` of each cited command; the
+    first argument is taken for a subcommand when it is not a flag."""
+    for module, args in COMMAND.findall((ROOT / doc).read_text()):
+        words = args.replace("\\\n", " ").split()
+        sub = words[0] if words and not words[0].startswith("-") else None
+        flags = [w.split("=")[0] for w in words if w.startswith("--")]
+        yield module, sub, flags
+
+
+@functools.lru_cache(maxsize=None)
+def help_text(*command):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", *command, "--help"], cwd=ROOT, env=env,
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, f"python -m {' '.join(command)} --help failed"
+    return done.stdout
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_cited_commands_exist(doc):
+    wrong = []
+    for module, sub, flags in cited_commands(doc):
+        usage = help_text(module)
+        choices = re.search(r"\{([\w,-]+)\}", usage)
+        if choices and sub is not None:
+            if sub not in choices.group(1).split(","):
+                wrong.append(f"python -m {module} {sub}")
+                continue
+            usage = help_text(module, sub)
+        listed = set(re.findall(r"--[\w-]+", usage))
+        wrong += [f"python -m {module} ... {flag}" for flag in flags if flag not in listed]
+    assert not wrong, f"{doc} cites commands that do not exist: {wrong}"

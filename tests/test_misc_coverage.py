@@ -33,7 +33,7 @@ class TestCliMain:
             "repro.workloads.experiment.build_paper_setup",
             lambda **kw: type("S", (), {"cache": make_cache()})(),
         )
-        assert cli.main() == 0
+        assert cli.main([]) == 0
         out = capsys.readouterr().out
         assert "simulated time" in out
 
@@ -48,7 +48,7 @@ class TestCliMain:
             "repro.workloads.experiment.build_paper_setup",
             lambda **kw: type("S", (), {"cache": make_cache()})(),
         )
-        assert cli.main() == 0
+        assert cli.main([]) == 0
 
 
 class TestCheckerModes:

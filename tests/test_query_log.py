@@ -7,6 +7,8 @@ import pytest
 from repro.cache.backend import BackendServer
 from repro.cache.mtcache import MTCache, QueryLog, QueryLogEntry
 from repro.cli import run_script
+from repro.workloads.experiment import build_paper_setup
+from repro.workloads.queries import plan_choice_query
 
 
 @pytest.fixture()
@@ -83,6 +85,37 @@ class TestQueryLog:
             "local_fraction": 0.0,
             "remote_queries": 0,
         }
+
+
+class TestEntriesKeepReferences:
+    def entries(self, log, n):
+        return [
+            (e.sql, e.summary, list(e.branches), list(e.remote_queries), e.rows,
+             list(e.warnings), e.served_locally)
+            for e in log.recent(n)
+        ]
+
+    def test_local_remote_and_mixed_entries(self):
+        # The paper's Table 4.3 set-up: q7 is served locally, q1 remote,
+        # and q4 joins a guarded view with a remote fetch (every guard it
+        # took chose local, so the log counts it as served locally).
+        cache = build_paper_setup(scale_factor=0.002).cache
+        sqls = [plan_choice_query(name) for name in ("q7", "q1", "q4")]
+        results = [cache.execute(sql) for sql in sqls]
+        assert [r.routing for r in results] == ["local", "remote", "mixed"]
+        seen = self.entries(cache.query_log, 3)
+        assert seen == [
+            (sql, r.plan.summary(), r.context.branches, r.context.remote_queries,
+             len(r.rows), r.warnings, local)
+            for sql, r, local in zip(sqls, results, (True, False, True))
+        ]
+        assert [summary for _, summary, *_ in seen] == [
+            "guarded(cust_prj)", "remote", "hashjoin(guarded(orders_prj), remote)"]
+        assert cache.query_log.summary() == {
+            "queries": 3, "local": 2, "local_fraction": 2 / 3, "remote_queries": 2}
+        for sql in sqls:  # later statements leave the earlier entries alone
+            cache.execute(sql)
+        assert self.entries(cache.query_log, 6)[:3] == seen
 
 
 class TestCliLog:

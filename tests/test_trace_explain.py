@@ -465,6 +465,24 @@ class TestExplainAnalyze:
         records = cache.explain(GUARDED, analyze=True).analysis
         assert any(r["fused"] for r in records if r["executed"])
 
+    @pytest.mark.parametrize("rows", [20, 60])
+    @pytest.mark.parametrize("sql", [
+        GUARDED,
+        "SELECT t.id, t.v FROM t WHERE t.id = 3 CURRENCY BOUND 600 SEC ON (t)",
+        "SELECT a.id, b.v FROM t a, t b WHERE a.id = b.id AND a.v < 100 "
+        "CURRENCY BOUND 600 SEC ON (a, b)",
+    ])
+    def test_analyze_runs_the_plain_runs_kernels(self, rows, sql):
+        # The instrumented tree calls each operator's own all_rows, so the
+        # fused pipelines it reports are the plain run's, row for row.
+        cache = make_cache(rows=rows)
+        plain = cache.execute(sql)
+        result = cache.explain(sql, analyze=True)
+        assert result.context.engine == plain.context.engine
+        fused = {r["describe"] for r in result.analysis if r["fused"]}
+        assert fused and fused == set(plain.context.fused_pipelines)
+        assert result.analysis[0]["actual_rows"] == len(plain.rows)
+
     def test_q_error_helper(self):
         assert q_error(10, 10) == 1.0
         assert q_error(100, 10) == 10.0
